@@ -14,7 +14,8 @@ from .graphgen import (AssumptionReport, Graph, SbmParams, check_assumptions,
 from .harness import (ExperimentConfig, ParameterPoint, Preset, TrialRecord,
                       build_config, expected_threshold, generate_pair_set,
                       read_records_csv, run_experiment, summarize, write_records_csv)
-from .spectral import EigenPairs, kmeans_two_1d, least_squares_min_norm, sym_eig
+from .spectral import (EigenPairs, extreme_eigpairs, kmeans_two_1d, least_squares_min_norm,
+                       sym_eig)
 from .theory import (DavisKahanReport, ExpectedSpectrum, alignment_check, c_of_u,
                      concentration_ratio, corrected_expected_matrix,
                      davis_kahan_check, expected_spectrum)

@@ -14,7 +14,7 @@ from scipy.special import erf, erfinv
 
 from .errors import DomainError, InvalidRegime, SingularJacobian
 from .graphgen import Graph
-from .spectral import sym_eig
+from .spectral import extreme_eigpairs
 
 # States below this sup-norm are treated as the neutral (origin) equilibrium.
 NEUTRAL_TOL = 1e-6
@@ -156,12 +156,22 @@ def rhs(x, params: ModelParams, graph: Graph, b=None):
 
 
 def jacobian(x, params: ModelParams, graph: Graph) -> np.ndarray:
-    """Analytic Jacobian -d*I + u*diag(S'(z)) @ (alpha*I + gamma*A)."""
+    """Analytic Jacobian -d*I + u*diag(S'(z)) @ (alpha*I + gamma*A), dense.
+
+    The Newton solve stays on dense LAPACK: sparse LU fill-in on these
+    random graphs made `splu` slower than a dense solve at every measured n.
+    The dense matrix is filled straight from the CSR arrays.
+    """
     x = np.asarray(x, dtype=float)
     n = x.size
-    z = params.alpha * x + params.gamma * (graph.adjacency @ x)
+    adjacency = graph.adjacency
+    z = params.alpha * x + params.gamma * (adjacency @ x)
     sp = params.u * saturation_deriv(params.saturation, z)
-    jac = sp[:, None] * (params.alpha * np.eye(n) + params.gamma * graph.adjacency)
+    jac = np.zeros((n, n))
+    rows = np.repeat(np.arange(n), np.diff(adjacency.indptr))
+    jac[rows, adjacency.indices] = params.gamma * adjacency.data
+    jac[np.diag_indices(n)] = params.alpha
+    jac *= sp[:, None]
     jac[np.diag_indices(n)] -= params.d
     return jac
 
@@ -332,8 +342,7 @@ def bifurcation_threshold(matrix, params: ModelParams) -> float:
     d / (alpha + gamma*lambda_max) for gamma > 0, d / (alpha + gamma*lambda_min)
     for gamma < 0; works for both a sampled adjacency and an expected matrix.
     """
-    values = sym_eig(matrix).values
-    extreme = values[-1] if params.gamma > 0 else values[0]
+    extreme = extreme_eigpairs(matrix, 1, "LA" if params.gamma > 0 else "SA").values[0]
     denom = params.alpha + params.gamma * extreme
     if denom <= 0:
         raise InvalidRegime(f"alpha + gamma*lambda = {denom} is not positive")

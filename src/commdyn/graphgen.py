@@ -4,6 +4,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
 
 @dataclass(frozen=True)
@@ -60,22 +62,36 @@ class SbmParams:
         return np.repeat(np.array([1, 2]), [self.n1, self.n2])
 
 
+class CsrAdjacency(sparse.csr_array):
+    """CSR array that, like an ndarray, reports its stored bytes as `nbytes`."""
+
+    @property
+    def nbytes(self):
+        return self.data.nbytes + self.indices.nbytes + self.indptr.nbytes
+
+
 @dataclass
 class Graph:
-    """Sampled undirected graph with ground-truth community labels."""
+    """Sampled undirected graph with ground-truth community labels.
 
-    adjacency: np.ndarray
+    `adjacency` is stored as a CSR scipy.sparse array (use `.toarray()` for a
+    dense copy); a dense or sparse matrix is accepted and converted.
+    """
+
+    adjacency: CsrAdjacency
     labels: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.adjacency, dtype=float)
+        a = CsrAdjacency(self.adjacency, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("adjacency must be square")
-        if np.any(a != a.T):
+        a.sum_duplicates()
+        a.eliminate_zeros()
+        if (a != a.T).nnz:
             raise ValueError("adjacency must be symmetric")
-        if np.any(np.diag(a) != 0.0):
+        if np.any(a.diagonal() != 0.0):
             raise ValueError("no self-loops allowed")
-        if not np.all((a == 0.0) | (a == 1.0)):
+        if not np.all(a.data == 1.0):
             raise ValueError("adjacency must be binary")
         self.adjacency = a
         self.labels = np.asarray(self.labels, dtype=int)
@@ -95,23 +111,31 @@ class Graph:
         return int(np.sum(self.labels == 2))
 
 
+def _from_upper(n, rows, cols, labels) -> Graph:
+    """Graph from the upper-triangle edges (rows[k] < cols[k])."""
+    upper = sparse.csr_array((np.ones(len(rows)), (rows, cols)), shape=(n, n))
+    return Graph(adjacency=upper + upper.T, labels=labels)
+
+
 def sample_sbm(params: SbmParams, seed: int) -> Graph:
     """Sample a graph from the SBM, deterministically for a fixed seed.
 
     Each unordered pair {i, j} (i < j, iterated in lexicographic order) is
     drawn from one counter-based Philox stream keyed by the seed, so the
-    sample is bit-reproducible regardless of scheduling.
+    sample is bit-reproducible regardless of scheduling. The stream is drawn
+    row by row, so no n x n buffer is built.
     """
     rng = np.random.Generator(np.random.Philox(seed))
     n = params.n
     labels = params.labels()
-    probs = params.ell[labels - 1][:, labels - 1]
-    iu = np.triu_indices(n, k=1)
-    draws = rng.random(iu[0].size)
-    adjacency = np.zeros((n, n))
-    adjacency[iu] = (draws < probs[iu]).astype(float)
-    adjacency += adjacency.T
-    return Graph(adjacency=adjacency, labels=labels)
+    # row c - 1 holds the link probability from community c to each agent
+    probs = params.ell[:, labels - 1]
+    rows, cols = [], []
+    for i in range(n - 1):
+        hits = np.flatnonzero(rng.random(n - 1 - i) < probs[labels[i] - 1, i + 1:]) + (i + 1)
+        rows.append(np.full(hits.size, i))
+        cols.append(hits)
+    return _from_upper(n, np.concatenate(rows), np.concatenate(cols), labels)
 
 
 def expected_adjacency(params: SbmParams) -> np.ndarray:
@@ -131,17 +155,8 @@ def max_expected_degree(params: SbmParams) -> float:
 
 
 def is_connected(graph: Graph) -> bool:
-    """Breadth-first reachability from agent 0."""
-    n = graph.n
-    adjacency = graph.adjacency
-    seen = np.zeros(n, dtype=bool)
-    seen[0] = True
-    frontier = seen.copy()
-    while frontier.any():
-        reached = adjacency[frontier].sum(axis=0) > 0
-        frontier = reached & ~seen
-        seen |= frontier
-    return bool(seen.all())
+    """True when the graph has a single connected component."""
+    return connected_components(graph.adjacency, directed=False, return_labels=False) == 1
 
 
 @dataclass(frozen=True)
@@ -175,11 +190,11 @@ def check_assumptions(params: SbmParams, c_conn: float = 1.0, c_dis: float = 1.0
 
 def write_edge_list(graph: Graph, path) -> None:
     """Write `# n=<n> n1=<n1>` then one `i j` line per edge, 0-indexed, i < j."""
-    iu = np.triu_indices(graph.n, k=1)
-    mask = graph.adjacency[iu] > 0
+    rows, cols = graph.adjacency.nonzero()
+    upper = rows < cols
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# n={graph.n} n1={graph.n1}\n")
-        for i, j in zip(iu[0][mask], iu[1][mask]):
+        for i, j in zip(rows[upper], cols[upper]):
             fh.write(f"{i} {j}\n")
 
 
@@ -190,7 +205,7 @@ def read_edge_list(path) -> Graph:
             raise ValueError("missing edge-list header")
         fields = dict(part.split("=") for part in header[2:].split())
         n, n1 = int(fields["n"]), int(fields["n1"])
-        adjacency = np.zeros((n, n))
+        edges = set()
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
@@ -198,6 +213,8 @@ def read_edge_list(path) -> Graph:
             i, j = (int(tok) for tok in line.split())
             if not 0 <= i < j < n:
                 raise ValueError(f"bad edge {i} {j}")
-            adjacency[i, j] = adjacency[j, i] = 1.0
+            edges.add((i, j))
+    # a set, not a list: COO assembly would sum a repeated line to weight 2
+    pairs = np.array(sorted(edges), dtype=int).reshape(-1, 2)
     labels = np.repeat(np.array([1, 2]), [n1, n - n1])
-    return Graph(adjacency=adjacency, labels=labels)
+    return _from_upper(n, pairs[:, 0], pairs[:, 1], labels)

@@ -172,7 +172,7 @@ def generate_pair_set(graph: Graph, model: ModelParams, m: int, seed: int,
     return PairSet(states, inputs, model), eqs
 
 
-def _base_record(config, point, seed, trial, pair_set, method, graph, delta, u):
+def _base_record(config, point, seed, trial, pair_set, method, connected, delta, u):
     sbm = point.sbm
     return TrialRecord(
         preset=config.preset.value, method=method.value, seed=seed, trial=trial,
@@ -180,7 +180,7 @@ def _base_record(config, point, seed, trial, pair_set, method, graph, delta, u):
         l11=sbm.l11, l12=sbm.l12, l22=sbm.l22,
         gamma_sign=point.gamma_sign, delta=delta,
         u_offset=point.u_offset, u=u, saturation=point.saturation.value,
-        m=None, accuracy=None, connected=is_connected(graph),
+        m=None, accuracy=None, connected=connected,
         converged=None, residual=None, eigen_gap=None, sigma_min_x=None,
         concentration_ratio=None, alignment=None, failure="")
 
@@ -194,7 +194,7 @@ def _single_trial_rows(config: ExperimentConfig, point_index: int, trial: int):
     u_bar, gamma, delta = expected_threshold(point.sbm, point.gamma_sign,
                                              config.d, config.alpha)
     row = _base_record(config, point, seed_graph, trial, None,
-                       DetectionMethod.SINGLE_EQUILIBRIUM, graph, delta, None)
+                       DetectionMethod.SINGLE_EQUILIBRIUM, is_connected(graph), delta, None)
     if u_bar is None:
         row.failure = "invalid-regime"
         return [row]
@@ -236,10 +236,11 @@ def _multi_trial_rows(config: ExperimentConfig, point_index: int,
     u_bar, gamma, delta = expected_threshold(point.sbm, point.gamma_sign,
                                              config.d, config.alpha)
     m_values = resolve_m_values(config.m_fractions, point.sbm.n)
+    connected = is_connected(graph)
 
     def fresh_row(method):
         return _base_record(config, point, seed_graph, graph_index, pairset_index,
-                            method, graph, delta, None)
+                            method, connected, delta, None)
 
     rows = []
     if u_bar is None:
@@ -307,6 +308,20 @@ def _record_sort_key(r: TrialRecord):
             r.pair_set if r.pair_set is not None else -1, r.method)
 
 
+def _workers_from_env() -> int:
+    """Worker count from COMMDYN_WORKERS, defaulting to the available CPUs."""
+    env = os.environ.get(WORKERS_ENV, "")
+    if not env:
+        return os.cpu_count() or 1
+    try:
+        workers = int(env)
+    except ValueError:
+        raise ValueError(f"{WORKERS_ENV} must be an integer, got {env!r}") from None
+    if workers < 1:
+        raise ValueError(f"{WORKERS_ENV} must be at least 1, got {workers}")
+    return workers
+
+
 def run_experiment(config: ExperimentConfig, workers: int = None):
     """Run every (point, trial) job and return the sorted trial records.
 
@@ -324,8 +339,7 @@ def run_experiment(config: ExperimentConfig, workers: int = None):
             for t in range(config.trials):
                 tasks.append(("single", point_index, t, 0))
     if workers is None:
-        env = os.environ.get(WORKERS_ENV, "")
-        workers = int(env) if env else (os.cpu_count() or 1)
+        workers = _workers_from_env()
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_run_task, [(config, t) for t in tasks]))

@@ -148,11 +148,11 @@ def test_criterion_7_exact_identification_oracle():
                                        seed=derive_seed(42, "oracle-pairs", n, rep))
         assert all(eq.converged for eq in eqs)
         a_hat = estimate_adjacency(pairs.X, invert_pairs(pairs))
-        if np.array_equal(np.round(a_hat), graph.adjacency):
+        if np.array_equal(np.round(a_hat), graph.adjacency.toarray()):
             exact += 1
         sigma = np.linalg.svd(pairs.X, compute_uv=False)
         if sigma[-1] >= 1e-8 * sigma[0]:
-            full_rank_errors.append(float(np.abs(a_hat - graph.adjacency).max()))
+            full_rank_errors.append(float(np.abs(a_hat - graph.adjacency.toarray()).max()))
     passed = exact >= 19 and max(full_rank_errors) <= 1e-6
     _check(7, passed,
            f"exact recovery {exact}/20, max |A_hat - A| = {max(full_rank_errors):.2e} "

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -33,25 +34,26 @@ def test_zero_probability_gives_edgeless_graph():
 def test_unit_probability_gives_complete_graph():
     g = sample_sbm(SbmParams(2, 2, 1.0, 1.0, 1.0), seed=5)
     expected = np.ones((4, 4)) - np.eye(4)
-    assert np.array_equal(g.adjacency, expected)
+    assert np.array_equal(g.adjacency.toarray(), expected)
 
 
 def test_sampled_adjacency_symmetric_zero_diagonal():
     p = SbmParams(6, 10, 0.4, 0.2, 0.7)
     for seed in range(5):
         g = sample_sbm(p, seed)
-        assert np.array_equal(g.adjacency, g.adjacency.T)
-        assert np.all(np.diag(g.adjacency) == 0)
+        assert np.array_equal(g.adjacency.toarray(), g.adjacency.toarray().T)
+        assert np.all(np.diag(g.adjacency.toarray()) == 0)
         assert np.array_equal(g.labels, np.repeat([1, 2], [6, 10]))
 
 
 def test_seed_determinism_and_variation():
     p = SbmParams(25, 25, 0.5, 0.5, 0.5)
-    a = sample_sbm(p, 123).adjacency
-    b = sample_sbm(p, 123).adjacency
+    a = sample_sbm(p, 123).adjacency.toarray()
+    b = sample_sbm(p, 123).adjacency.toarray()
     assert np.array_equal(a, b)
     differing = sum(
-        not np.array_equal(sample_sbm(p, 2 * k).adjacency, sample_sbm(p, 2 * k + 1).adjacency)
+        not np.array_equal(sample_sbm(p, 2 * k).adjacency.toarray(),
+                           sample_sbm(p, 2 * k + 1).adjacency.toarray())
         for k in range(10))
     assert differing >= 1
 
@@ -149,5 +151,28 @@ def test_edge_list_round_trip(tmp_path):
     first = path.read_text().splitlines()[0]
     assert first == "# n=12 n1=5"
     back = read_edge_list(path)
-    assert np.array_equal(back.adjacency, g.adjacency)
+    assert np.array_equal(back.adjacency.toarray(), g.adjacency.toarray())
     assert np.array_equal(back.labels, g.labels)
+
+
+# sha256 of write_edge_list output, recorded from the dense n x n sampler the
+# row-by-row sampler replaced: equal hashes mean the same Philox stream
+@pytest.mark.parametrize("params, seed, digest", [
+    (SbmParams.ssbm(1000, 0.005, 0.03), 11,
+     "1e71d4fe1a2b61d7f927b1b2c2115d98d898181fae5e78daea6b51a258872f1c"),
+    (SbmParams(500, 25, 0.05, 0.1, 0.5), 7,
+     "01b754a6f1b07c97a9f1ca13a5316dc8e3d120d5a9907cfab78073cd1491d1de"),
+    (SbmParams(1, 6, 0.3, 0.6, 0.8), 3,
+     "483c6dd3221f4141c46c8dd62d0f0d8bfb01c64cdc07798dda35796c7a6b1c02"),
+])
+def test_sampler_golden_edge_lists(tmp_path, params, seed, digest):
+    path = tmp_path / "graph.txt"
+    write_edge_list(sample_sbm(params, seed), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_read_edge_list_ignores_repeated_edge(tmp_path):
+    path = tmp_path / "graph.txt"
+    path.write_text("# n=3 n1=1\n0 1\n1 2\n0 1\n")
+    g = read_edge_list(path)
+    assert np.array_equal(g.adjacency.toarray(), [[0, 1, 0], [1, 0, 1], [0, 1, 0]])

@@ -136,6 +136,13 @@ def test_adding_points_keeps_existing_trials():
     assert kept == base
 
 
+@pytest.mark.parametrize("value", ["abc", "2.5", "0", "-3"])
+def test_workers_env_rejects_bad_values(monkeypatch, value):
+    monkeypatch.setenv("COMMDYN_WORKERS", value)
+    with pytest.raises(ValueError, match="COMMDYN_WORKERS"):
+        run_experiment(tiny_single_config(trials=1))
+
+
 def test_records_csv_round_trip(tmp_path):
     records = run_experiment(tiny_single_config(), workers=1)
     path = tmp_path / "records.csv"

@@ -2,10 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from commdyn.errors import NotSymmetric
-from commdyn.graphgen import SbmParams
-from commdyn.spectral import kmeans_two_1d, least_squares_min_norm, sym_eig
+from commdyn.graphgen import SbmParams, sample_sbm
+from commdyn.spectral import extreme_eigpairs, kmeans_two_1d, least_squares_min_norm, sym_eig
 from commdyn.theory import corrected_expected_matrix, expected_spectrum
 
 
@@ -51,6 +52,57 @@ def test_sym_eig_invariants_random():
             k = np.argmax(np.abs(pairs.vectors[:, j]))
             assert pairs.vectors[k, j] > 0
         assert np.all(np.diff(pairs.values) >= 0)
+
+
+def test_sym_eig_accepts_sparse():
+    a = sample_sbm(SbmParams.ssbm(30, 0.4, 0.1), seed=3).adjacency
+    dense = sym_eig(a.toarray())
+    pairs = sym_eig(a)
+    assert np.array_equal(pairs.values, dense.values)
+    assert np.array_equal(pairs.vectors, dense.vectors)
+
+
+# n = 12 takes the dense fallback (ARPACK's basis would be the whole space);
+# n = 200 runs ARPACK
+@pytest.mark.parametrize("n", [12, 200])
+@pytest.mark.parametrize("which", ["LA", "SA"])
+@pytest.mark.parametrize("as_sparse", [False, True])
+def test_extreme_eigpairs_matches_sym_eig(n, which, as_sparse):
+    a = sample_sbm(SbmParams.ssbm(n, 0.4, 0.1), seed=5).adjacency
+    matrix = a if as_sparse else a.toarray()
+    full = sym_eig(a)
+    k = 2
+    pairs = extreme_eigpairs(matrix, k, which)
+    cols = slice(n - k, n) if which == "LA" else slice(0, k)
+    scale = float(np.abs(full.values).max())
+    assert np.abs(pairs.values - full.values[cols]).max() <= 1e-10 * scale
+    assert np.abs(pairs.vectors - full.vectors[:, cols]).max() <= 1e-8
+    again = extreme_eigpairs(matrix, k, which)
+    assert np.array_equal(again.values, pairs.values)
+    assert np.array_equal(again.vectors, pairs.vectors)
+
+
+def test_extreme_eigpairs_largest_magnitude():
+    a = np.diag([-5.0, 1.0, 2.0, 4.0])
+    pairs = extreme_eigpairs(a, 2, "LM")
+    assert np.array_equal(pairs.values, [-5.0, 4.0])
+    assert np.array_equal(np.abs(pairs.vectors), np.eye(4)[:, [0, 3]])
+
+
+def test_extreme_eigpairs_zero_operator():
+    # ARPACK fails on the zero operator (error -9); the dense fallback answers
+    pairs = extreme_eigpairs(sparse.csr_array((50, 50)), 1, "LM")
+    assert pairs.values[0] == 0.0
+    assert np.linalg.norm(pairs.vectors[:, 0]) == pytest.approx(1.0)
+
+
+def test_extreme_eigpairs_rejects_bad_input():
+    with pytest.raises(NotSymmetric):
+        extreme_eigpairs(np.array([[0.0, 1.0], [0.5, 0.0]]), 1, "LA")
+    with pytest.raises(ValueError):
+        extreme_eigpairs(np.eye(3), 1, "BE")
+    with pytest.raises(ValueError):
+        extreme_eigpairs(np.eye(3), 4, "LA")
 
 
 def test_least_squares_exact_inverse_case():
