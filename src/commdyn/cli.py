@@ -45,21 +45,20 @@ def _cmd_sample_graph(args):
 
 def _resolve_model(args, params):
     """Resolve u (absolute or offset from the expected threshold) and gamma."""
+    if params is not None:
+        u_bar, gamma, _ = harness.expected_threshold(params, args.gamma_sign, args.d, args.alpha)
+    else:
+        u_bar, gamma = None, args.gamma
     if args.u is not None:
         u = args.u
+    elif params is None:
+        raise CommdynError("--u-offset needs the SBM flags to locate the threshold")
+    elif u_bar is None:
+        raise CommdynError("threshold undefined for these parameters")
     else:
-        if params is None:
-            raise CommdynError("--u-offset needs the SBM flags to locate the threshold")
-        u_bar, _, _ = harness.expected_threshold(params, args.gamma_sign, args.d, args.alpha)
-        if u_bar is None:
-            raise CommdynError("threshold undefined for these parameters")
         u = u_bar + args.u_offset
-    if params is not None:
-        _, gamma, _ = harness.expected_threshold(params, args.gamma_sign, args.d, args.alpha)
-    else:
-        gamma = args.gamma
-        if gamma is None:
-            raise CommdynError("need --gamma when no SBM flags are given")
+    if gamma is None:
+        raise CommdynError("need --gamma when no SBM flags are given")
     return dynamics.ModelParams(args.d, u, args.alpha, gamma,
                                 dynamics.Saturation(args.saturation))
 

@@ -55,10 +55,7 @@ class PairSet:
     def fixed_point_residuals(self, graph: Graph) -> np.ndarray:
         """Per-column sup-norm of the fixed-point equation; needs the
         ground-truth graph, so this is a test-time consistency check."""
-        res = np.empty(self.m)
-        for k in range(self.m):
-            res[k] = np.abs(rhs(self.X[:, k], self.params, graph, self.B[:, k])).max()
-        return res
+        return np.abs(rhs(self.X, self.params, graph, self.B)).max(axis=0)
 
 
 def detect_single(equilibrium: Equilibrium) -> CommunityEstimate:

@@ -231,6 +231,49 @@ def _guarded_polish(x, params, graph, b, controls):
     return None
 
 
+def _stacked_equilibria(x0, params: ModelParams, graph: Graph, b,
+                        controls: IntegrationControls) -> list:
+    """One Equilibrium per column of the (n, m) start block x0, column k
+    driven by b[:, k] (no input when b is None), integrated as one matrix ODE
+    so the network matvec runs once per stage for all columns. The early
+    polish is all-or-nothing over the columns above steady_tol; a column
+    still above it at the end gets one last guarded polish."""
+    n, m = x0.shape
+    tol = controls.steady_tol
+
+    def polish(states, k):
+        return _guarded_polish(states[:, k], params, graph,
+                               None if b is None else b[:, k], controls)
+
+    solver = RK45(lambda _t, y: rhs(y.reshape(n, m), params, graph, b).ravel(), 0.0,
+                  x0.ravel(), t_bound=controls.t_max, rtol=controls.rtol,
+                  atol=controls.atol, first_step=controls.first_step)
+    # RK45 keeps the field at solver.y in solver.f: the residuals cost no rhs call
+    states, res = x0, np.abs(solver.f.reshape(n, m)).max(axis=0)
+    next_trigger, attempts = controls.polish_trigger, 0
+    while res.max() > tol and solver.status == "running":
+        solver.step()
+        states = solver.y.reshape(n, m)
+        res = np.abs(solver.f.reshape(n, m)).max(axis=0)
+        if controls.polish and tol < res.max() <= next_trigger and attempts < 12:
+            attempts += 1
+            polished = []
+            for k in range(m):
+                polished.append(polish(states, k) if res[k] > tol else (states[:, k], res[k]))
+                if polished[-1] is None:
+                    break
+            else:
+                return [Equilibrium(x, float(rk), True, float(solver.t)) for x, rk in polished]
+            next_trigger = res.max() / 4.0
+    out = []
+    for k in range(m):
+        x, rk = states[:, k], float(res[k])
+        if controls.polish and rk > tol:
+            x, rk = polish(states, k) or (x, rk)  # accepted only at <= steady_tol
+        out.append(Equilibrium(x, rk, rk <= tol, float(solver.t)))
+    return out
+
+
 def integrate_to_equilibrium(x0, params: ModelParams, graph: Graph, b=None,
                              controls: IntegrationControls = IntegrationControls()) -> Equilibrium:
     """Adaptive Runge-Kutta 4(5) to steady state, then a Newton polish.
@@ -241,32 +284,9 @@ def integrate_to_equilibrium(x0, params: ModelParams, graph: Graph, b=None,
     t_max. `converged` reflects the final residual against steady_tol, so a
     t_max exit with a large residual is reported rather than raised.
     """
-    x0 = np.asarray(x0, dtype=float)
-    res = float(np.abs(rhs(x0, params, graph, b)).max())
-    if res <= controls.steady_tol:
-        return Equilibrium(x0.copy(), res, True, 0.0)
-    solver = RK45(lambda _t, x: rhs(x, params, graph, b), 0.0, x0,
-                  t_bound=controls.t_max, rtol=controls.rtol, atol=controls.atol,
-                  first_step=controls.first_step)
-    next_trigger = controls.polish_trigger
-    attempts = 0
-    while solver.status == "running":
-        solver.step()
-        res = float(np.abs(rhs(solver.y, params, graph, b)).max())
-        if res <= controls.steady_tol:
-            break
-        if controls.polish and res <= next_trigger and attempts < 12:
-            attempts += 1
-            polished = _guarded_polish(solver.y, params, graph, b, controls)
-            if polished is not None:
-                return Equilibrium(polished[0], polished[1], True, float(solver.t))
-            next_trigger = res / 4.0
-    x, elapsed = solver.y, float(solver.t)
-    if controls.polish:
-        polished = _guarded_polish(x, params, graph, b, controls)
-        if polished is not None and polished[1] < res:
-            x, res = polished
-    return Equilibrium(np.asarray(x, dtype=float), res, res <= controls.steady_tol, elapsed)
+    x0 = np.array(x0, dtype=float).reshape(-1, 1)
+    b = None if b is None else np.asarray(b, dtype=float).reshape(-1, 1)
+    return _stacked_equilibria(x0, params, graph, b, controls)[0]
 
 
 def equilibria_for_inputs(graph: Graph, params: ModelParams, inputs,
@@ -281,59 +301,7 @@ def equilibria_for_inputs(graph: Graph, params: ModelParams, inputs,
     inputs = np.asarray(inputs, dtype=float)
     if inputs.ndim != 2 or inputs.shape[0] != graph.n:
         raise ValueError("inputs must be an (n, m) matrix")
-    n, m = inputs.shape
-    adjacency = graph.adjacency
-
-    def stacked_rhs(_t, flat):
-        x = flat.reshape(n, m)
-        z = params.alpha * x + params.gamma * (adjacency @ x)
-        return (-params.d * x + params.u * saturation_eval(params.saturation, z)
-                + inputs).ravel()
-
-    def column_residuals(flat):
-        return np.abs(stacked_rhs(0.0, flat).reshape(n, m)).max(axis=0)
-
-    def polish_all(states, res):
-        polished_states, polished_res = states.copy(), res.copy()
-        for k in range(m):
-            if res[k] <= controls.steady_tol:
-                continue
-            polished = _guarded_polish(states[:, k], params, graph, inputs[:, k], controls)
-            if polished is None:
-                return None
-            polished_states[:, k], polished_res[k] = polished
-        return polished_states, polished_res
-
-    solver = RK45(stacked_rhs, 0.0, np.zeros(n * m), t_bound=controls.t_max,
-                  rtol=controls.rtol, atol=controls.atol, first_step=controls.first_step)
-    res = column_residuals(solver.y)
-    next_trigger = controls.polish_trigger
-    attempts = 0
-    done = res.max() <= controls.steady_tol
-    while solver.status == "running" and not done:
-        solver.step()
-        res = column_residuals(solver.y)
-        if res.max() <= controls.steady_tol:
-            break
-        if controls.polish and res.max() <= next_trigger and attempts < 12:
-            attempts += 1
-            polished = polish_all(solver.y.reshape(n, m), res)
-            if polished is not None:
-                states, res = polished
-                return [Equilibrium(states[:, k], float(res[k]), True, float(solver.t))
-                        for k in range(m)]
-            next_trigger = res.max() / 4.0
-    states = solver.y.reshape(n, m)
-    elapsed = float(solver.t)
-    out = []
-    for k in range(m):
-        x, rk = states[:, k], float(res[k])
-        if controls.polish and rk > controls.steady_tol:
-            polished = _guarded_polish(x, params, graph, inputs[:, k], controls)
-            if polished is not None and polished[1] < rk:
-                x, rk = polished
-        out.append(Equilibrium(x, rk, rk <= controls.steady_tol, elapsed))
-    return out
+    return _stacked_equilibria(np.zeros(inputs.shape), params, graph, inputs, controls)
 
 
 def bifurcation_threshold(matrix, params: ModelParams) -> float:

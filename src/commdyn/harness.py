@@ -122,11 +122,6 @@ class TrialRecord:
 
 RECORD_FIELDS = [f.name for f in dataclasses.fields(TrialRecord)]
 
-_INT_FIELDS = {"seed", "trial", "pair_set", "n", "n1", "n2", "gamma_sign", "m"}
-_FLOAT_FIELDS = {"l11", "l12", "l22", "delta", "u_offset", "u", "accuracy", "residual",
-                 "eigen_gap", "sigma_min_x", "concentration_ratio", "alignment"}
-_BOOL_FIELDS = {"connected", "converged"}
-
 
 def derive_seed(base_seed: int, *parts) -> int:
     """Stable 64-bit seed from a hash of the given parts XORed with the base."""
@@ -515,28 +510,26 @@ def write_records_csv(path, records, timestamp: bool = True) -> None:
             writer.writerow([_format_cell(getattr(record, name)) for name in RECORD_FIELDS])
 
 
+def _parse_cell(kind, cell):
+    """Inverse of _format_cell for a field annotated `kind`: empty means
+    missing (None) in numeric and bool columns, "" in text ones."""
+    if kind is str:
+        return cell
+    if cell == "":
+        return None
+    if kind is bool:
+        return cell == "true"
+    return kind(cell)
+
+
 def read_records_csv(path):
-    records = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         rows = [row for row in csv.reader(fh) if row and not row[0].startswith("#")]
     if not rows or rows[0] != RECORD_FIELDS:
         raise ValueError("not a trial-record CSV")
-    for row in rows[1:]:
-        kwargs = {}
-        for name, cell in zip(RECORD_FIELDS, row):
-            if cell == "":
-                # empty means missing for numeric/bool columns, "" for text ones
-                kwargs[name] = "" if name not in _INT_FIELDS | _FLOAT_FIELDS | _BOOL_FIELDS else None
-            elif name in _INT_FIELDS:
-                kwargs[name] = int(cell)
-            elif name in _FLOAT_FIELDS:
-                kwargs[name] = float(cell)
-            elif name in _BOOL_FIELDS:
-                kwargs[name] = cell == "true"
-            else:
-                kwargs[name] = cell
-        records.append(TrialRecord(**kwargs))
-    return records
+    fields = dataclasses.fields(TrialRecord)
+    return [TrialRecord(*(_parse_cell(f.type, cell) for f, cell in zip(fields, row)))
+            for row in rows[1:]]
 
 
 # ---------------------------------------------------------------------------

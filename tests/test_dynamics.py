@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from commdyn.detect import PairSet
 from commdyn.dynamics import (Equilibrium, IntegrationControls, ModelParams, Saturation,
-                              bifurcation_threshold, integrate_to_equilibrium,
-                              newton_refine, read_equilibria_csv, rhs,
-                              saturation_deriv, saturation_eval, saturation_inverse,
+                              bifurcation_threshold, equilibria_for_inputs,
+                              integrate_to_equilibrium, newton_refine, read_equilibria_csv,
+                              rhs, saturation_deriv, saturation_eval, saturation_inverse,
                               write_equilibria_csv)
 from commdyn.errors import DomainError, InvalidRegime
 from commdyn.graphgen import Graph, SbmParams, is_connected, max_expected_degree, sample_sbm
@@ -199,6 +200,35 @@ def test_above_threshold_negative_gamma_mixed_signs():
     assert eq.converged
     assert np.abs(eq.state).max() > 1e-3
     assert np.any(eq.state > 0) and np.any(eq.state < 0)
+
+
+def _above_threshold_model(p, g, offset=0.05):
+    gamma = 1.0 / max_expected_degree(p)
+    u1 = bifurcation_threshold(g.adjacency, ModelParams(1.0, 0.1, 1.0, gamma))
+    return ModelParams(1.0, u1 + offset, 1.0, gamma)
+
+
+def test_single_start_is_one_column_input_solve(small_graph):
+    p, g = small_graph
+    m = _above_threshold_model(p, g)
+    b = np.random.Generator(np.random.Philox(25)).standard_normal(g.n)
+    single = integrate_to_equilibrium(np.zeros(g.n), m, g, b)
+    column = equilibria_for_inputs(g, m, b[:, None])[0]
+    assert np.array_equal(single.state, column.state)
+    assert single.residual_inf == column.residual_inf
+    assert single.converged == column.converged
+    assert single.elapsed_model_time == column.elapsed_model_time
+    assert single.converged and single.elapsed_model_time > 0.0
+
+
+def test_input_columns_meet_their_own_fixed_points(small_graph):
+    p, g = small_graph
+    m = _above_threshold_model(p, g)
+    inputs = np.random.Generator(np.random.Philox(26)).standard_normal((g.n, 3))
+    eqs = equilibria_for_inputs(g, m, inputs)
+    assert all(eq.converged for eq in eqs)
+    pairs = PairSet(np.column_stack([eq.state for eq in eqs]), inputs, m)
+    assert pairs.fixed_point_residuals(g).max() <= IntegrationControls().steady_tol
 
 
 def test_newton_exact_input_unchanged(small_graph):

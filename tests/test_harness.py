@@ -1,3 +1,6 @@
+import csv
+import hashlib
+import io
 import math
 
 import numpy as np
@@ -143,8 +146,9 @@ def test_workers_env_rejects_bad_values(monkeypatch, value):
         run_experiment(tiny_single_config(trials=1))
 
 
-def test_records_csv_round_trip(tmp_path):
-    records = run_experiment(tiny_single_config(), workers=1)
+@pytest.mark.parametrize("make_config", [tiny_single_config, tiny_multi_config])
+def test_records_csv_round_trip(tmp_path, make_config):
+    records = run_experiment(make_config(), workers=1)
     path = tmp_path / "records.csv"
     write_records_csv(path, records)
     assert read_records_csv(path) == records
@@ -161,6 +165,50 @@ def test_records_csv_reproducible_bytes(tmp_path):
     second = paths[1].read_bytes().split(b"\r\n", 1)[1]
     assert first == second
     assert paths[0].read_bytes().startswith(b"# generated ")
+
+
+# Columns computed by LAPACK/ARPACK, whose last bits may differ between
+# numpy/scipy builds; the golden hashes below are taken with them blanked.
+_BUILD_DEPENDENT = {"residual", "alignment", "concentration_ratio", "eigen_gap",
+                    "sigma_min_x"}
+
+_GOLDEN_RECORDS = {
+    Preset.UNEQUAL_SBM: (
+        dict(n1_values=[40, 80], u_offsets=[0.02], trials=3),
+        "4e882c68c739bc70bdeaa63bbe5247677c99022ef0c79c9f1eb4fb17d7109fb0"),
+    Preset.SATURATION_SWEEP: (
+        dict(n1_values=[40], trials=2, diagnostics=True),
+        "3341087a36ce453a4d8900981fc1a64c93733903f744b390bbb4994ac8e8590f"),
+    Preset.SSBM_POSITIVE: (
+        dict(n_values=[40], u_offsets=[0.02], trials=3),
+        "6b0729c96f39d91753e01cd7345fa9348477e553280ff5dd2bc56ad9f99bc70b"),
+    Preset.SSBM_NEGATIVE: (
+        dict(n_values=[60, 120], u_offsets=[0.01], trials=3),
+        "01ff829f550db6901866d4e66ddaea2c5f838e3b13af1d75d45be8b8a0d44a7c"),
+    Preset.MULTI_PAIRS: (
+        dict(n_values=[16], trials=2, pair_sets=2, m_fractions=[0.25, 1.0]),
+        "6f9912c31cc9659bd516e6b8e0e274cd5c49561c1843ba2c761797bdf582da41"),
+}
+
+
+@pytest.mark.parametrize("preset", list(_GOLDEN_RECORDS), ids=lambda p: p.value)
+def test_records_csv_golden(tmp_path, preset):
+    """The records of a small config of every preset are pinned across
+    commits, below the timestamp line and with the build-dependent
+    numeric columns blanked."""
+    overrides, digest = _GOLDEN_RECORDS[preset]
+    path = tmp_path / "records.csv"
+    write_records_csv(path, run_experiment(build_config(preset, base_seed=2024, **overrides),
+                                           workers=1))
+    body = path.read_bytes().split(b"\r\n", 1)[1].decode()
+    rows = list(csv.reader(io.StringIO(body)))
+    blank = [i for i, name in enumerate(rows[0]) if name in _BUILD_DEPENDENT]
+    for row in rows[1:]:
+        for i in blank:
+            row[i] = ""
+    out = io.StringIO()
+    csv.writer(out).writerows(rows)
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------
