@@ -10,6 +10,7 @@ from enum import Enum
 
 import numpy as np
 from scipy.integrate import RK45
+from scipy.sparse.linalg import LinearOperator, minres
 from scipy.special import erf, erfinv
 
 from .errors import DomainError, InvalidRegime, SingularJacobian
@@ -20,6 +21,16 @@ from .spectral import extreme_eigpairs
 NEUTRAL_TOL = 1e-6
 
 _ERF_SCALE = np.sqrt(np.pi) / 2.0
+
+# Newton steps on at most this many agents are a dense LAPACK solve; larger
+# ones run MINRES on the symmetrized Jacobian. Set at the measured crossover.
+DENSE_NEWTON_MAX_N = 300
+
+# MINRES stops once K's residual is below _MINRES_RTOL * ||K|| * ||y||. A step
+# whose residual in J s = r exceeds _REFINE_TOL * ||K|| * ||s|| gets one round
+# of iterative refinement (see Jacobian.solve).
+_MINRES_RTOL = 1e-12
+_REFINE_TOL = 1e-10
 
 
 class Saturation(str, Enum):
@@ -155,33 +166,121 @@ def rhs(x, params: ModelParams, graph: Graph, b=None):
     return out
 
 
-def jacobian(x, params: ModelParams, graph: Graph) -> np.ndarray:
-    """Analytic Jacobian -d*I + u*diag(S'(z)) @ (alpha*I + gamma*A), dense.
+class Jacobian:
+    """The Jacobian J = -d*I + diag(slope) @ (alpha*I + gamma*A) at one state,
+    kept factored: slope = u*S'(z) >= 0 and the CSR adjacency.
 
-    The Newton solve stays on dense LAPACK: sparse LU fill-in on these
-    random graphs made `splu` slower than a dense solve at every measured n.
-    The dense matrix is filled straight from the CSR arrays.
+    With h = sqrt(slope), J = diag(h) @ K @ diag(h)^-1 on the rows where
+    h > 0, and K = diag(h) @ (alpha*I + gamma*A) @ diag(h) - d*I is
+    symmetric. A row with h = 0 (S' rounded to 0 in a saturated tanh or erf)
+    reads -d*s_i in both J and K. So J and K have the same eigenvalues, and K
+    serves both the matrix-free Newton step and the stability certificate.
     """
+
+    def __init__(self, slope, params: ModelParams, adjacency):
+        self.slope = slope
+        self.params = params
+        self.adjacency = adjacency
+
+    def toarray(self) -> np.ndarray:
+        """Dense J, filled straight from the CSR arrays."""
+        n, adjacency, p = self.slope.size, self.adjacency, self.params
+        jac = np.zeros((n, n))
+        rows = np.repeat(np.arange(n), np.diff(adjacency.indptr))
+        jac[rows, adjacency.indices] = p.gamma * adjacency.data
+        jac[np.diag_indices(n)] = p.alpha
+        jac *= self.slope[:, None]
+        jac[np.diag_indices(n)] -= p.d
+        return jac
+
+    def matvec(self, s) -> np.ndarray:
+        """J @ s without forming J."""
+        p = self.params
+        return self.slope * (p.alpha * s + p.gamma * (self.adjacency @ s)) - p.d * s
+
+    def symmetrized(self) -> LinearOperator:
+        """K as a matrix-free operator: two scalings and one CSR matvec."""
+        h, p = np.sqrt(self.slope), self.params
+
+        def matvec(y):
+            y = y.ravel()
+            v = h * y
+            return h * (p.alpha * v + p.gamma * (self.adjacency @ v)) - p.d * y
+
+        return LinearOperator((h.size, h.size), matvec=matvec, dtype=float)
+
+    def solve(self, r) -> np.ndarray:
+        """The Newton step s with J s = r.
+
+        At most DENSE_NEWTON_MAX_N agents this is a dense LAPACK solve; above
+        it, MINRES on K. Rows whose slope is below machine epsilon times the
+        largest are decoupled to rounding and solved as -d*s_i = r_i, which
+        keeps the 1/h scaling of the MINRES right-hand side within 1e8.
+
+        MINRES bounds K's residual relative to ||y||, and y = s/h. Far from
+        an equilibrium h spans orders of magnitude, the rows of small h
+        dominate ||y||, and the bound says little about the rows of large h.
+        The step's residual in J s = r shows this, and one round of
+        iterative refinement on it then recovers the step. A solve stopped
+        short of its tolerance still returns its iterate: the caller's line
+        search judges the step.
+        """
+        if self.slope.size <= DENSE_NEWTON_MAX_N:
+            return np.linalg.solve(self.toarray(), r)
+        coupled = self.slope > np.finfo(float).eps * self.slope.max()
+        split = Jacobian(np.where(coupled, self.slope, 0.0), self.params, self.adjacency)
+        step = split._minres_step(r)
+        residual = r - self.matvec(step)
+        if np.linalg.norm(residual) > _REFINE_TOL * split._k_norm() * np.linalg.norm(step):
+            step += split._minres_step(residual)
+        return step
+
+    def _k_norm(self) -> float:
+        """The infinity norm of K, a bound on its 2-norm."""
+        h, p = np.sqrt(self.slope), self.params
+        off_diagonal = abs(p.gamma) * h * (abs(self.adjacency) @ h)
+        return float(np.max(np.abs(self.slope * p.alpha - p.d) + off_diagonal))
+
+    def _minres_step(self, r) -> np.ndarray:
+        """J s = r by MINRES on K: rows with h = 0 give s_i = -r_i/d, the
+        others s = h*y with K y = r/h - h*gamma*(A @ s_sat), where s_sat holds
+        the h = 0 rows' steps. The h = 0 rows form a -d block of K with a
+        zero right-hand side, which MINRES never leaves."""
+        h, p = np.sqrt(self.slope), self.params
+        free = h > 0
+        saturated = np.where(free, 0.0, -r / p.d)
+        if not free.any():
+            return saturated
+        rhs_free = np.divide(r, h, out=np.zeros_like(r), where=free)
+        if not free.all():
+            rhs_free -= h * (p.gamma * (self.adjacency @ saturated))
+        y, _ = minres(self.symmetrized(), rhs_free, rtol=_MINRES_RTOL)
+        return saturated + h * y
+
+
+def jacobian(x, params: ModelParams, graph: Graph) -> Jacobian:
+    """The analytic Jacobian of `rhs` at x, in factored form (see Jacobian).
+
+    `newton_refine` calls it once per Newton iteration, and nothing else in
+    the package calls it, so its call count is the Newton iteration count.
+    """
+    return _linearize(x, params, graph)
+
+
+def _linearize(x, params: ModelParams, graph: Graph) -> Jacobian:
     x = np.asarray(x, dtype=float)
-    n = x.size
-    adjacency = graph.adjacency
-    z = params.alpha * x + params.gamma * (adjacency @ x)
-    sp = params.u * saturation_deriv(params.saturation, z)
-    jac = np.zeros((n, n))
-    rows = np.repeat(np.arange(n), np.diff(adjacency.indptr))
-    jac[rows, adjacency.indices] = params.gamma * adjacency.data
-    jac[np.diag_indices(n)] = params.alpha
-    jac *= sp[:, None]
-    jac[np.diag_indices(n)] -= params.d
-    return jac
+    z = params.alpha * x + params.gamma * (graph.adjacency @ x)
+    return Jacobian(params.u * saturation_deriv(params.saturation, z), params,
+                    graph.adjacency)
 
 
 def newton_refine(x, params: ModelParams, graph: Graph, b=None,
                   tol: float = 1e-12, max_iter: int = 25) -> Equilibrium:
     """Damped Newton polish of a near-equilibrium point.
 
-    Raises SingularJacobian when the linear solve fails, which near a
-    bifurcation is expected; callers fall back to the unpolished point.
+    Raises SingularJacobian when the linear solve fails or gives a
+    non-finite step, which near a bifurcation is expected; callers fall back
+    to the unpolished point.
     """
     x = np.array(x, dtype=float)
     residual = rhs(x, params, graph, b)
@@ -189,9 +288,8 @@ def newton_refine(x, params: ModelParams, graph: Graph, b=None,
     for _ in range(max_iter):
         if res_norm <= tol:
             return Equilibrium(x, res_norm, True, 0.0)
-        jac = jacobian(x, params, graph)
         try:
-            step = np.linalg.solve(jac, residual)
+            step = jacobian(x, params, graph).solve(residual)
         except np.linalg.LinAlgError as exc:
             raise SingularJacobian(str(exc)) from exc
         if not np.all(np.isfinite(step)):
@@ -210,10 +308,19 @@ def newton_refine(x, params: ModelParams, graph: Graph, b=None,
     return Equilibrium(x, res_norm, res_norm <= tol, 0.0)
 
 
+def _is_stable(x, params: ModelParams, graph: Graph) -> bool:
+    """Stability certificate: the largest eigenvalue of the symmetrized
+    Jacobian at x (the same spectrum as J's) is negative."""
+    operator = _linearize(x, params, graph).symmetrized()
+    return bool(extreme_eigpairs(operator, 1, "LA").values[0] < 0.0)
+
+
 def _guarded_polish(x, params, graph, b, controls):
     """Newton-polish x and accept only a root the trajectory point belongs to:
     either the step stayed small relative to x, or both points are
-    numerically neutral. Returns (state, residual) or None."""
+    numerically neutral and the stability certificate holds at the root (a
+    trajectory passing near an unstable origin does not belong to it).
+    Returns (state, residual) or None."""
     try:
         refined = newton_refine(x, params, graph, b, tol=controls.newton_tol,
                                 max_iter=controls.newton_max_iter)
@@ -223,10 +330,11 @@ def _guarded_polish(x, params, graph, b, controls):
         return None
     x_norm = float(np.abs(x).max())
     moved = float(np.abs(refined.state - x).max())
-    near = moved <= 0.1 * x_norm
+    if moved <= 0.1 * x_norm:
+        return refined.state, refined.residual_inf
     both_neutral = (float(np.abs(refined.state).max()) <= NEUTRAL_TOL
                     and x_norm <= 10.0 * NEUTRAL_TOL)
-    if near or both_neutral:
+    if both_neutral and _is_stable(refined.state, params, graph):
         return refined.state, refined.residual_inf
     return None
 

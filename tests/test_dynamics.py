@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+from commdyn import dynamics
 from commdyn.detect import PairSet
-from commdyn.dynamics import (Equilibrium, IntegrationControls, ModelParams, Saturation,
-                              bifurcation_threshold, equilibria_for_inputs,
-                              integrate_to_equilibrium, newton_refine, read_equilibria_csv,
-                              rhs, saturation_deriv, saturation_eval, saturation_inverse,
-                              write_equilibria_csv)
-from commdyn.errors import DomainError, InvalidRegime
+from commdyn.dynamics import (DENSE_NEWTON_MAX_N, Equilibrium, IntegrationControls,
+                              ModelParams, Saturation, bifurcation_threshold,
+                              equilibria_for_inputs, integrate_to_equilibrium, jacobian,
+                              newton_refine, read_equilibria_csv, rhs, saturation_deriv,
+                              saturation_eval, saturation_inverse, write_equilibria_csv)
+from commdyn.errors import DomainError, InvalidRegime, SingularJacobian
 from commdyn.graphgen import Graph, SbmParams, is_connected, max_expected_degree, sample_sbm
 
 ALL_KINDS = list(Saturation)
@@ -257,6 +258,160 @@ def test_newton_budget_exhausted(small_graph):
     far = np.full(g.n, 50.0)
     eq = newton_refine(far, m, g, tol=1e-12, max_iter=1)
     assert not eq.converged
+
+
+# ---------------------------------------------------------------------------
+# Newton step: dense LAPACK at small n, MINRES on the symmetrized Jacobian above
+
+@pytest.fixture(scope="module")
+def krylov_graph():
+    """A connected SSBM just above the dense-solve cutoff."""
+    return _connected_ssbm(DENSE_NEWTON_MAX_N + 100, 0.06, 0.02)
+
+
+def _model_above_threshold(p, g, sign, kind, offset):
+    gamma = sign / max_expected_degree(p)
+    u = bifurcation_threshold(g.adjacency, ModelParams(1.0, 0.1, 1.0, gamma)) + offset
+    return ModelParams(1.0, u, 1.0, gamma, kind)
+
+
+def _relative_error(step, reference):
+    return np.linalg.norm(step - reference) / np.linalg.norm(reference)
+
+
+def _symmetrized_dense(jac):
+    return jac.symmetrized() @ np.eye(jac.slope.size)
+
+
+def test_jacobian_forms_agree(small_graph):
+    p, g = small_graph
+    m = _model_above_threshold(p, g, -1, Saturation.ERF, 0.3)
+    x = np.random.Generator(np.random.Philox(30)).uniform(-1.0, 1.0, g.n)
+    jac = jacobian(x, m, g)
+    h = 1e-7
+    columns = [(rhs(x + h * e, m, g) - rhs(x - h * e, m, g)) / (2 * h) for e in np.eye(g.n)]
+    assert np.abs(jac.toarray() - np.column_stack(columns)).max() < 1e-7
+    s = np.random.Generator(np.random.Philox(31)).standard_normal(g.n)
+    assert np.allclose(jac.matvec(s), jac.toarray() @ s, rtol=0, atol=1e-14)
+    k = _symmetrized_dense(jac)
+    assert np.abs(k - k.T).max() <= 1e-15
+    # J = diag(h) K diag(h)^-1, so both have one spectrum
+    assert np.allclose(np.sort(np.linalg.eigvals(jac.toarray()).real),
+                       np.linalg.eigvalsh(k), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+@pytest.mark.parametrize("sign", [1, -1])
+def test_minres_step_near_equilibrium(krylov_graph, sign, kind):
+    p, g = krylov_graph
+    m = _model_above_threshold(p, g, sign, kind, 0.05)
+    rng = np.random.Generator(np.random.Philox(32))
+    eq = integrate_to_equilibrium(rng.uniform(-1e-3, 1e-3, g.n), m, g)
+    assert eq.converged and np.abs(eq.state).max() > 1e-3
+    x = eq.state + 1e-6 * rng.standard_normal(g.n)
+    r = rhs(x, m, g)
+    jac = jacobian(x, m, g)
+    assert np.linalg.eigvalsh(_symmetrized_dense(jac)).max() < 0  # a stable point
+    assert _relative_error(jac.solve(r), np.linalg.solve(jac.toarray(), r)) <= 1e-8
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+@pytest.mark.parametrize("sign", [1, -1])
+def test_minres_step_far_point(krylov_graph, sign, kind):
+    p, g = krylov_graph
+    m = _model_above_threshold(p, g, sign, kind, 0.5)
+    x = np.random.Generator(np.random.Philox(33)).uniform(-3.0, 3.0, g.n)
+    r = rhs(x, m, g)
+    jac = jacobian(x, m, g)
+    spectrum = np.linalg.eigvalsh(_symmetrized_dense(jac))
+    assert spectrum.min() < 0 < spectrum.max()  # K is indefinite here
+    assert _relative_error(jac.solve(r), np.linalg.solve(jac.toarray(), r)) <= 1e-8
+
+
+@pytest.mark.parametrize("kind", [Saturation.TANH, Saturation.ERF], ids=lambda k: k.value)
+def test_minres_step_with_exactly_saturated_rows(krylov_graph, kind):
+    p, g = krylov_graph
+    m = _model_above_threshold(p, g, 1, kind, 0.2)
+    rng = np.random.Generator(np.random.Philox(34))
+    x = rng.uniform(-0.5, 0.5, g.n)
+    x[: g.n // 3] = 60.0  # S'(z) underflows or rounds to exactly 0 on these rows
+    r = rhs(x, m, g)
+    jac = jacobian(x, m, g)
+    assert 0 < np.count_nonzero(jac.slope == 0.0) < g.n
+    assert _relative_error(jac.solve(r), np.linalg.solve(jac.toarray(), r)) <= 1e-8
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_saturated_rows_are_eliminated_exactly(krylov_graph, sign, monkeypatch):
+    """With weak coupling the other rows' h stay within a few hundred of each
+    other, so an exact elimination of the S' = 0 rows needs one MINRES solve
+    and no refinement round."""
+    p, g = krylov_graph
+    solves = []
+    minres = dynamics.minres
+    monkeypatch.setattr(dynamics, "minres",
+                        lambda *args, **kwargs: solves.append(1) or minres(*args, **kwargs))
+    m = ModelParams(1.0, 0.5, 1.0, sign * 0.1 / max_expected_degree(p))
+    x = np.random.Generator(np.random.Philox(36)).uniform(-0.5, 0.5, g.n)
+    x[::3] = 60.0
+    r = rhs(x, m, g)
+    jac = jacobian(x, m, g)
+    saturated = jac.slope == 0.0
+    assert 0 < np.count_nonzero(saturated) < g.n
+    step = jac.solve(r)
+    assert len(solves) == 1
+    assert np.array_equal(step[saturated], -r[saturated] / m.d)
+    assert _relative_error(step, np.linalg.solve(jac.toarray(), r)) <= 1e-8
+
+
+def test_minres_newton_all_rows_saturated(krylov_graph):
+    _, g = krylov_graph
+    m = ModelParams(1.0, 0.4, 1.0, 0.05)
+    far = np.full(g.n, 50.0)
+    r = rhs(far, m, g)
+    jac = jacobian(far, m, g)
+    assert np.all(jac.slope == 0.0)
+    assert np.array_equal(jac.solve(r), -r / m.d)
+    assert not newton_refine(far, m, g, tol=1e-12, max_iter=1).converged
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("graph_fixture", ["small_graph", "krylov_graph"])
+def test_newton_non_finite_step_raises(graph_fixture, request):
+    _, g = request.getfixturevalue(graph_fixture)
+    m = ModelParams(1.0, 0.4, 1.0, 0.05)
+    x = np.full(g.n, 0.1)
+    x[0] = np.inf
+    with pytest.raises(SingularJacobian):
+        newton_refine(x, m, g)
+
+
+def test_stable_origin_passes_the_certificate():
+    p, g = _connected_ssbm(DENSE_NEWTON_MAX_N + 100, 0.01, 0.06)
+    gamma = -1.0 / max_expected_degree(p)
+    u1 = bifurcation_threshold(g.adjacency, ModelParams(1.0, 0.1, 1.0, gamma))
+    x0 = np.random.Generator(np.random.Philox(35)).uniform(-1e-3, 1e-3, g.n)
+    below = integrate_to_equilibrium(x0, ModelParams(1.0, 0.99 * u1, 1.0, gamma), g)
+    assert below.converged and np.abs(below.state).max() <= dynamics.NEUTRAL_TOL
+    above = integrate_to_equilibrium(x0, ModelParams(1.0, 1.01 * u1, 1.0, gamma), g)
+    assert above.converged and np.abs(above.state).max() > 1e-3
+
+
+def test_certificate_decides_the_neutral_polish(small_graph, monkeypatch):
+    _, g = small_graph
+    verdicts = []
+    certificate = dynamics._is_stable
+    monkeypatch.setattr(dynamics, "_is_stable",
+                        lambda *args: verdicts.append(certificate(*args)) or verdicts[-1])
+    gamma = 1.0 / max_expected_degree(SbmParams.ssbm(30, 0.4, 0.1))
+    u1 = bifurcation_threshold(g.adjacency, ModelParams(1.0, 0.1, 1.0, gamma))
+    x = np.full(g.n, 5e-6)
+    controls = IntegrationControls()
+    assert dynamics._guarded_polish(x, ModelParams(1.0, 0.9 * u1, 1.0, gamma), g,
+                                    None, controls) is not None
+    assert dynamics._guarded_polish(x, ModelParams(1.0, 1.1 * u1, 1.0, gamma), g,
+                                    None, controls) is None
+    assert verdicts == [True, False]
 
 
 def test_bifurcation_threshold_two_agent_graph():

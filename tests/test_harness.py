@@ -211,6 +211,18 @@ def test_records_csv_golden(tmp_path, preset):
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
 
 
+def test_unstable_origin_is_not_accepted_as_neutral_state():
+    """Near threshold the trajectory passes close to the origin on its way to
+    the branch equilibrium. The polish there finds the origin; it is unstable
+    at this u, so the stability certificate rejects it and the trial goes on
+    to the branch equilibrium instead of ending as neutral-state."""
+    config = build_config(Preset.SSBM_NEGATIVE, base_seed=848297351135776325,
+                          n_values=[1000, 2000], u_offsets=[0.01], trials=1)
+    rows = {r.n: r for r in run_experiment(config, workers=1)}
+    assert rows[2000].failure == ""
+    assert rows[2000].converged and rows[2000].accuracy == 1.0
+
+
 # ---------------------------------------------------------------------------
 # aggregation
 
