@@ -10,6 +10,7 @@ from enum import Enum
 
 import numpy as np
 from scipy.integrate import RK45
+from scipy.optimize import brentq  # already imported by scipy.integrate
 from scipy.sparse.linalg import LinearOperator, minres
 from scipy.special import erf, erfinv
 
@@ -31,6 +32,10 @@ DENSE_NEWTON_MAX_N = 300
 # of iterative refinement (see Jacobian.solve).
 _MINRES_RTOL = 1e-12
 _REFINE_TOL = 1e-10
+
+# The branch seed's root search brackets c in [_SEED_BRACKET_LOW, 1] times
+# its upper bound u*sqrt(n)/d (see _branch_seed).
+_SEED_BRACKET_LOW = 1e-9
 
 
 class Saturation(str, Enum):
@@ -382,6 +387,58 @@ def _stacked_equilibria(x0, params: ModelParams, graph: Graph, b,
     return out
 
 
+def _branch_seed(params: ModelParams, graph: Graph):
+    """(c, w): the bifurcated branch's projected amplitude c > 0 and the
+    extreme eigenvector w of A on the gamma side, or None when the origin is
+    stable (-d + u*mu <= 0, mu = alpha + gamma*lambda).
+
+    c is the positive root of g(c) = -d*c + u*w.S(c*mu*w), the fixed point
+    projected on w. g'(0) = -d + u*mu > 0, and |w.S| <= ||w||_1 <= sqrt(n)
+    puts the root at or below u*sqrt(n)/d.
+    """
+    pairs = extreme_eigpairs(graph.adjacency, 1, "LA" if params.gamma > 0 else "SA")
+    w = pairs.vectors[:, 0]
+    mu = params.alpha + params.gamma * pairs.values[0]
+    if -params.d + params.u * mu <= 0.0:
+        return None
+
+    def projected(c):
+        return -params.d * c + params.u * float(w @ saturation_eval(params.saturation,
+                                                                    c * mu * w))
+
+    high = params.u * np.sqrt(w.size) / params.d
+    low = _SEED_BRACKET_LOW * high
+    if projected(low) <= 0.0:  # so close to threshold that the root is below low
+        return None
+    return brentq(projected, low, high), w
+
+
+def _seeded_equilibrium(x0, params: ModelParams, graph: Graph,
+                        controls: IntegrationControls):
+    """Newton from the branch seed +-c*w, the sign taken from x0.w, or None
+    when the root is not the equilibrium the trajectory from x0 would reach:
+    unconverged, neutral, on the other side of the origin, not certified by
+    _is_stable, or so small that x0 is not a small perturbation of the
+    origin next to it (max|x0| > 0.1*max|x*|, the polish guard's factor)."""
+    seed = _branch_seed(params, graph)
+    if seed is None:
+        return None
+    c, w = seed
+    sign = 1.0 if x0 @ w >= 0.0 else -1.0
+    try:
+        root = newton_refine(sign * c * w, params, graph, tol=controls.newton_tol,
+                             max_iter=controls.newton_max_iter)
+    except SingularJacobian:
+        return None
+    root_norm = float(np.abs(root.state).max())
+    if (root.residual_inf <= controls.steady_tol and root_norm > NEUTRAL_TOL
+            and sign * float(root.state @ w) > 0.0
+            and float(np.abs(x0).max()) <= 0.1 * root_norm
+            and _is_stable(root.state, params, graph)):
+        return Equilibrium(root.state, root.residual_inf, True, 0.0)
+    return None
+
+
 def integrate_to_equilibrium(x0, params: ModelParams, graph: Graph, b=None,
                              controls: IntegrationControls = IntegrationControls()) -> Equilibrium:
     """Adaptive Runge-Kutta 4(5) to steady state, then a Newton polish.
@@ -391,9 +448,20 @@ def integrate_to_equilibrium(x0, params: ModelParams, graph: Graph, b=None,
     cannot push the residual below its rtol * ||x|| error floor), or at
     t_max. `converged` reflects the final residual against steady_tol, so a
     t_max exit with a large residual is reported rather than raised.
+
+    Without an input and with the polish on, a start that is not yet an
+    equilibrium first tries the seeded start: Newton from the bifurcated
+    branch c*w (see _seeded_equilibrium), which skips the slow transit out
+    of the origin near threshold. An accepted seeded root reports
+    elapsed_model_time 0.0; any rejection runs the ODE path from x0.
     """
     x0 = np.array(x0, dtype=float).reshape(-1, 1)
     b = None if b is None else np.asarray(b, dtype=float).reshape(-1, 1)
+    if (b is None and controls.polish
+            and float(np.abs(rhs(x0[:, 0], params, graph)).max()) > controls.steady_tol):
+        seeded = _seeded_equilibrium(x0[:, 0], params, graph, controls)
+        if seeded is not None:
+            return seeded
     return _stacked_equilibria(x0, params, graph, b, controls)[0]
 
 

@@ -7,6 +7,11 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
+# sample_sbm draws the pair stream in blocks of whole rows of about this many
+# pairs (a longer row is a block of its own). 2^16 was no faster at
+# n = 1000-2000 and added 0.6 MB to the ssbm-neg-large peak RSS.
+_SAMPLE_BLOCK_PAIRS = 1 << 15
+
 
 @dataclass(frozen=True)
 class SbmParams:
@@ -123,19 +128,29 @@ def sample_sbm(params: SbmParams, seed: int) -> Graph:
     Each unordered pair {i, j} (i < j, iterated in lexicographic order) is
     drawn from one counter-based Philox stream keyed by the seed, so the
     sample is bit-reproducible regardless of scheduling. The stream is drawn
-    row by row, so no n x n buffer is built.
+    in blocks of whole rows of about _SAMPLE_BLOCK_PAIRS pairs, so no n x n
+    buffer is built.
     """
     rng = np.random.Generator(np.random.Philox(seed))
-    n = params.n
+    n, n1 = params.n, params.n1
     labels = params.labels()
-    # row c - 1 holds the link probability from community c to each agent
-    probs = params.ell[:, labels - 1]
-    rows, cols = [], []
-    for i in range(n - 1):
-        hits = np.flatnonzero(rng.random(n - 1 - i) < probs[labels[i] - 1, i + 1:]) + (i + 1)
-        rows.append(np.full(hits.size, i))
-        cols.append(hits)
-    return _from_upper(n, np.concatenate(rows), np.concatenate(cols), labels)
+    agents = np.arange(n)
+    # row i's pairs are a run inside community 1 (j < n1), then a run of
+    # j >= max(i + 1, n1), each with one link probability
+    first = np.maximum(n1 - 1 - agents, 0)
+    run_lengths = np.column_stack([first, n - 1 - agents - first]).ravel()
+    run_probs = params.ell[labels - 1].ravel()
+    offsets = np.concatenate([[0], np.cumsum(n - 1 - agents)])  # row i starts at offsets[i]
+    hits, start = [], 0
+    while start < n - 1:
+        end = np.searchsorted(offsets, offsets[start] + _SAMPLE_BLOCK_PAIRS, side="right") - 1
+        end = max(int(end), start + 1)
+        probs = np.repeat(run_probs[2 * start:2 * end], run_lengths[2 * start:2 * end])
+        hits.append(np.flatnonzero(rng.random(probs.size) < probs) + offsets[start])
+        start = end
+    hits = np.concatenate(hits)
+    rows = np.searchsorted(offsets, hits, side="right") - 1
+    return _from_upper(n, rows, hits - offsets[rows] + rows + 1, labels)
 
 
 def expected_adjacency(params: SbmParams) -> np.ndarray:

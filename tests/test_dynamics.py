@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from commdyn import dynamics
-from commdyn.detect import PairSet
+from commdyn.detect import PairSet, detect_single
 from commdyn.dynamics import (DENSE_NEWTON_MAX_N, Equilibrium, IntegrationControls,
                               ModelParams, Saturation, bifurcation_threshold,
                               equilibria_for_inputs, integrate_to_equilibrium, jacobian,
@@ -431,6 +431,136 @@ def test_bifurcation_threshold_invalid_regime():
     m = ModelParams(1.0, 0.1, 1.0, -1.0)
     with pytest.raises(InvalidRegime):
         bifurcation_threshold(np.diag([5.0, 2.0]), m)
+
+
+# ---------------------------------------------------------------------------
+# seeded start: Newton from the bifurcated branch c*w, the ODE path as fallback
+
+@pytest.fixture(scope="module")
+def dense_newton_graph():
+    """A connected SSBM at or below the dense-solve cutoff."""
+    return _connected_ssbm(200, 0.12, 0.04)
+
+
+def _ode_path(x0, m, g, controls=IntegrationControls()):
+    """integrate_to_equilibrium's RK45 path alone, without the seeded start."""
+    return dynamics._stacked_equilibria(np.array(x0, dtype=float).reshape(-1, 1), m, g,
+                                        None, controls)[0]
+
+
+def _assert_same_equilibrium(eq, reference):
+    assert np.array_equal(eq.state, reference.state)
+    assert eq.residual_inf == reference.residual_inf
+    assert eq.converged == reference.converged
+    assert eq.elapsed_model_time == reference.elapsed_model_time
+
+
+def _small_start(g, seed):
+    return np.random.Generator(np.random.Philox(seed)).uniform(-1e-3, 1e-3, g.n)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("graph_fixture", ["dense_newton_graph", "krylov_graph"])
+def test_seeded_start_agrees_with_ode_path(graph_fixture, sign, kind, request):
+    p, g = request.getfixturevalue(graph_fixture)
+    m = _model_above_threshold(p, g, sign, kind, 0.02)
+    x0 = _small_start(g, 40)
+    seeded = integrate_to_equilibrium(x0, m, g)
+    ode = _ode_path(x0, m, g)
+    assert seeded.converged and ode.converged
+    assert seeded.elapsed_model_time == 0.0 < ode.elapsed_model_time  # the seed ran
+    assert seeded.residual_inf <= IntegrationControls().steady_tol
+    assert np.abs(seeded.state - ode.state).max() <= 1e-8
+    assert np.array_equal(detect_single(seeded).labels, detect_single(ode).labels)
+
+
+@pytest.mark.parametrize("graph_fixture", ["dense_newton_graph", "krylov_graph"])
+def test_seeded_start_is_odd(graph_fixture, request):
+    p, g = request.getfixturevalue(graph_fixture)
+    m = _model_above_threshold(p, g, -1, Saturation.TANH, 0.02)
+    x0 = _small_start(g, 41)
+    plus, minus = integrate_to_equilibrium(x0, m, g), integrate_to_equilibrium(-x0, m, g)
+    assert plus.elapsed_model_time == minus.elapsed_model_time == 0.0
+    assert np.array_equal(minus.state, -plus.state)
+
+
+def test_seeded_start_needs_the_polish(small_graph, monkeypatch):
+    p, g = small_graph
+    m = _model_above_threshold(p, g, 1, Saturation.TANH, 0.05)
+    # without the polish RK45 alone cannot reach the default steady_tol
+    controls = IntegrationControls(polish=False, steady_tol=1e-7)
+    monkeypatch.setattr(dynamics, "_seeded_equilibrium", None)  # calling it would raise
+    x0 = _small_start(g, 42)
+    _assert_same_equilibrium(integrate_to_equilibrium(x0, m, g, controls=controls),
+                             _ode_path(x0, m, g, controls))
+
+
+def test_seeded_start_skips_a_start_at_equilibrium(dense_newton_graph, monkeypatch):
+    p, g = dense_newton_graph
+    m = _model_above_threshold(p, g, 1, Saturation.TANH, 0.02)
+    root = integrate_to_equilibrium(_small_start(g, 43), m, g).state
+    monkeypatch.setattr(dynamics, "_seeded_equilibrium", None)
+    eq = integrate_to_equilibrium(root, m, g)
+    _assert_same_equilibrium(eq, _ode_path(root, m, g))
+    assert np.array_equal(eq.state, root)
+
+
+@pytest.mark.parametrize("graph_fixture", ["dense_newton_graph", "krylov_graph"])
+def test_seeded_start_below_threshold_is_the_ode_path(graph_fixture, request):
+    p, g = request.getfixturevalue(graph_fixture)
+    m = _model_above_threshold(p, g, -1, Saturation.ERF, 0.0)
+    m = ModelParams(m.d, 0.98 * m.u, m.alpha, m.gamma, m.saturation)
+    assert dynamics._branch_seed(m, g) is None  # the origin is stable: no seed
+    x0 = _small_start(g, 44)
+    eq = integrate_to_equilibrium(x0, m, g)
+    _assert_same_equilibrium(eq, _ode_path(x0, m, g))
+    assert np.abs(eq.state).max() <= dynamics.NEUTRAL_TOL
+
+
+@pytest.mark.parametrize("graph_fixture", ["dense_newton_graph", "krylov_graph"])
+def test_uncertified_seeded_root_falls_back(graph_fixture, request, monkeypatch):
+    p, g = request.getfixturevalue(graph_fixture)
+    m = _model_above_threshold(p, g, 1, Saturation.ALG_SQRT, 0.02)
+    x0 = _small_start(g, 45)
+    calls = []
+    monkeypatch.setattr(dynamics, "_is_stable", lambda *args: calls.append(args) or False)
+    eq = integrate_to_equilibrium(x0, m, g)
+    assert len(calls) == 1  # the seeded root reached the certificate
+    _assert_same_equilibrium(eq, _ode_path(x0, m, g))
+    assert eq.elapsed_model_time > 0.0
+
+
+def test_singular_seeded_newton_falls_back(krylov_graph, monkeypatch):
+    p, g = krylov_graph
+    m = _model_above_threshold(p, g, -1, Saturation.ALG_ABS, 0.02)
+    x0 = _small_start(g, 46)
+    reference = _ode_path(x0, m, g)
+    refine, calls = dynamics.newton_refine, []
+
+    def raise_first(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 1:
+            raise SingularJacobian("injected")
+        return refine(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "newton_refine", raise_first)
+    _assert_same_equilibrium(integrate_to_equilibrium(x0, m, g), reference)
+    assert len(calls) > 1  # the seed, then the ODE path's polish
+
+
+@pytest.mark.parametrize("graph_fixture", ["dense_newton_graph", "krylov_graph"])
+def test_large_start_is_not_seeded(graph_fixture, request, monkeypatch):
+    p, g = request.getfixturevalue(graph_fixture)
+    m = _model_above_threshold(p, g, 1, Saturation.TANH, 0.02)
+    root_norm = np.abs(integrate_to_equilibrium(_small_start(g, 47), m, g).state).max()
+    x0 = 0.15 * root_norm * np.sign(_small_start(g, 48))
+    calls = []
+    monkeypatch.setattr(dynamics, "_is_stable", lambda *args: calls.append(args) or True)
+    eq = integrate_to_equilibrium(x0, m, g)
+    assert not calls  # rejected before the certificate
+    _assert_same_equilibrium(eq, _ode_path(x0, m, g))
+    assert eq.converged and eq.elapsed_model_time > 0.0
 
 
 def test_integration_controls_validation():

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from commdyn import graphgen
 from commdyn.graphgen import (Graph, SbmParams, check_assumptions, expected_adjacency,
                               is_connected, max_expected_degree, read_edge_list,
                               sample_sbm, write_edge_list)
@@ -176,3 +177,39 @@ def test_read_edge_list_ignores_repeated_edge(tmp_path):
     path.write_text("# n=3 n1=1\n0 1\n1 2\n0 1\n")
     g = read_edge_list(path)
     assert np.array_equal(g.adjacency.toarray(), [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+
+
+def _row_by_row_sbm(params, seed):
+    """The sampler's pair stream drawn one row at a time, as a dense boolean
+    adjacency: the reference the blocked sampler must reproduce exactly."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    labels = params.labels()
+    probs = params.ell[:, labels - 1]
+    upper = np.zeros((params.n, params.n), dtype=bool)
+    for i in range(params.n - 1):
+        upper[i, i + 1:] = rng.random(params.n - 1 - i) < probs[labels[i] - 1, i + 1:]
+    return upper | upper.T
+
+
+SAMPLER_CASES = [
+    SbmParams(1, 1, 0.5, 0.5, 0.5),
+    SbmParams(1, 1, 0.0, 1.0, 0.0),
+    SbmParams(1, 6, 0.3, 0.6, 0.8),
+    SbmParams(6, 1, 0.3, 0.6, 0.8),
+    SbmParams(30, 7, 0.0, 1.0, 0.4),
+    SbmParams(7, 30, 1.0, 0.0, 0.2),
+    SbmParams(40, 3, 0.05, 0.1, 0.5),
+    SbmParams.ssbm(60, 0.2, 0.05),
+]
+
+
+@pytest.mark.parametrize("params", SAMPLER_CASES,
+                         ids=lambda p: f"{p.n1}-{p.n2}-{p.l11}-{p.l12}-{p.l22}")
+@pytest.mark.parametrize("block_pairs", [None, 1, 7, 64])
+def test_blocked_sampler_matches_row_by_row(params, block_pairs, monkeypatch):
+    # tiny blocks put block boundaries at every row and make rows longer than a block
+    if block_pairs is not None:
+        monkeypatch.setattr(graphgen, "_SAMPLE_BLOCK_PAIRS", block_pairs)
+    for seed in (0, 3, 11):
+        sampled = sample_sbm(params, seed).adjacency.toarray()
+        assert np.array_equal(sampled, _row_by_row_sbm(params, seed)), seed
