@@ -9,15 +9,15 @@ from .dynamics import (Equilibrium, IntegrationControls, ModelParams, Saturation
                        integrate_to_equilibrium, newton_refine, rhs,
                        saturation_deriv, saturation_eval, saturation_inverse)
 from .graphgen import (AssumptionReport, Graph, SbmParams, check_assumptions,
-                       expected_adjacency, is_connected, max_expected_degree,
-                       read_edge_list, sample_sbm, write_edge_list)
+                       is_connected, max_expected_degree, read_edge_list, sample_sbm,
+                       write_edge_list)
 from .harness import (ExperimentConfig, ParameterPoint, Preset, TrialRecord,
-                      build_config, expected_threshold, generate_pair_set,
-                      read_records_csv, run_experiment, summarize, write_records_csv)
+                      build_config, generate_pair_set, read_records_csv, run_experiment,
+                      summarize, write_records_csv)
 from .spectral import (EigenPairs, extreme_eigpairs, kmeans_two_1d, least_squares_min_norm,
                        sym_eig)
 from .theory import (DavisKahanReport, ExpectedSpectrum, alignment_check, c_of_u,
-                     concentration_ratio, corrected_expected_matrix,
-                     davis_kahan_check, expected_spectrum)
+                     concentration_ratio, davis_kahan_check, expected_spectrum,
+                     expected_threshold)
 
 __version__ = "0.1.0"

@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 
-from . import detect, dynamics, graphgen, harness
+from . import detect, dynamics, graphgen, harness, theory
 from .errors import CommdynError
 
 
@@ -46,7 +46,7 @@ def _cmd_sample_graph(args):
 def _resolve_model(args, params):
     """Resolve u (absolute or offset from the expected threshold) and gamma."""
     if params is not None:
-        u_bar, gamma, _ = harness.expected_threshold(params, args.gamma_sign, args.d, args.alpha)
+        u_bar, gamma, _ = theory.expected_threshold(params, args.gamma_sign, args.d, args.alpha)
     else:
         u_bar, gamma = None, args.gamma
     if args.u is not None:
@@ -115,6 +115,8 @@ def _truth_accuracy(labels, n1):
 
 def _cmd_detect_single(args):
     eqs = dynamics.read_equilibria_csv(args.states)
+    if not 0 <= args.row < len(eqs):
+        raise CommdynError(f"--row {args.row} outside the {len(eqs)} rows of {args.states}")
     estimate = detect.detect_single(eqs[args.row])
     _write_estimate(args.out, estimate, _truth_accuracy(estimate.labels, args.n1))
     return 0
@@ -145,9 +147,11 @@ def _cmd_experiment(args):
     preset = args.preset or overrides.pop("preset", None)
     if preset is None:
         raise CommdynError("give a preset name or a config file with a preset key")
-    overrides.pop("output", None)
     base_seed = overrides.pop("base_seed", 12345)
-    config = harness.build_config(preset, base_seed=base_seed, **overrides)
+    try:
+        config = harness.build_config(preset, base_seed=base_seed, **overrides)
+    except ValueError as exc:  # a bad config value or an unknown key
+        raise CommdynError(str(exc)) from exc
     records = harness.run_experiment(config, workers=args.workers)
     out = args.out or "records.csv"
     harness.write_records_csv(out, records)
@@ -167,11 +171,7 @@ def _cmd_summarize(args):
         harness.write_summary_csv(args.out, rows)
         print(f"wrote {len(rows)} summary rows to {args.out}")
     else:
-        writer = csv.writer(sys.stdout)
-        writer.writerow(harness.SUMMARY_FIELDS)
-        for row in rows:
-            writer.writerow([harness._format_cell(getattr(row, f))
-                             for f in harness.SUMMARY_FIELDS])
+        harness._write_rows(sys.stdout, harness.SUMMARY_FIELDS, rows)
     return 0
 
 

@@ -1,4 +1,5 @@
-"""Two-community stochastic block model: sampling, expected structure, checks."""
+"""Two-community stochastic block model: seeded sampling, the maximum expected
+degree, connectivity and assumption checks, edge-list IO."""
 
 import math
 from dataclasses import dataclass
@@ -151,14 +152,6 @@ def sample_sbm(params: SbmParams, seed: int) -> Graph:
     hits = np.concatenate(hits)
     rows = np.searchsorted(offsets, hits, side="right") - 1
     return _from_upper(n, rows, hits - offsets[rows] + rows + 1, labels)
-
-
-def expected_adjacency(params: SbmParams) -> np.ndarray:
-    """Entrywise expectation of the sampled adjacency (zero diagonal kept)."""
-    labels = params.labels()
-    expected = params.ell[labels - 1][:, labels - 1]
-    np.fill_diagonal(expected, 0.0)
-    return expected
 
 
 def max_expected_degree(params: SbmParams) -> float:

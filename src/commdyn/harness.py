@@ -23,12 +23,16 @@ from .detect import (DetectionMethod, PairSet, accuracy, detect_covariance_basel
 from .dynamics import (IntegrationControls, ModelParams, Saturation,
                        equilibria_for_inputs, integrate_to_equilibrium)
 from .errors import DomainError, EmptyInput, NeutralState
-from .graphgen import Graph, SbmParams, is_connected, max_expected_degree, sample_sbm
-from .theory import alignment_check, concentration_ratio, expected_spectrum
+from .graphgen import Graph, SbmParams, is_connected, sample_sbm
+from .theory import alignment_check, concentration_ratio, expected_threshold
 
 WORKERS_ENV = "COMMDYN_WORKERS"
 
 _ALL_SATURATIONS = (Saturation.TANH, Saturation.ALG_ABS, Saturation.ALG_SQRT, Saturation.ERF)
+
+# Methods that detect from input-equilibrium pairs
+_MULTI_METHODS = frozenset({DetectionMethod.MULTI_EQUILIBRIA,
+                            DetectionMethod.COVARIANCE_SPECTRAL})
 
 
 class Preset(str, Enum):
@@ -67,7 +71,6 @@ class ExperimentConfig:
     pair_sets: int = 10
     collect_diagnostics: bool = False
     controls: IntegrationControls = IntegrationControls()
-    output_path: str = None
 
     def __post_init__(self):
         if self.trials < 1:
@@ -76,15 +79,13 @@ class ExperimentConfig:
             raise ValueError("no parameter points")
         if not self.methods:
             raise ValueError("no detection methods")
-        multi = {DetectionMethod.MULTI_EQUILIBRIA, DetectionMethod.COVARIANCE_SPECTRAL}
         kinds = set(self.methods)
-        if kinds & multi and kinds - multi:
+        if kinds & _MULTI_METHODS and kinds - _MULTI_METHODS:
             raise ValueError("single- and multi-equilibria methods cannot share a run")
 
     @property
     def is_multi(self):
-        return DetectionMethod.MULTI_EQUILIBRIA in self.methods or \
-            DetectionMethod.COVARIANCE_SPECTRAL in self.methods
+        return bool(_MULTI_METHODS.intersection(self.methods))
 
 
 @dataclass
@@ -134,19 +135,6 @@ def _point_key(point: ParameterPoint):
     s = point.sbm
     return (s.n1, s.n2, s.l11, s.l12, s.l22, point.u_offset,
             point.saturation.value, point.gamma_sign)
-
-
-def expected_threshold(sbm: SbmParams, gamma_sign: int, d: float = 1.0, alpha: float = 1.0):
-    """(u_bar, gamma, delta): bifurcation threshold of the corrected expected
-    matrix with gamma = gamma_sign / Delta. Returns u_bar = None when the
-    denominator is nonpositive."""
-    delta = max_expected_degree(sbm)
-    gamma = gamma_sign / delta
-    spec = expected_spectrum(sbm)
-    lam = spec.lambda_max_bar if gamma_sign > 0 else min(spec.lambda_minus_bar, 0.0)
-    denom = alpha + gamma * lam
-    u_bar = d / denom if denom > 0 else None
-    return u_bar, gamma, delta
 
 
 def resolve_m_values(fractions, n: int):
@@ -237,14 +225,9 @@ def _multi_trial_rows(config: ExperimentConfig, point_index: int,
         return _base_record(config, point, seed_graph, graph_index, pairset_index,
                             method, connected, delta, None)
 
-    rows = []
     if u_bar is None:
-        for m in m_values:
-            for method in config.methods:
-                row = fresh_row(method)
-                row.m, row.failure = m, "invalid-regime"
-                rows.append(row)
-        return rows
+        return [dataclasses.replace(fresh_row(method), m=m, failure="invalid-regime")
+                for m in m_values for method in config.methods]
     u = u_bar + point.u_offset
     model = ModelParams(config.d, u, config.alpha, gamma, point.saturation)
     pairs_all, eqs = generate_pair_set(graph, model, max(m_values), seed_pairs,
@@ -252,6 +235,7 @@ def _multi_trial_rows(config: ExperimentConfig, point_index: int,
     residuals = np.array([eq.residual_inf for eq in eqs])
     converged = np.array([eq.converged for eq in eqs])
     conc = concentration_ratio(graph, point.sbm) if config.collect_diagnostics else None
+    rows = []
     for m in m_values:
         for method in config.methods:
             row = fresh_row(method)
@@ -297,10 +281,14 @@ def _run_task(args):
     return _single_trial_rows(config, point_index, a)
 
 
+def _point_order(row):
+    """Leading sort fields of a record or summary row; a missing m sorts first."""
+    return (row.n, row.n1, row.l11, row.l12, row.l22, row.gamma_sign, row.u_offset,
+            row.saturation, row.m if row.m is not None else -1)
+
+
 def _record_sort_key(r: TrialRecord):
-    return (r.n, r.n1, r.l11, r.l12, r.l22, r.gamma_sign, r.u_offset, r.saturation,
-            r.m if r.m is not None else -1, r.trial,
-            r.pair_set if r.pair_set is not None else -1, r.method)
+    return _point_order(r) + (r.trial, r.pair_set if r.pair_set is not None else -1, r.method)
 
 
 def _workers_from_env() -> int:
@@ -383,27 +371,31 @@ _PRESET_DEFAULTS = {
 
 
 def _as_tuple(value):
-    if value is None:
-        return None
     if isinstance(value, (list, tuple)):
         return tuple(value)
     return (value,)
 
 
-def build_config(preset, base_seed: int = 12345, output_path: str = None,
-                 **overrides) -> ExperimentConfig:
+_OVERRIDE_KEYS = frozenset(
+    "trials n1_values n2_fraction l11 l12 l22 n_values ls ld u_offsets saturations "
+    "gamma_sign m_fractions pair_sets methods d alpha diagnostics controls".split())
+
+
+def build_config(preset, base_seed: int = 12345, **overrides) -> ExperimentConfig:
     """Assemble an ExperimentConfig from a preset plus overrides.
 
     Recognized overrides: trials, n1_values + n2_fraction + l11/l12/l22
     (unequal-size sweeps), n_values + ls/ld (SSBM sweeps), u_offsets,
     saturations, gamma_sign, m_fractions, pair_sets, methods, d, alpha,
     diagnostics, controls. Scalars are accepted where lists are expected.
+    Any other key raises ValueError.
     """
+    unknown = sorted(set(overrides) - _OVERRIDE_KEYS)
+    if unknown:
+        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
     preset = Preset(preset)
     settings = dict(_PRESET_DEFAULTS[preset])
-    for key, value in overrides.items():
-        if value is not None:
-            settings[key] = value
+    settings.update((key, value) for key, value in overrides.items() if value is not None)
     for key in ("n1_values", "n_values", "u_offsets", "saturations", "m_fractions",
                 "methods"):
         if key in settings:
@@ -444,8 +436,7 @@ def build_config(preset, base_seed: int = 12345, output_path: str = None,
         m_fractions=tuple(settings.get("m_fractions", ())),
         pair_sets=int(settings.get("pair_sets", 10)),
         collect_diagnostics=bool(settings.get("diagnostics", False)),
-        controls=settings.get("controls", IntegrationControls()),
-        output_path=output_path)
+        controls=settings.get("controls", IntegrationControls()))
 
 
 def load_config_file(path) -> dict:
@@ -502,12 +493,17 @@ def write_records_csv(path, records, timestamp: bool = True) -> None:
     first line is a `#` comment carrying the generation time; byte-identical
     reproducibility is defined modulo that line."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
         if timestamp:
             fh.write(f"# generated {datetime.now(timezone.utc).isoformat()}\r\n")
-        writer.writerow(RECORD_FIELDS)
-        for record in records:
-            writer.writerow([_format_cell(getattr(record, name)) for name in RECORD_FIELDS])
+        _write_rows(fh, RECORD_FIELDS, records)
+
+
+def _write_rows(fh, fields, rows) -> None:
+    """CSV header `fields`, then one line per row of those attributes."""
+    writer = csv.writer(fh)
+    writer.writerow(fields)
+    for row in rows:
+        writer.writerow([_format_cell(getattr(row, name)) for name in fields])
 
 
 def _parse_cell(kind, cell):
@@ -535,10 +531,6 @@ def read_records_csv(path):
 # ---------------------------------------------------------------------------
 # Aggregation
 
-_GROUP_FIELDS = ("preset", "n", "n1", "n2", "l11", "l12", "l22", "gamma_sign",
-                 "u_offset", "saturation", "m", "method")
-
-
 @dataclass
 class SummaryRow:
     preset: str
@@ -559,6 +551,10 @@ class SummaryRow:
     failures: int
 
 
+SUMMARY_FIELDS = [f.name for f in dataclasses.fields(SummaryRow)]
+_GROUP_FIELDS = SUMMARY_FIELDS[:-4]  # all but the four statistics
+
+
 def summarize(records):
     """Mean accuracy, standard error and counts per parameter point and
     method, over the non-failed trials, in stable sorted order."""
@@ -570,15 +566,8 @@ def summarize(records):
         key = tuple(getattr(record, name) for name in _GROUP_FIELDS)
         groups.setdefault(key, []).append(record)
 
-    def sort_key(key):
-        named = dict(zip(_GROUP_FIELDS, key))
-        return (named["n"], named["n1"], named["l11"], named["l12"], named["l22"],
-                named["gamma_sign"], named["u_offset"], named["saturation"],
-                -1 if named["m"] is None else named["m"], named["method"], named["preset"])
-
     out = []
-    for key in sorted(groups, key=sort_key):
-        bucket = groups[key]
+    for key, bucket in groups.items():
         values = [r.accuracy for r in bucket if r.failure == "" and r.accuracy is not None]
         failures = len(bucket) - len(values)
         if values:
@@ -587,15 +576,10 @@ def summarize(records):
         else:
             mean, stderr = None, None
         out.append(SummaryRow(*key, mean, stderr, len(values), failures))
+    out.sort(key=lambda row: _point_order(row) + (row.method, row.preset))
     return out
-
-
-SUMMARY_FIELDS = [f.name for f in dataclasses.fields(SummaryRow)]
 
 
 def write_summary_csv(path, summary_rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SUMMARY_FIELDS)
-        for row in summary_rows:
-            writer.writerow([_format_cell(getattr(row, name)) for name in SUMMARY_FIELDS])
+        _write_rows(fh, SUMMARY_FIELDS, summary_rows)

@@ -1,5 +1,6 @@
-"""Numerical oracles for the spectral theory behind detection: closed-form
-expected spectra, eigenvector perturbation and concentration diagnostics, and
+"""Numerical oracles for the spectral theory behind detection: the expected
+adjacency E{A} in closed form (its spectra and the expected threshold), with
+no n x n matrix; eigenvector perturbation and concentration diagnostics; and
 equilibrium-eigenvector alignment."""
 
 import math
@@ -10,8 +11,8 @@ from scipy.sparse.linalg import LinearOperator
 
 from .dynamics import NEUTRAL_TOL, Equilibrium, ModelParams
 from .errors import NeutralState, ZeroGap
-from .graphgen import Graph, SbmParams, expected_adjacency, max_expected_degree
-from .spectral import extreme_eigpairs, sym_eig
+from .graphgen import Graph, SbmParams, max_expected_degree
+from .spectral import extreme_eigpairs
 
 
 @dataclass(frozen=True)
@@ -26,31 +27,11 @@ class ExpectedSpectrum:
     w2: float
 
 
-def corrected_expected_matrix(params: SbmParams) -> np.ndarray:
-    """Expected adjacency with the diagonal filled back in (l11 / l22), the
-    rank-2 block matrix whose spectrum the closed forms describe."""
-    matrix = expected_adjacency(params)
-    diag = np.repeat([params.l11, params.l22], [params.n1, params.n2])
-    matrix[np.diag_indices(params.n)] = diag
-    return matrix
-
-
-def expected_spectrum(params: SbmParams) -> ExpectedSpectrum:
-    """Closed-form extreme eigenpair of the corrected expected adjacency.
-
-    For the symmetric model the forms reduce to (l_s + l_d)n/2 and
-    (l_s - l_d)n/2 with a flat eigenvector, computed directly so they are
-    exact rather than round-tripped through the radical.
-    """
+def _block_eigpair(params: SbmParams, a: float, b: float):
+    """(lambda_max, lambda_minus, w1, w2) of [[a, l12*n2], [l12*n1, b]], an
+    SBM block matrix acting on block-constant vectors [w1*1_{n1}; w2*1_{n2}],
+    with the top eigenvector normalized so n1*w1^2 + n2*w2^2 = 1."""
     n1, n2 = params.n1, params.n2
-    if params.is_symmetric():
-        n = params.n
-        lam_max = (params.l11 + params.l12) * n / 2.0
-        lam_minus = (params.l11 - params.l12) * n / 2.0
-        w = 1.0 / math.sqrt(n)
-        return ExpectedSpectrum(lam_max, lam_minus, w, w)
-    a = params.l11 * n1
-    b = params.l22 * n2
     root = math.sqrt((a - b) ** 2 + 4.0 * n1 * n2 * params.l12 ** 2)
     lam_max = 0.5 * ((a + b) + root)
     lam_minus = 0.5 * ((a + b) - root)
@@ -65,7 +46,37 @@ def expected_spectrum(params: SbmParams) -> ExpectedSpectrum:
         ratio = (lam_max - a) / cross  # w2 / w1 from the 2x2 eigenproblem
         norm = math.sqrt(n1 + n2 * ratio * ratio)
         w1, w2 = 1.0 / norm, ratio / norm
-    return ExpectedSpectrum(lam_max, lam_minus, w1, w2)
+    return lam_max, lam_minus, w1, w2
+
+
+def expected_spectrum(params: SbmParams) -> ExpectedSpectrum:
+    """Closed-form extreme eigenpair of the corrected expected adjacency.
+
+    For the symmetric model the forms reduce to (l_s + l_d)n/2 and
+    (l_s - l_d)n/2 with a flat eigenvector, computed directly so they are
+    exact rather than round-tripped through the radical.
+    """
+    if params.is_symmetric():
+        n = params.n
+        lam_max = (params.l11 + params.l12) * n / 2.0
+        lam_minus = (params.l11 - params.l12) * n / 2.0
+        w = 1.0 / math.sqrt(n)
+        return ExpectedSpectrum(lam_max, lam_minus, w, w)
+    return ExpectedSpectrum(*_block_eigpair(params, params.l11 * params.n1,
+                                            params.l22 * params.n2))
+
+
+def expected_threshold(sbm: SbmParams, gamma_sign: int, d: float = 1.0, alpha: float = 1.0):
+    """(u_bar, gamma, delta): bifurcation threshold of the corrected expected
+    matrix with gamma = gamma_sign / Delta. Returns u_bar = None when the
+    denominator is nonpositive."""
+    delta = max_expected_degree(sbm)
+    gamma = gamma_sign / delta
+    spec = expected_spectrum(sbm)
+    lam = spec.lambda_max_bar if gamma_sign > 0 else min(spec.lambda_minus_bar, 0.0)
+    denom = alpha + gamma * lam
+    u_bar = d / denom if denom > 0 else None
+    return u_bar, gamma, delta
 
 
 @dataclass(frozen=True)
@@ -78,8 +89,8 @@ class DavisKahanReport:
 
 
 def _deviation_norm(graph: Graph, params: SbmParams) -> float:
-    """||A - E{A}||_2 without an n x n matrix: E{A} is the rank-2 block matrix
-    corrected_expected_matrix minus its diagonal, applied blockwise."""
+    """||A - E{A}||_2 without an n x n matrix: E{A} is a block-constant
+    matrix minus its diagonal, applied blockwise."""
     n1 = params.n1
     sizes = [n1, params.n2]
     ell = params.ell
@@ -95,23 +106,34 @@ def _deviation_norm(graph: Graph, params: SbmParams) -> float:
     return float(abs(extreme_eigpairs(deviation, 1, "LM").values[0]))
 
 
+def _expected_top(params: SbmParams):
+    """(delta, w_bar): the gap below lambda_max(E{A}) and its unit eigenvector.
+    On block-constant vectors E{A} acts as [[l11(n1-1), l12*n2], [l12*n1,
+    l22(n2-1)]], whose larger eigenvalue is E{A}'s top one (E{A} >= 0); on
+    vectors summing to zero within each block it is -l11 and -l22."""
+    n1, n2 = params.n1, params.n2
+    lam_max, lam_minus, w1, w2 = _block_eigpair(params, params.l11 * (n1 - 1),
+                                                params.l22 * (n2 - 1))
+    rest = [lam_minus] + [-params.l11] * (n1 > 1) + [-params.l22] * (n2 > 1)
+    delta = lam_max - max(rest)
+    if delta == 0.0:
+        raise ZeroGap("expected matrix has a degenerate top eigenvalue")
+    return delta, np.repeat([w1, w2], [n1, n2])
+
+
 def davis_kahan_check(graph: Graph, params: SbmParams) -> DavisKahanReport:
     """Empirical check of the eigenvector perturbation bound
     min_theta ||w_max(A) - theta*w_max(E{A})|| <= 2^{3/2} ||A - E{A}|| / delta,
     with delta the spectral gap below lambda_max(E{A})."""
-    eig_bar = sym_eig(expected_adjacency(params))
-    delta = float(eig_bar.values[-1] - eig_bar.values[-2])
-    if delta == 0.0:
-        raise ZeroGap("expected matrix has a degenerate top eigenvalue")
-    w_bar = eig_bar.vectors[:, -1]
+    delta, w_bar = _expected_top(params)
+    deviation = _deviation_norm(graph, params)
+    if deviation == 0.0:
+        # A = E{A}, whose top eigenvector is unique as delta > 0: w_bar itself
+        return DavisKahanReport(0.0, 0.0, delta, True, 0.0)
     w = extreme_eigpairs(graph.adjacency, 1, "LA").vectors[:, 0]
     lhs = min(float(np.linalg.norm(w - w_bar)), float(np.linalg.norm(w + w_bar)))
-    rhs = 2.0 ** 1.5 * _deviation_norm(graph, params) / delta
-    if rhs > 0:
-        ratio = lhs / rhs
-    else:
-        ratio = 0.0 if lhs == 0.0 else math.inf
-    return DavisKahanReport(lhs, rhs, delta, lhs <= rhs, ratio)
+    rhs = 2.0 ** 1.5 * deviation / delta
+    return DavisKahanReport(lhs, rhs, delta, lhs <= rhs, lhs / rhs if rhs > 0 else math.inf)
 
 
 def concentration_ratio(graph: Graph, params: SbmParams) -> float:

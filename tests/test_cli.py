@@ -42,6 +42,20 @@ def test_simulate_and_detect_single(tmp_path, capsys):
     assert "accuracy=" in capsys.readouterr().out
 
 
+def test_detect_single_rejects_row_out_of_range(tmp_path, capsys):
+    eq_csv = tmp_path / "eq.csv"
+    est_csv = tmp_path / "est.csv"
+    main(["simulate", *SBM_FLAGS, "--graph-seed", "4", "--u-offset", "0.05",
+          "--out", str(eq_csv)])
+    capsys.readouterr()
+    for row in ("1", "-1"):
+        code = main(["detect-single", "--states", str(eq_csv), "--row", row,
+                     "--out", str(est_csv)])
+        assert code == 1
+        assert f"error: --row {row} outside the 1 rows" in capsys.readouterr().err
+    assert not est_csv.exists()
+
+
 def test_simulate_pairs_and_detect_multi(tmp_path, capsys):
     x_csv = tmp_path / "x.csv"
     b_csv = tmp_path / "b.csv"
@@ -103,3 +117,14 @@ def test_experiment_preset_flag_overrides(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "wrote 4 records" in out  # 4 default offsets x 1 trial
+
+
+def test_experiment_rejects_unknown_config_key(tmp_path, capsys):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("preset = ssbm-negative\ntrails = 3\nn_value = 40\n")
+    records_csv = tmp_path / "records.csv"
+    code = main(["experiment", "--config", str(cfg), "--workers", "1",
+                 "--out", str(records_csv)])
+    assert code == 1
+    assert "error: unknown config keys: n_value, trails" in capsys.readouterr().err
+    assert not records_csv.exists()

@@ -7,8 +7,10 @@ from commdyn.detect import (DetectionMethod, PairSet, accuracy,
                             invert_pairs)
 from commdyn.dynamics import Equilibrium, ModelParams
 from commdyn.errors import DomainError, LengthMismatch, NeutralState
-from commdyn.graphgen import Graph, SbmParams, expected_adjacency, is_connected, sample_sbm
-from commdyn.harness import expected_threshold, generate_pair_set
+from commdyn.graphgen import Graph, SbmParams, is_connected, sample_sbm
+from commdyn.harness import generate_pair_set
+from commdyn.theory import expected_threshold
+from oracles import expected_adjacency
 
 
 def _eq(state):

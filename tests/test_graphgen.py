@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from commdyn import graphgen
-from commdyn.graphgen import (Graph, SbmParams, check_assumptions, expected_adjacency,
-                              is_connected, max_expected_degree, read_edge_list,
-                              sample_sbm, write_edge_list)
+from commdyn.graphgen import (Graph, SbmParams, check_assumptions, is_connected,
+                              max_expected_degree, read_edge_list, sample_sbm,
+                              write_edge_list)
+from oracles import expected_adjacency
 
 
 def test_params_validation():

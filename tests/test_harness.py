@@ -10,10 +10,10 @@ from commdyn.detect import DetectionMethod
 from commdyn.dynamics import Saturation
 from commdyn.errors import EmptyInput
 from commdyn.harness import (Preset, TrialRecord, build_config, derive_seed,
-                             expected_threshold, load_config_file, read_records_csv,
-                             resolve_m_values, run_experiment, summarize,
-                             write_records_csv)
+                             load_config_file, read_records_csv, resolve_m_values,
+                             run_experiment, summarize, write_records_csv)
 from commdyn.graphgen import SbmParams
+from commdyn.theory import expected_threshold
 
 
 def tiny_single_config(**overrides):
@@ -60,6 +60,18 @@ def test_build_config_rejects_bad_offsets():
 def test_build_config_custom_requires_shape():
     with pytest.raises(ValueError):
         build_config(Preset.CUSTOM, trials=2)
+
+
+def test_build_config_rejects_unknown_keys():
+    with pytest.raises(ValueError, match="unknown config keys: n_value, trails"):
+        build_config("ssbm-negative", trails=3, n_value=[40])
+
+
+def test_build_config_rejects_unknown_config_file_key(tmp_path):
+    path = tmp_path / "typo.cfg"
+    path.write_text("n_values = 40\ntrails = 3\n")
+    with pytest.raises(ValueError, match="unknown config keys: trails"):
+        build_config(Preset.SSBM_NEGATIVE, **load_config_file(path))
 
 
 def test_mixed_method_kinds_rejected():
@@ -259,6 +271,12 @@ def test_summarize_groups_by_swept_parameters_only():
 def test_summarize_counts_failures():
     rows = summarize([_record(0.6), _record(None, failure="neutral-state")])
     assert rows[0].count == 1 and rows[0].failures == 1
+
+
+def test_summary_rows_follow_record_order():
+    records = run_experiment(tiny_multi_config(), workers=1)
+    first_seen = list(dict.fromkeys((r.n, r.m, r.method) for r in records))
+    assert [(row.n, row.m, row.method) for row in summarize(records[::-1])] == first_seen
 
 
 def test_summarize_empty():

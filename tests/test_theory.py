@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,9 +9,9 @@ from commdyn.dynamics import (Equilibrium, ModelParams, bifurcation_threshold,
 from commdyn.errors import NeutralState, ZeroGap
 from commdyn.graphgen import Graph, SbmParams, is_connected, max_expected_degree, sample_sbm
 from commdyn.spectral import sym_eig
-from commdyn.theory import (alignment_check, c_of_u, concentration_ratio,
-                            corrected_expected_matrix, davis_kahan_check,
-                            expected_spectrum)
+from commdyn.theory import (_expected_top, alignment_check, c_of_u, concentration_ratio,
+                            davis_kahan_check, expected_spectrum)
+from oracles import corrected_expected_matrix, dense_davis_kahan, dense_expected_top
 
 
 def _connected(params, start_seed=0):
@@ -120,6 +121,78 @@ def test_davis_kahan_zero_gap():
     g = sample_sbm(p, seed=1)
     with pytest.raises(ZeroGap):
         davis_kahan_check(g, p)
+
+
+def _davis_kahan_cases():
+    """SBMs with n <= 2000: a single-agent block on either side, decoupled
+    blocks of unequal size, assortative and disassortative SSBMs, the
+    unequal-size preset, complete blocks, and random draws."""
+    cases = [SbmParams(1, 7, 0.3, 0.2, 0.6), SbmParams(9, 1, 0.3, 0.2, 0.6),
+             SbmParams(1, 1, 0.0, 0.7, 0.0), SbmParams(1, 5, 0.0, 0.0, 0.3),
+             SbmParams(10, 4, 0.5, 0.0, 0.3), SbmParams(4, 2, 1.0, 0.0, 1.0),
+             SbmParams(2, 30, 0.9, 0.0, 0.01), SbmParams(20, 10, 1.0, 1.0, 1.0),
+             SbmParams.ssbm(120, 0.3, 0.05), SbmParams.ssbm(1000, 0.005, 0.03),
+             SbmParams.ssbm(2000, 0.3, 0.05), SbmParams(500, 25, 0.05, 0.1, 0.5)]
+    rng = np.random.Generator(np.random.Philox(43))
+    for _ in range(60):
+        cases.append(SbmParams(int(rng.integers(1, 60)), int(rng.integers(1, 60)),
+                               float(rng.random()), float(rng.random()), float(rng.random())))
+    return cases
+
+
+def test_davis_kahan_closed_form_matches_dense_oracle():
+    for p in _davis_kahan_cases():
+        delta, w_bar = _expected_top(p)
+        dense_delta, dense_w = dense_expected_top(p)
+        assert abs(delta - dense_delta) <= 1e-12 * dense_delta
+        assert min(np.abs(w_bar - dense_w).max(), np.abs(w_bar + dense_w).max()) <= 1e-12
+        assert np.linalg.norm(w_bar) == pytest.approx(1.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("p", [SbmParams(1, 7, 0.3, 0.2, 0.6), SbmParams(10, 4, 0.5, 0.0, 0.3),
+                               SbmParams.ssbm(120, 0.3, 0.05), SbmParams.ssbm(400, 0.005, 0.03),
+                               SbmParams(300, 15, 0.05, 0.1, 0.5)])
+def test_davis_kahan_report_matches_dense_oracle(p):
+    for seed in range(3):
+        g = sample_sbm(p, seed)
+        report = davis_kahan_check(g, p)
+        lhs, rhs, delta = dense_davis_kahan(g, p)
+        assert report.delta == pytest.approx(delta, rel=1e-12)
+        assert report.lhs == pytest.approx(lhs, rel=1e-9, abs=1e-12)
+        assert report.rhs == pytest.approx(rhs, rel=1e-9)
+        assert report.holds == (lhs <= rhs)
+
+
+@pytest.mark.parametrize("p", [SbmParams(4, 3, 0.0, 0.0, 0.0),
+                               SbmParams(1, 1, 0.0, 0.0, 0.0), SbmParams(1, 5, 0.0, 0.0, 0.0),
+                               SbmParams(6, 6, 0.2, 0.0, 0.2), SbmParams(3, 5, 0.5, 0.0, 0.25),
+                               SbmParams(5, 9, 0.5, 0.0, 0.25)])
+def test_davis_kahan_zero_gap_where_dense_gap_vanishes(p):
+    # wherever the dense eigendecomposition finds a zero gap, so does the
+    # closed form; on tied decoupled blocks of unequal size the closed gap is
+    # exactly 0 and the dense one is rounding noise
+    g = sample_sbm(p, seed=1)
+    with pytest.raises(ZeroGap):
+        davis_kahan_check(g, p)
+    try:
+        dense_delta, _ = dense_expected_top(p)
+    except ZeroGap:
+        return
+    assert dense_delta <= 1e-14 * max(1.0, p.n)
+
+
+def test_davis_kahan_builds_no_dense_matrix():
+    n = 2000
+    p = SbmParams.ssbm(n, 0.005, 0.03)
+    g = sample_sbm(p, seed=3)
+    tracemalloc.start()
+    try:
+        report = davis_kahan_check(g, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.holds
+    assert peak < n * n * 8 / 4
 
 
 def test_concentration_ratio_edgeless():
