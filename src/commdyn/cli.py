@@ -81,9 +81,7 @@ def _cmd_simulate(args):
         eqs = dynamics.equilibria_for_inputs(graph, model, inputs)
         dynamics.write_equilibria_csv(args.out, eqs)
         if args.inputs_out:
-            fake = [dynamics.Equilibrium(inputs[:, k], 0.0, True, 0.0)
-                    for k in range(args.pairs)]
-            dynamics.write_equilibria_csv(args.inputs_out, fake)
+            _write_inputs_csv(args.inputs_out, inputs)
         print(f"wrote {args.pairs} input-driven equilibria to {args.out}")
     else:
         rng = np.random.Generator(np.random.Philox(args.ic_seed))
@@ -93,6 +91,18 @@ def _cmd_simulate(args):
         print(f"wrote equilibrium to {args.out}: converged={eq.converged}, "
               f"residual={eq.residual_inf:.3e}, t={eq.elapsed_model_time:.1f}")
     return 0
+
+
+def _write_inputs_csv(path, inputs):
+    """One row per pair (column of the n x m `inputs`): its n entries."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows([repr(float(v)) for v in column] for column in inputs.T)
+
+
+def _read_inputs_csv(path) -> np.ndarray:
+    """The n x m inputs matrix written by _write_inputs_csv."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        return np.array([[float(v) for v in row] for row in csv.reader(fh)], ndmin=2).T
 
 
 def _write_estimate(path, estimate, acc):
@@ -124,11 +134,10 @@ def _cmd_detect_single(args):
 
 def _cmd_detect_multi(args):
     states = dynamics.read_equilibria_csv(args.states)
-    inputs = dynamics.read_equilibria_csv(args.inputs)
-    if len(states) != len(inputs):
+    B = _read_inputs_csv(args.inputs)
+    if len(states) != B.shape[1]:
         raise CommdynError("states and inputs must pair up")
     X = np.column_stack([eq.state for eq in states])
-    B = np.column_stack([eq.state for eq in inputs])
     model = dynamics.ModelParams(args.d, args.u, args.alpha, args.gamma,
                                  dynamics.Saturation(args.saturation))
     estimate = detect.detect_multi(detect.PairSet(X, B, model))
@@ -148,10 +157,7 @@ def _cmd_experiment(args):
     if preset is None:
         raise CommdynError("give a preset name or a config file with a preset key")
     base_seed = overrides.pop("base_seed", 12345)
-    try:
-        config = harness.build_config(preset, base_seed=base_seed, **overrides)
-    except ValueError as exc:  # a bad config value or an unknown key
-        raise CommdynError(str(exc)) from exc
+    config = harness.build_config(preset, base_seed=base_seed, **overrides)
     records = harness.run_experiment(config, workers=args.workers)
     out = args.out or "records.csv"
     harness.write_records_csv(out, records)
@@ -212,7 +218,7 @@ def build_parser():
 
     p = sub.add_parser("detect-multi", help="detect from input-equilibrium pairs")
     p.add_argument("--states", required=True, help="equilibria CSV (one row per pair)")
-    p.add_argument("--inputs", required=True, help="inputs CSV (same layout)")
+    p.add_argument("--inputs", required=True, help="inputs CSV (one row of n floats per pair)")
     _add_model_flags(p)
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--u", type=float, required=True)
@@ -241,10 +247,11 @@ def build_parser():
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; a CommdynError, ValueError or OSError prints `error: ...`."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CommdynError as exc:
+    except (CommdynError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

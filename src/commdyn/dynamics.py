@@ -11,7 +11,7 @@ from enum import Enum
 import numpy as np
 from scipy.integrate import RK45
 from scipy.optimize import brentq  # already imported by scipy.integrate
-from scipy.sparse.linalg import LinearOperator, minres
+from scipy.sparse.linalg import LinearOperator, aslinearoperator, minres
 from scipy.special import erf, erfinv
 
 from .errors import DomainError, InvalidRegime, SingularJacobian
@@ -37,6 +37,17 @@ _REFINE_TOL = 1e-10
 # its upper bound u*sqrt(n)/d (see _branch_seed).
 _SEED_BRACKET_LOW = 1e-9
 
+# Every equilibrium solve runs RK45 over at most [0, T_MAX] model time from a
+# first step of FIRST_STEP. The integrator cannot push the residual much below
+# rtol * ||x||, so once it drops under POLISH_TRIGGER a guarded Newton polish
+# takes over: to a sup-norm residual of NEWTON_TOL in at most NEWTON_MAX_ITER
+# iterations.
+T_MAX = 1e5
+FIRST_STEP = 1e-3
+POLISH_TRIGGER = 1e-5
+NEWTON_TOL = 1e-12
+NEWTON_MAX_ITER = 25
+
 
 class Saturation(str, Enum):
     """The four saturation families: tanh, x/(1+|x|), x/sqrt(1+x^2), and
@@ -48,58 +59,47 @@ class Saturation(str, Enum):
     ERF = "erf"
 
 
-def saturation_eval(kind: Saturation, z):
-    z = np.asarray(z, dtype=float)
-    if kind == Saturation.TANH:
-        out = np.tanh(z)
-    elif kind == Saturation.ALG_ABS:
-        out = z / (1.0 + np.abs(z))
-    elif kind == Saturation.ALG_SQRT:
-        out = z / np.hypot(1.0, z)
-    elif kind == Saturation.ERF:
-        out = erf(_ERF_SCALE * z)
-    else:
-        raise ValueError(f"unknown saturation {kind}")
+def _tanh_deriv(z):
+    t = np.tanh(z)
+    return 1.0 - t * t
+
+
+# (S, S', S^-1) of each family; S^-1 is only called on the open range (-1, 1).
+_FAMILIES = {
+    Saturation.TANH: (np.tanh, _tanh_deriv, np.arctanh),
+    Saturation.ALG_ABS: (lambda z: z / (1.0 + np.abs(z)),
+                         lambda z: 1.0 / (1.0 + np.abs(z)) ** 2,
+                         lambda y: y / (1.0 - np.abs(y))),
+    Saturation.ALG_SQRT: (lambda z: z / np.hypot(1.0, z),
+                          lambda z: (1.0 + z * z) ** -1.5,
+                          lambda y: y / np.sqrt((1.0 - y) * (1.0 + y))),
+    Saturation.ERF: (lambda z: erf(_ERF_SCALE * z),
+                     lambda z: np.exp(-np.pi * z * z / 4.0),
+                     lambda y: erfinv(y) / _ERF_SCALE),
+}
+
+
+def _apply(kind: Saturation, which: int, z):
+    """kind's S, S' or S^-1 (which = 0, 1, 2) at z; a float for a scalar z."""
+    out = _FAMILIES[Saturation(kind)][which](np.asarray(z, dtype=float))
     return out if out.ndim else float(out)
+
+
+def saturation_eval(kind: Saturation, z):
+    return _apply(kind, 0, z)
 
 
 def saturation_deriv(kind: Saturation, z):
-    z = np.asarray(z, dtype=float)
-    if kind == Saturation.TANH:
-        t = np.tanh(z)
-        out = 1.0 - t * t
-    elif kind == Saturation.ALG_ABS:
-        out = 1.0 / (1.0 + np.abs(z)) ** 2
-    elif kind == Saturation.ALG_SQRT:
-        out = (1.0 + z * z) ** -1.5
-    elif kind == Saturation.ERF:
-        out = np.exp(-np.pi * z * z / 4.0)
-    else:
-        raise ValueError(f"unknown saturation {kind}")
-    return out if out.ndim else float(out)
+    return _apply(kind, 1, z)
 
 
-def saturation_inverse(kind: Saturation, y, clamp: bool = False):
-    """Inverse saturation. Raises DomainError for |y| >= 1 unless `clamp`
-    pulls such values back to sign(y)*(1 - 1e-12) (noisy-data escape hatch;
-    exact equilibria never need it)."""
+def saturation_inverse(kind: Saturation, y):
+    """Inverse saturation. Raises DomainError for |y| >= 1."""
     y = np.asarray(y, dtype=float)
-    if clamp:
-        y = np.clip(y, -1.0 + 1e-12, 1.0 - 1e-12)
-    elif np.any(np.abs(y) >= 1.0):
-        bad = float(np.asarray(y).ravel()[np.argmax(np.abs(y))])
+    if np.any(np.abs(y) >= 1.0):
+        bad = float(y.ravel()[np.argmax(np.abs(y))])
         raise DomainError(f"value {bad} outside the open range (-1, 1)")
-    if kind == Saturation.TANH:
-        out = np.arctanh(y)
-    elif kind == Saturation.ALG_ABS:
-        out = y / (1.0 - np.abs(y))
-    elif kind == Saturation.ALG_SQRT:
-        out = y / np.sqrt((1.0 - y) * (1.0 + y))
-    elif kind == Saturation.ERF:
-        out = erfinv(y) / _ERF_SCALE
-    else:
-        raise ValueError(f"unknown saturation {kind}")
-    return out if out.ndim else float(out)
+    return _apply(kind, 2, y)
 
 
 @dataclass(frozen=True)
@@ -135,30 +135,20 @@ class Equilibrium:
 
 @dataclass(frozen=True)
 class IntegrationControls:
-    """Tolerances for the adaptive integrator and the Newton polish.
+    """Tolerances of the adaptive integrator (rtol, atol) and the residual
+    at which a state counts as an equilibrium (steady_tol).
 
-    The integrator cannot push the residual much below rtol * ||x||, so once
-    it drops under `polish_trigger` the Newton polish takes over; a basin
-    guard rejects polishes that jump away from the trajectory point (e.g. to
-    the unstable origin during a slow near-threshold transit).
+    The horizon, the first step and the Newton polish settings are module
+    constants: T_MAX, FIRST_STEP, POLISH_TRIGGER, NEWTON_TOL, NEWTON_MAX_ITER.
     """
 
     rtol: float = 1e-9
     atol: float = 1e-9
     steady_tol: float = 1e-10
-    t_max: float = 1e5
-    first_step: float = 1e-3
-    newton_tol: float = 1e-12
-    newton_max_iter: int = 25
-    polish: bool = True
-    polish_trigger: float = 1e-5
 
     def __post_init__(self):
-        if min(self.rtol, self.atol, self.steady_tol, self.t_max, self.first_step,
-               self.polish_trigger) <= 0:
+        if min(self.rtol, self.atol, self.steady_tol) <= 0:
             raise ValueError("integration controls must be positive")
-        if not np.isfinite(self.t_max):
-            raise ValueError("t_max must be finite")
 
 
 def rhs(x, params: ModelParams, graph: Graph, b=None):
@@ -280,8 +270,9 @@ def _linearize(x, params: ModelParams, graph: Graph) -> Jacobian:
 
 
 def newton_refine(x, params: ModelParams, graph: Graph, b=None,
-                  tol: float = 1e-12, max_iter: int = 25) -> Equilibrium:
-    """Damped Newton polish of a near-equilibrium point.
+                  max_iter: int = NEWTON_MAX_ITER) -> Equilibrium:
+    """Damped Newton polish of a near-equilibrium point, to a sup-norm
+    residual of NEWTON_TOL.
 
     Raises SingularJacobian when the linear solve fails or gives a
     non-finite step, which near a bifurcation is expected; callers fall back
@@ -291,7 +282,7 @@ def newton_refine(x, params: ModelParams, graph: Graph, b=None,
     residual = rhs(x, params, graph, b)
     res_norm = float(np.abs(residual).max())
     for _ in range(max_iter):
-        if res_norm <= tol:
+        if res_norm <= NEWTON_TOL:
             return Equilibrium(x, res_norm, True, 0.0)
         try:
             step = jacobian(x, params, graph).solve(residual)
@@ -310,7 +301,7 @@ def newton_refine(x, params: ModelParams, graph: Graph, b=None,
             damping /= 2.0
         else:
             break  # no descent direction left; return best iterate
-    return Equilibrium(x, res_norm, res_norm <= tol, 0.0)
+    return Equilibrium(x, res_norm, res_norm <= NEWTON_TOL, 0.0)
 
 
 def _is_stable(x, params: ModelParams, graph: Graph) -> bool:
@@ -327,8 +318,7 @@ def _guarded_polish(x, params, graph, b, controls):
     trajectory passing near an unstable origin does not belong to it).
     Returns (state, residual) or None."""
     try:
-        refined = newton_refine(x, params, graph, b, tol=controls.newton_tol,
-                                max_iter=controls.newton_max_iter)
+        refined = newton_refine(x, params, graph, b)
     except SingularJacobian:
         return None
     if refined.residual_inf > controls.steady_tol:
@@ -359,16 +349,16 @@ def _stacked_equilibria(x0, params: ModelParams, graph: Graph, b,
                                None if b is None else b[:, k], controls)
 
     solver = RK45(lambda _t, y: rhs(y.reshape(n, m), params, graph, b).ravel(), 0.0,
-                  x0.ravel(), t_bound=controls.t_max, rtol=controls.rtol,
-                  atol=controls.atol, first_step=controls.first_step)
+                  x0.ravel(), t_bound=T_MAX, rtol=controls.rtol,
+                  atol=controls.atol, first_step=FIRST_STEP)
     # RK45 keeps the field at solver.y in solver.f: the residuals cost no rhs call
     states, res = x0, np.abs(solver.f.reshape(n, m)).max(axis=0)
-    next_trigger, attempts = controls.polish_trigger, 0
+    next_trigger, attempts = POLISH_TRIGGER, 0
     while res.max() > tol and solver.status == "running":
         solver.step()
         states = solver.y.reshape(n, m)
         res = np.abs(solver.f.reshape(n, m)).max(axis=0)
-        if controls.polish and tol < res.max() <= next_trigger and attempts < 12:
+        if tol < res.max() <= next_trigger and attempts < 12:
             attempts += 1
             polished = []
             for k in range(m):
@@ -381,7 +371,7 @@ def _stacked_equilibria(x0, params: ModelParams, graph: Graph, b,
     out = []
     for k in range(m):
         x, rk = states[:, k], float(res[k])
-        if controls.polish and rk > tol:
+        if rk > tol:
             x, rk = polish(states, k) or (x, rk)  # accepted only at <= steady_tol
         out.append(Equilibrium(x, rk, rk <= tol, float(solver.t)))
     return out
@@ -396,7 +386,8 @@ def _branch_seed(params: ModelParams, graph: Graph):
     projected on w. g'(0) = -d + u*mu > 0, and |w.S| <= ||w||_1 <= sqrt(n)
     puts the root at or below u*sqrt(n)/d.
     """
-    pairs = extreme_eigpairs(graph.adjacency, 1, "LA" if params.gamma > 0 else "SA")
+    which = "LA" if params.gamma > 0 else "SA"
+    pairs = extreme_eigpairs(aslinearoperator(graph.adjacency), 1, which)
     w = pairs.vectors[:, 0]
     mu = params.alpha + params.gamma * pairs.values[0]
     if -params.d + params.u * mu <= 0.0:
@@ -426,8 +417,7 @@ def _seeded_equilibrium(x0, params: ModelParams, graph: Graph,
     c, w = seed
     sign = 1.0 if x0 @ w >= 0.0 else -1.0
     try:
-        root = newton_refine(sign * c * w, params, graph, tol=controls.newton_tol,
-                             max_iter=controls.newton_max_iter)
+        root = newton_refine(sign * c * w, params, graph)
     except SingularJacobian:
         return None
     root_norm = float(np.abs(root.state).max())
@@ -446,19 +436,18 @@ def integrate_to_equilibrium(x0, params: ModelParams, graph: Graph, b=None,
     Stepping stops once the residual reaches steady_tol, once a guarded
     Newton polish from the current point succeeds (the integrator alone
     cannot push the residual below its rtol * ||x|| error floor), or at
-    t_max. `converged` reflects the final residual against steady_tol, so a
-    t_max exit with a large residual is reported rather than raised.
+    T_MAX. `converged` reflects the final residual against steady_tol, so a
+    T_MAX exit with a large residual is reported rather than raised.
 
-    Without an input and with the polish on, a start that is not yet an
-    equilibrium first tries the seeded start: Newton from the bifurcated
-    branch c*w (see _seeded_equilibrium), which skips the slow transit out
-    of the origin near threshold. An accepted seeded root reports
-    elapsed_model_time 0.0; any rejection runs the ODE path from x0.
+    Without an input, a start that is not yet an equilibrium first tries the
+    seeded start: Newton from the bifurcated branch c*w (see
+    _seeded_equilibrium), which skips the slow transit out of the origin
+    near threshold. An accepted seeded root reports elapsed_model_time 0.0;
+    any rejection runs the ODE path from x0.
     """
     x0 = np.array(x0, dtype=float).reshape(-1, 1)
     b = None if b is None else np.asarray(b, dtype=float).reshape(-1, 1)
-    if (b is None and controls.polish
-            and float(np.abs(rhs(x0[:, 0], params, graph)).max()) > controls.steady_tol):
+    if b is None and float(np.abs(rhs(x0[:, 0], params, graph)).max()) > controls.steady_tol:
         seeded = _seeded_equilibrium(x0[:, 0], params, graph, controls)
         if seeded is not None:
             return seeded
@@ -511,7 +500,7 @@ def read_equilibria_csv(path) -> list:
     out = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])  # an empty file has no header either
         if header[:3] != ["trial", "converged", "residual"]:
             raise ValueError("not an equilibrium CSV")
         for row in reader:

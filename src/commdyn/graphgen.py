@@ -177,20 +177,20 @@ class AssumptionReport:
     connectivity_threshold: float
 
 
-def check_assumptions(params: SbmParams, c_conn: float = 1.0, c_dis: float = 1.0) -> AssumptionReport:
-    """Check the link-probability growth conditions with surrogate constants.
+def check_assumptions(params: SbmParams) -> AssumptionReport:
+    """Check the link-probability growth conditions with unit surrogate
+    constants: every l >= log(n)/n, and for an assortative SSBM also
+    l12 >= sqrt(l11*log(n)).
 
     The conditions are asymptotic; at finite n these checks are heuristic and
     purely advisory. The extra condition only applies to an assortative SSBM.
     """
-    if c_conn <= 0 or c_dis <= 0:
-        raise ValueError("surrogate constants must be positive")
     n = params.n
-    threshold = c_conn * math.log(n) / n
+    threshold = math.log(n) / n
     connectivity_ok = all(p >= threshold for p in (params.l11, params.l12, params.l22))
     applies = params.is_symmetric() and params.l11 > params.l12
     if applies:
-        ssbm_ok = params.l12 >= c_dis * math.sqrt(params.l11 * math.log(n))
+        ssbm_ok = params.l12 >= math.sqrt(params.l11 * math.log(n))
     else:
         ssbm_ok = True
     return AssumptionReport(connectivity_ok, applies, ssbm_ok, threshold)
@@ -209,7 +209,7 @@ def write_edge_list(graph: Graph, path) -> None:
 def read_edge_list(path) -> Graph:
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
-        if not header.startswith("# n="):
+        if not header.startswith("# n=") or " n1=" not in header:
             raise ValueError("missing edge-list header")
         fields = dict(part.split("=") for part in header[2:].split())
         n, n1 = int(fields["n"]), int(fields["n1"])

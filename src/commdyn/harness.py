@@ -378,7 +378,7 @@ def _as_tuple(value):
 
 _OVERRIDE_KEYS = frozenset(
     "trials n1_values n2_fraction l11 l12 l22 n_values ls ld u_offsets saturations "
-    "gamma_sign m_fractions pair_sets methods d alpha diagnostics controls".split())
+    "gamma_sign m_fractions pair_sets methods d alpha diagnostics".split())
 
 
 def build_config(preset, base_seed: int = 12345, **overrides) -> ExperimentConfig:
@@ -387,8 +387,8 @@ def build_config(preset, base_seed: int = 12345, **overrides) -> ExperimentConfi
     Recognized overrides: trials, n1_values + n2_fraction + l11/l12/l22
     (unequal-size sweeps), n_values + ls/ld (SSBM sweeps), u_offsets,
     saturations, gamma_sign, m_fractions, pair_sets, methods, d, alpha,
-    diagnostics, controls. Scalars are accepted where lists are expected.
-    Any other key raises ValueError.
+    diagnostics. Scalars are accepted where lists are expected. Any other
+    key raises ValueError. The integration controls are the preset's.
     """
     unknown = sorted(set(overrides) - _OVERRIDE_KEYS)
     if unknown:
@@ -488,13 +488,12 @@ def _format_cell(value):
     return str(value)
 
 
-def write_records_csv(path, records, timestamp: bool = True) -> None:
-    """RFC-4180 CSV with the fixed TrialRecord column order. The optional
-    first line is a `#` comment carrying the generation time; byte-identical
+def write_records_csv(path, records) -> None:
+    """RFC-4180 CSV with the fixed TrialRecord column order. The first line
+    is a `#` comment carrying the generation time; byte-identical
     reproducibility is defined modulo that line."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        if timestamp:
-            fh.write(f"# generated {datetime.now(timezone.utc).isoformat()}\r\n")
+        fh.write(f"# generated {datetime.now(timezone.utc).isoformat()}\r\n")
         _write_rows(fh, RECORD_FIELDS, records)
 
 

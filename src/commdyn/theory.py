@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator
+from scipy.sparse.linalg import LinearOperator, aslinearoperator
 
 from .dynamics import NEUTRAL_TOL, Equilibrium, ModelParams
 from .errors import NeutralState, ZeroGap
@@ -130,7 +130,7 @@ def davis_kahan_check(graph: Graph, params: SbmParams) -> DavisKahanReport:
     if deviation == 0.0:
         # A = E{A}, whose top eigenvector is unique as delta > 0: w_bar itself
         return DavisKahanReport(0.0, 0.0, delta, True, 0.0)
-    w = extreme_eigpairs(graph.adjacency, 1, "LA").vectors[:, 0]
+    w = extreme_eigpairs(aslinearoperator(graph.adjacency), 1, "LA").vectors[:, 0]
     lhs = min(float(np.linalg.norm(w - w_bar)), float(np.linalg.norm(w + w_bar)))
     rhs = 2.0 ** 1.5 * deviation / delta
     return DavisKahanReport(lhs, rhs, delta, lhs <= rhs, lhs / rhs if rhs > 0 else math.inf)
@@ -155,7 +155,7 @@ def alignment_check(equilibrium: Equilibrium, graph: Graph, params: ModelParams)
     if float(np.abs(x).max()) < NEUTRAL_TOL:
         raise NeutralState("equilibrium is numerically zero")
     which = "LA" if params.gamma > 0 else "SA"
-    w = extreme_eigpairs(graph.adjacency, 1, which).vectors[:, 0]
+    w = extreme_eigpairs(aslinearoperator(graph.adjacency), 1, which).vectors[:, 0]
     return float(abs(x @ w) / np.linalg.norm(x))
 
 
@@ -163,5 +163,5 @@ def c_of_u(equilibrium: Equilibrium, graph: Graph) -> float:
     """Signed projection of the equilibrium on the top eigenvector; its
     magnitude shrinks to zero as the attention approaches the threshold."""
     x = np.asarray(equilibrium.state, dtype=float)
-    w = extreme_eigpairs(graph.adjacency, 1, "LA").vectors[:, 0]
+    w = extreme_eigpairs(aslinearoperator(graph.adjacency), 1, "LA").vectors[:, 0]
     return float(x @ w)

@@ -1,9 +1,10 @@
 import csv
 
 import numpy as np
+import pytest
 
 from commdyn.cli import main
-from commdyn.dynamics import read_equilibria_csv
+from commdyn.dynamics import Equilibrium, read_equilibria_csv, write_equilibria_csv
 from commdyn.graphgen import read_edge_list
 
 
@@ -65,6 +66,10 @@ def test_simulate_pairs_and_detect_multi(tmp_path, capsys):
     assert code == 0
     stdout = capsys.readouterr().out
     model_line = next(line for line in stdout.splitlines() if line.startswith("model:"))
+    with open(b_csv, newline="") as fh:
+        rows = [[float(v) for v in row] for row in csv.reader(fh)]
+    inputs = np.random.Generator(np.random.Philox(8)).standard_normal((20, 20))
+    assert np.array_equal(np.array(rows), inputs.T)  # one row per pair, bit-exact
     fields = dict(tok.split("=") for tok in model_line.split()[1:])
 
     est_csv = tmp_path / "est.csv"
@@ -128,3 +133,35 @@ def test_experiment_rejects_unknown_config_key(tmp_path, capsys):
     assert code == 1
     assert "error: unknown config keys: n_value, trails" in capsys.readouterr().err
     assert not records_csv.exists()
+
+
+BAD_INPUT_CASES = {
+    "detect-multi-n-mismatch": ["detect-multi", "--states", "states.csv", "--inputs",
+                                "inputs.csv", "--u", "0.5", "--gamma", "0.1", "--out", "est.csv"],
+    "summarize-not-records": ["summarize", "--records", "states.csv"],
+    "detect-single-unconverged": ["detect-single", "--states", "unconverged.csv",
+                                  "--out", "est.csv"],
+    "simulate-graph-no-header": ["simulate", "--graph", "graph.txt", "--gamma", "0.1",
+                                 "--u", "0.5", "--out", "eq.csv"],
+    "missing-file": ["summarize", "--records", "missing.csv"],
+    "simulate-graph-no-n1": ["simulate", "--graph", "graph_n.txt", "--gamma", "0.1",
+                             "--u", "0.5", "--out", "eq.csv"],
+    "detect-single-empty-file": ["detect-single", "--states", "empty.csv", "--out", "est.csv"],
+}
+
+
+@pytest.mark.parametrize("argv", BAD_INPUT_CASES.values(), ids=BAD_INPUT_CASES.keys())
+def test_bad_input_file_is_an_error_not_a_traceback(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    states = [Equilibrium(np.array([0.1, -0.2, 0.3]), 1e-13, True, 1.0),
+              Equilibrium(np.array([0.2, -0.1, 0.3]), 1e-13, True, 1.0)]
+    write_equilibria_csv("states.csv", states)
+    (tmp_path / "inputs.csv").write_text("0.5,-0.5\r\n1.0,2.0\r\n")  # n = 2, states' n = 3
+    write_equilibria_csv("unconverged.csv",
+                         [Equilibrium(np.array([0.1, -0.2, 0.3]), 0.5, False, 1e5)])
+    (tmp_path / "graph.txt").write_text("0 1\n1 2\n")
+    (tmp_path / "graph_n.txt").write_text("# n=3\n0 1\n1 2\n")
+    (tmp_path / "empty.csv").write_text("")
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err

@@ -99,11 +99,6 @@ def test_saturation_inverse_domain_error():
         saturation_inverse(Saturation.ALG_ABS, -1.5)
 
 
-def test_saturation_inverse_clamp():
-    z = saturation_inverse(Saturation.ALG_SQRT, 1.5, clamp=True)
-    assert np.isfinite(z) and z > 0
-
-
 def test_round_trip_z_direction():
     for kind in ALL_KINDS:
         cap = ROUND_TRIP_CAP[kind]
@@ -248,7 +243,7 @@ def test_newton_polishes_ode_endpoint(small_graph):
     rng = np.random.Generator(np.random.Philox(24))
     eq = integrate_to_equilibrium(rng.uniform(-1e-3, 1e-3, g.n), m, g)
     noisy = eq.state + 1e-8 * rng.standard_normal(g.n)
-    refined = newton_refine(noisy, m, g, tol=1e-12, max_iter=5)
+    refined = newton_refine(noisy, m, g, max_iter=5)
     assert refined.converged and refined.residual_inf <= 1e-12
 
 
@@ -256,7 +251,7 @@ def test_newton_budget_exhausted(small_graph):
     _, g = small_graph
     m = ModelParams(1.0, 0.4, 1.0, 0.05)
     far = np.full(g.n, 50.0)
-    eq = newton_refine(far, m, g, tol=1e-12, max_iter=1)
+    eq = newton_refine(far, m, g, max_iter=1)
     assert not eq.converged
 
 
@@ -372,7 +367,7 @@ def test_minres_newton_all_rows_saturated(krylov_graph):
     jac = jacobian(far, m, g)
     assert np.all(jac.slope == 0.0)
     assert np.array_equal(jac.solve(r), -r / m.d)
-    assert not newton_refine(far, m, g, tol=1e-12, max_iter=1).converged
+    assert not newton_refine(far, m, g, max_iter=1).converged
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -485,17 +480,6 @@ def test_seeded_start_is_odd(graph_fixture, request):
     assert np.array_equal(minus.state, -plus.state)
 
 
-def test_seeded_start_needs_the_polish(small_graph, monkeypatch):
-    p, g = small_graph
-    m = _model_above_threshold(p, g, 1, Saturation.TANH, 0.05)
-    # without the polish RK45 alone cannot reach the default steady_tol
-    controls = IntegrationControls(polish=False, steady_tol=1e-7)
-    monkeypatch.setattr(dynamics, "_seeded_equilibrium", None)  # calling it would raise
-    x0 = _small_start(g, 42)
-    _assert_same_equilibrium(integrate_to_equilibrium(x0, m, g, controls=controls),
-                             _ode_path(x0, m, g, controls))
-
-
 def test_seeded_start_skips_a_start_at_equilibrium(dense_newton_graph, monkeypatch):
     p, g = dense_newton_graph
     m = _model_above_threshold(p, g, 1, Saturation.TANH, 0.02)
@@ -566,14 +550,13 @@ def test_large_start_is_not_seeded(graph_fixture, request, monkeypatch):
 def test_integration_controls_validation():
     with pytest.raises(ValueError):
         IntegrationControls(rtol=-1.0)
-    with pytest.raises(ValueError):
-        IntegrationControls(t_max=np.inf)
 
 
-def test_non_convergence_reported_not_raised(small_graph):
+def test_non_convergence_reported_not_raised(small_graph, monkeypatch):
     _, g = small_graph
     m = ModelParams(1.0, 0.9, 1.0, 1.0)
-    controls = IntegrationControls(t_max=1e-2, steady_tol=1e-14, polish=False)
+    monkeypatch.setattr(dynamics, "T_MAX", 1e-2)
+    controls = IntegrationControls(steady_tol=1e-14)
     eq = integrate_to_equilibrium(np.full(g.n, 0.5), m, g, controls=controls)
     assert not eq.converged
     assert eq.residual_inf > 1e-14

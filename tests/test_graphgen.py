@@ -126,15 +126,13 @@ def test_is_connected():
 
 
 def test_check_assumptions():
-    ok = check_assumptions(SbmParams.ssbm(500, 0.3, 0.3), c_conn=1.0)
+    ok = check_assumptions(SbmParams.ssbm(500, 0.3, 0.3))
     assert ok.connectivity_ok
-    bad = check_assumptions(SbmParams.ssbm(500, 0.001, 0.001), c_conn=1.0)
+    bad = check_assumptions(SbmParams.ssbm(500, 0.001, 0.001))
     assert not bad.connectivity_ok
     # disassortative SSBM: the extra condition is vacuous
     dis = check_assumptions(SbmParams.ssbm(100, 0.005, 0.03))
     assert not dis.ssbm_condition_applies and dis.ssbm_condition_ok
-    with pytest.raises(ValueError):
-        check_assumptions(SbmParams.ssbm(10, 0.5, 0.5), c_conn=0.0)
 
 
 def test_graph_validation():

@@ -100,6 +100,8 @@ def test_extreme_eigpairs_zero_operator():
 def test_extreme_eigpairs_rejects_bad_input():
     with pytest.raises(NotSymmetric):
         extreme_eigpairs(np.array([[0.0, 1.0], [0.5, 0.0]]), 1, "LA")
+    with pytest.raises(NotSymmetric):
+        extreme_eigpairs(sparse.csr_array(np.triu(np.ones((30, 30)), 1)), 1, "LA")
     with pytest.raises(ValueError):
         extreme_eigpairs(np.eye(3), 1, "BE")
     with pytest.raises(ValueError):

@@ -195,6 +195,21 @@ def test_davis_kahan_builds_no_dense_matrix():
     assert peak < n * n * 8 / 4
 
 
+def test_alignment_check_copies_no_adjacency():
+    p = SbmParams.ssbm(2000, 0.005, 0.03)
+    g = sample_sbm(p, seed=3)
+    eq = Equilibrium(np.repeat([0.5, -0.5], 1000), 0.0, True, 0.0)
+    model = ModelParams(1.0, 0.5, 1.0, -1.0 / max_expected_degree(p))
+    alignment_check(eq, g, model)  # warm up: lazy imports and caches
+    tracemalloc.start()
+    try:
+        alignment_check(eq, g, model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < g.adjacency.nbytes
+
+
 def test_concentration_ratio_edgeless():
     p = SbmParams.ssbm(10, 0.0, 0.0)
     g = sample_sbm(p, seed=0)
