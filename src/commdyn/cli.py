@@ -76,12 +76,10 @@ def _cmd_simulate(args):
     print(f"model: d={model.d} u={model.u!r} alpha={model.alpha} "
           f"gamma={model.gamma!r} saturation={model.saturation.value}")
     if args.pairs:
-        rng = np.random.Generator(np.random.Philox(args.pair_seed))
-        inputs = rng.standard_normal((graph.n, args.pairs))
-        eqs = dynamics.equilibria_for_inputs(graph, model, inputs)
+        pairs, eqs = harness.generate_pair_set(graph, model, args.pairs, args.pair_seed)
         dynamics.write_equilibria_csv(args.out, eqs)
         if args.inputs_out:
-            _write_inputs_csv(args.inputs_out, inputs)
+            _write_inputs_csv(args.inputs_out, pairs.B)
         print(f"wrote {args.pairs} input-driven equilibria to {args.out}")
     else:
         rng = np.random.Generator(np.random.Philox(args.ic_seed))
@@ -234,7 +232,7 @@ def build_parser():
     p.add_argument("--pair-sets", type=int, dest="pair_sets")
     p.add_argument("--gamma-sign", type=int, dest="gamma_sign", choices=(1, -1))
     p.add_argument("--diagnostics", action="store_true")
-    p.add_argument("--workers", type=int, help=f"overrides ${harness.WORKERS_ENV}")
+    p.add_argument("--workers", type=int, help="worker processes (default: the CPU count)")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_experiment)
 

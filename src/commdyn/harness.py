@@ -9,6 +9,7 @@ expected-spectrum threshold.
 import csv
 import dataclasses
 import hashlib
+import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -25,8 +26,6 @@ from .dynamics import (IntegrationControls, ModelParams, Saturation,
 from .errors import DomainError, EmptyInput, NeutralState
 from .graphgen import Graph, SbmParams, is_connected, sample_sbm
 from .theory import alignment_check, concentration_ratio, expected_threshold
-
-WORKERS_ENV = "COMMDYN_WORKERS"
 
 _ALL_SATURATIONS = (Saturation.TANH, Saturation.ALG_ABS, Saturation.ALG_SQRT, Saturation.ERF)
 
@@ -88,10 +87,10 @@ class ExperimentConfig:
         return bool(_MULTI_METHODS.intersection(self.methods))
 
 
-@dataclass
+@dataclass(kw_only=True)
 class TrialRecord:
     """One detection outcome. Failed trials carry a failure code and an empty
-    accuracy instead of aborting the sweep."""
+    accuracy instead of aborting the sweep; outcome fields default to empty."""
 
     preset: str
     method: str
@@ -107,18 +106,18 @@ class TrialRecord:
     gamma_sign: int
     delta: float
     u_offset: float
-    u: float
+    u: float = None
     saturation: str
-    m: int
-    accuracy: float
-    connected: bool
-    converged: bool
-    residual: float
-    eigen_gap: float
-    sigma_min_x: float
-    concentration_ratio: float
-    alignment: float
-    failure: str
+    m: int = None
+    accuracy: float = None
+    connected: bool = None
+    converged: bool = None
+    residual: float = None
+    eigen_gap: float = None
+    sigma_min_x: float = None
+    concentration_ratio: float = None
+    alignment: float = None
+    failure: str = ""
 
 
 RECORD_FIELDS = [f.name for f in dataclasses.fields(TrialRecord)]
@@ -155,130 +154,96 @@ def generate_pair_set(graph: Graph, model: ModelParams, m: int, seed: int,
     return PairSet(states, inputs, model), eqs
 
 
-def _base_record(config, point, seed, trial, pair_set, method, connected, delta, u):
-    sbm = point.sbm
-    return TrialRecord(
-        preset=config.preset.value, method=method.value, seed=seed, trial=trial,
-        pair_set=pair_set, n=sbm.n, n1=sbm.n1, n2=sbm.n2,
-        l11=sbm.l11, l12=sbm.l12, l22=sbm.l22,
-        gamma_sign=point.gamma_sign, delta=delta,
-        u_offset=point.u_offset, u=u, saturation=point.saturation.value,
-        m=None, accuracy=None, connected=connected,
-        converged=None, residual=None, eigen_gap=None, sigma_min_x=None,
-        concentration_ratio=None, alignment=None, failure="")
-
-
-def _single_trial_rows(config: ExperimentConfig, point_index: int, trial: int):
+def _run_task(args):
+    """The records of one (point index, trial, pair set) task; the pair set
+    is None in a single-equilibrium run, and all pair sets share the graph."""
+    config, (point_index, trial, pair_set) = args
     point = config.points[point_index]
+    sbm = point.sbm
     key = _point_key(point)
-    seed_graph = derive_seed(config.base_seed, "graph", key, trial)
-    seed_init = derive_seed(config.base_seed, "init", key, trial)
-    graph = sample_sbm(point.sbm, seed_graph)
-    u_bar, gamma, delta = expected_threshold(point.sbm, point.gamma_sign,
-                                             config.d, config.alpha)
-    row = _base_record(config, point, seed_graph, trial, None,
-                       DetectionMethod.SINGLE_EQUILIBRIUM, is_connected(graph), delta, None)
+    seed = derive_seed(config.base_seed, "graph", key, trial)
+    graph = sample_sbm(sbm, seed)
+    u_bar, gamma, delta = expected_threshold(sbm, point.gamma_sign, config.d, config.alpha)
+    base = TrialRecord(
+        preset=config.preset.value, method="", seed=seed, trial=trial, pair_set=pair_set,
+        n=sbm.n, n1=sbm.n1, n2=sbm.n2, l11=sbm.l11, l12=sbm.l12, l22=sbm.l22,
+        gamma_sign=point.gamma_sign, delta=delta, u_offset=point.u_offset,
+        saturation=point.saturation.value, connected=is_connected(graph))
+    if pair_set is None:
+        step, m_values = _single_rows, [None]
+    else:
+        step, m_values = _pair_set_rows, resolve_m_values(config.m_fractions, sbm.n)
     if u_bar is None:
-        row.failure = "invalid-regime"
-        return [row]
-    u = u_bar + point.u_offset
-    row.u = u
-    model = ModelParams(config.d, u, config.alpha, gamma, point.saturation)
-    rng = np.random.Generator(np.random.Philox(seed_init))
-    x0 = rng.uniform(-1e-3, 1e-3, point.sbm.n)
+        return [dataclasses.replace(base, method=method.value, m=m, failure="invalid-regime")
+                for m in m_values for method in config.methods]
+    model = ModelParams(config.d, u_bar + point.u_offset, config.alpha, gamma,
+                        point.saturation)
+    base.u = model.u
+    if config.collect_diagnostics:
+        base.concentration_ratio = concentration_ratio(graph, sbm)
+    return step(config, base, key, graph, model, m_values)
+
+
+def _single_rows(config, row, key, graph, model, _m_values):
+    """One equilibrium from a small random start, clustered on its own."""
+    row.method = DetectionMethod.SINGLE_EQUILIBRIUM.value
+    rng = np.random.Generator(np.random.Philox(
+        derive_seed(config.base_seed, "init", key, row.trial)))
+    x0 = rng.uniform(-1e-3, 1e-3, graph.n)
     eq = integrate_to_equilibrium(x0, model, graph, None, config.controls)
     row.converged = eq.converged
     row.residual = eq.residual_inf
     if config.collect_diagnostics:
-        row.concentration_ratio = concentration_ratio(graph, point.sbm)
         try:
             row.alignment = alignment_check(eq, graph, model)
         except NeutralState:
             pass
-    if not eq.converged:
-        row.failure = "non-convergence"
-        return [row]
-    try:
-        estimate = detect_single(eq)
-    except NeutralState:
-        row.failure = "neutral-state"
-        return [row]
-    row.accuracy = accuracy(graph.labels, estimate.labels)
-    if estimate.degenerate:
-        row.failure = "degenerate"
-    return [row]
+    return [_score(row, graph, lambda: detect_single(eq))]
 
 
-def _multi_trial_rows(config: ExperimentConfig, point_index: int,
-                      graph_index: int, pairset_index: int):
-    point = config.points[point_index]
-    key = _point_key(point)
-    seed_graph = derive_seed(config.base_seed, "graph", key, graph_index)
-    seed_pairs = derive_seed(config.base_seed, "pairs", key, graph_index, pairset_index)
-    graph = sample_sbm(point.sbm, seed_graph)
-    u_bar, gamma, delta = expected_threshold(point.sbm, point.gamma_sign,
-                                             config.d, config.alpha)
-    m_values = resolve_m_values(config.m_fractions, point.sbm.n)
-    connected = is_connected(graph)
-
-    def fresh_row(method):
-        return _base_record(config, point, seed_graph, graph_index, pairset_index,
-                            method, connected, delta, None)
-
-    if u_bar is None:
-        return [dataclasses.replace(fresh_row(method), m=m, failure="invalid-regime")
-                for m in m_values for method in config.methods]
-    u = u_bar + point.u_offset
-    model = ModelParams(config.d, u, config.alpha, gamma, point.saturation)
-    pairs_all, eqs = generate_pair_set(graph, model, max(m_values), seed_pairs,
-                                       config.controls)
+def _pair_set_rows(config, base, key, graph, model, m_values):
+    """One pair set of max(m) input-driven equilibria; every method detects
+    from each of its first-m prefixes."""
+    seed = derive_seed(config.base_seed, "pairs", key, base.trial, base.pair_set)
+    pairs, eqs = generate_pair_set(graph, model, max(m_values), seed, config.controls)
     residuals = np.array([eq.residual_inf for eq in eqs])
     converged = np.array([eq.converged for eq in eqs])
-    conc = concentration_ratio(graph, point.sbm) if config.collect_diagnostics else None
     rows = []
-    for m in m_values:
-        for method in config.methods:
-            row = fresh_row(method)
-            row.m = m
-            row.u = u
-            row.residual = float(residuals[:m].max())
-            row.converged = bool(converged[:m].all())
-            row.concentration_ratio = conc
-            if not row.converged:
-                row.failure = "non-convergence"
-                rows.append(row)
-                continue
-            try:
-                if method == DetectionMethod.MULTI_EQUILIBRIA:
-                    estimate = detect_multi(PairSet(pairs_all.X[:, :m],
-                                                    pairs_all.B[:, :m], model))
-                    row.sigma_min_x = estimate.diagnostics.get("sigma_min_x")
-                    row.eigen_gap = estimate.diagnostics.get("eigen_gap")
-                elif method == DetectionMethod.COVARIANCE_SPECTRAL:
-                    if m < 2:
-                        row.failure = "too-few-samples"
-                        rows.append(row)
-                        continue
-                    estimate = detect_covariance_baseline(pairs_all.X[:, :m])
-                    row.eigen_gap = estimate.diagnostics.get("eigen_gap")
-                else:
-                    raise ValueError(f"method {method} not valid for pair data")
-            except DomainError:
-                row.failure = "domain-error"
-                rows.append(row)
-                continue
-            row.accuracy = accuracy(graph.labels, estimate.labels)
-            if estimate.degenerate:
-                row.failure = "degenerate"
-            rows.append(row)
+    for m, method in itertools.product(m_values, config.methods):
+        X, B = pairs.X[:, :m], pairs.B[:, :m]
+        row = dataclasses.replace(base, method=method.value, m=m,
+                                  residual=float(residuals[:m].max()),
+                                  converged=bool(converged[:m].all()))
+        if method == DetectionMethod.MULTI_EQUILIBRIA:
+            _score(row, graph, lambda: detect_multi(PairSet(X, B, model)))
+        elif row.converged and m < 2:
+            row.failure = "too-few-samples"
+        else:
+            _score(row, graph, lambda: detect_covariance_baseline(X))
+        rows.append(row)
     return rows
 
 
-def _run_task(args):
-    config, (kind, point_index, a, b) = args
-    if kind == "multi":
-        return _multi_trial_rows(config, point_index, a, b)
-    return _single_trial_rows(config, point_index, a)
+def _score(row, graph, detect):
+    """Fill in the outcome of `row` from the estimate `detect()` returns, or
+    the failure code that stops it."""
+    if not row.converged:
+        row.failure = "non-convergence"
+        return row
+    try:
+        estimate = detect()
+    except NeutralState:
+        row.failure = "neutral-state"
+        return row
+    except DomainError:
+        row.failure = "domain-error"
+        return row
+    row.accuracy = accuracy(graph.labels, estimate.labels)
+    row.eigen_gap = estimate.diagnostics.get("eigen_gap")
+    row.sigma_min_x = estimate.diagnostics.get("sigma_min_x")
+    if estimate.degenerate:
+        row.failure = "degenerate"
+    return row
 
 
 def _point_order(row):
@@ -291,43 +256,24 @@ def _record_sort_key(r: TrialRecord):
     return _point_order(r) + (r.trial, r.pair_set if r.pair_set is not None else -1, r.method)
 
 
-def _workers_from_env() -> int:
-    """Worker count from COMMDYN_WORKERS, defaulting to the available CPUs."""
-    env = os.environ.get(WORKERS_ENV, "")
-    if not env:
-        return os.cpu_count() or 1
-    try:
-        workers = int(env)
-    except ValueError:
-        raise ValueError(f"{WORKERS_ENV} must be an integer, got {env!r}") from None
-    if workers < 1:
-        raise ValueError(f"{WORKERS_ENV} must be at least 1, got {workers}")
-    return workers
-
-
 def run_experiment(config: ExperimentConfig, workers: int = None):
-    """Run every (point, trial) job and return the sorted trial records.
+    """Run every (point, trial, pair set) task and return the sorted trial
+    records.
 
-    Jobs are pure functions of (config, indices); with workers > 1 they are
-    distributed over a process pool, and the sorted result is identical to a
-    serial run.
+    Tasks are pure functions of (config, indices); with workers > 1 (the
+    default is the number of CPUs) they are distributed over a process pool,
+    and the sorted result is identical to a serial run.
     """
-    tasks = []
-    for point_index in range(len(config.points)):
-        if config.is_multi:
-            for g in range(config.trials):
-                for p in range(config.pair_sets):
-                    tasks.append(("multi", point_index, g, p))
-        else:
-            for t in range(config.trials):
-                tasks.append(("single", point_index, t, 0))
+    pair_sets = range(config.pair_sets) if config.is_multi else [None]
+    tasks = itertools.product(range(len(config.points)), range(config.trials), pair_sets)
+    jobs = [(config, task) for task in tasks]
     if workers is None:
-        workers = _workers_from_env()
-    if workers > 1 and len(tasks) > 1:
+        workers = os.cpu_count() or 1
+    if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_run_task, [(config, t) for t in tasks]))
+            chunks = list(pool.map(_run_task, jobs))
     else:
-        chunks = [_run_task((config, t)) for t in tasks]
+        chunks = [_run_task(job) for job in jobs]
     rows = [row for chunk in chunks for row in chunk]
     rows.sort(key=_record_sort_key)
     return rows
@@ -340,25 +286,25 @@ _UNEQUAL_ELL = dict(l11=0.05, l12=0.1, l22=0.5)
 
 _PRESET_DEFAULTS = {
     Preset.UNEQUAL_SBM: dict(
-        kind="unequal", n1_values=(100, 200, 300, 400, 500), n2_fraction=0.05,
+        n1_values=(100, 200, 300, 400, 500), n2_fraction=0.05,
         u_offsets=(0.01, 0.02, 0.03, 0.04), saturations=(Saturation.TANH,),
         gamma_sign=1, trials=20, methods=(DetectionMethod.SINGLE_EQUILIBRIUM,),
         **_UNEQUAL_ELL),
     Preset.SATURATION_SWEEP: dict(
-        kind="unequal", n1_values=(100, 300, 500), n2_fraction=0.05,
+        n1_values=(100, 300, 500), n2_fraction=0.05,
         u_offsets=(0.04,), saturations=_ALL_SATURATIONS,
         gamma_sign=1, trials=20, methods=(DetectionMethod.SINGLE_EQUILIBRIUM,),
         **_UNEQUAL_ELL),
     Preset.SSBM_POSITIVE: dict(
-        kind="ssbm", n_values=(200,), ls=0.3, ld=0.05,
+        n_values=(200,), ls=0.3, ld=0.05,
         u_offsets=(0.01, 0.02, 0.03, 0.04), saturations=(Saturation.TANH,),
         gamma_sign=1, trials=20, methods=(DetectionMethod.SINGLE_EQUILIBRIUM,)),
     Preset.SSBM_NEGATIVE: dict(
-        kind="ssbm", n_values=(200, 500, 1000), ls=0.005, ld=0.03,
+        n_values=(200, 500, 1000), ls=0.005, ld=0.03,
         u_offsets=(0.01, 0.02, 0.03, 0.04), saturations=(Saturation.TANH,),
         gamma_sign=-1, trials=20, methods=(DetectionMethod.SINGLE_EQUILIBRIUM,)),
     Preset.MULTI_PAIRS: dict(
-        kind="ssbm", n_values=(20, 60, 100), ls=0.3, ld=0.05,
+        n_values=(20, 60, 100), ls=0.3, ld=0.05,
         u_offsets=(0.01,), saturations=(Saturation.TANH,), gamma_sign=1,
         trials=10, pair_sets=10,
         m_fractions=(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0),
@@ -366,8 +312,19 @@ _PRESET_DEFAULTS = {
         # input-driven equilibria converge fast; the Newton polish to 1e-12
         # makes the looser ODE tolerances safe
         controls=IntegrationControls(rtol=1e-7, atol=1e-9, steady_tol=1e-8)),
-    Preset.CUSTOM: dict(kind=None),
+    Preset.CUSTOM: dict(),
 }
+
+# Keys every sweep reads; only a preset gives the required ones a default
+_REQUIRED_KEYS = ("trials", "u_offsets", "saturations", "gamma_sign", "methods")
+_COMMON_KEYS = _REQUIRED_KEYS + ("d", "alpha", "diagnostics")
+# The size key that picks a sweep's shape, and the keys that shape reads
+_SHAPES = {"n1_values": ("n1_values", "n2_fraction", "l11", "l12", "l22"),
+           "n_values": ("n_values", "ls", "ld")}
+_MULTI_KEYS = ("m_fractions", "pair_sets")
+_OVERRIDE_KEYS = frozenset(_COMMON_KEYS + _MULTI_KEYS).union(*_SHAPES.values())
+_DEFAULTS = dict(d=1.0, alpha=1.0, diagnostics=False, n2_fraction=0.05, m_fractions=(),
+                 pair_sets=10, controls=IntegrationControls())
 
 
 def _as_tuple(value):
@@ -376,67 +333,55 @@ def _as_tuple(value):
     return (value,)
 
 
-_OVERRIDE_KEYS = frozenset(
-    "trials n1_values n2_fraction l11 l12 l22 n_values ls ld u_offsets saturations "
-    "gamma_sign m_fractions pair_sets methods d alpha diagnostics".split())
-
-
 def build_config(preset, base_seed: int = 12345, **overrides) -> ExperimentConfig:
     """Assemble an ExperimentConfig from a preset plus overrides.
 
-    Recognized overrides: trials, n1_values + n2_fraction + l11/l12/l22
-    (unequal-size sweeps), n_values + ls/ld (SSBM sweeps), u_offsets,
-    saturations, gamma_sign, m_fractions, pair_sets, methods, d, alpha,
-    diagnostics. Scalars are accepted where lists are expected. Any other
-    key raises ValueError. The integration controls are the preset's.
+    An override of n1_values (unequal-size sweep, + n2_fraction/l11/l12/l22)
+    or n_values (SSBM sweep, + ls/ld) picks the shape, else the preset's
+    holds. Every sweep reads _COMMON_KEYS; multi-equilibria ones also
+    m_fractions and pair_sets. Scalars are accepted where lists are
+    expected. An unknown or unread override, or a key that neither preset
+    nor overrides give, raises ValueError. The controls are the preset's.
     """
     unknown = sorted(set(overrides) - _OVERRIDE_KEYS)
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
     preset = Preset(preset)
-    settings = dict(_PRESET_DEFAULTS[preset])
-    settings.update((key, value) for key, value in overrides.items() if value is not None)
-    for key in ("n1_values", "n_values", "u_offsets", "saturations", "m_fractions",
-                "methods"):
-        if key in settings:
-            settings[key] = _as_tuple(settings[key])
-    if settings.get("n1_values"):
-        settings["kind"] = "unequal"
-    elif settings.get("n_values") and preset is Preset.CUSTOM:
-        settings["kind"] = "ssbm"
-
-    if settings["kind"] == "unequal":
-        if not all(k in settings for k in ("l11", "l12", "l22")):
-            raise ValueError("unequal-size sweep needs l11, l12 and l22")
-        fraction = settings.get("n2_fraction", 0.05)
-        sbms = []
-        for n1 in settings["n1_values"]:
-            n2 = math.ceil(round(fraction * n1, 9))
-            sbms.append(SbmParams(int(n1), int(n2), settings["l11"],
-                                  settings["l12"], settings["l22"]))
-    elif settings["kind"] == "ssbm":
-        if not all(k in settings for k in ("ls", "ld")):
-            raise ValueError("SSBM sweep needs ls and ld")
-        sbms = [SbmParams.ssbm(int(n), settings["ls"], settings["ld"])
-                for n in settings["n_values"]]
-    else:
+    overrides = {key: value for key, value in overrides.items() if value is not None}
+    settings = {**_DEFAULTS, **_PRESET_DEFAULTS[preset], **overrides}
+    size_key = next((key for source in (overrides, settings) for key in _SHAPES
+                     if key in source), None)
+    if size_key is None:
         raise ValueError("custom config needs n1_values (+ l11/l12/l22) or n_values (+ ls/ld)")
+    methods = tuple(dict.fromkeys(map(DetectionMethod, _as_tuple(settings.get("methods", ())))))
+    reads = set(_COMMON_KEYS + _SHAPES[size_key])
+    if not methods or _MULTI_METHODS.intersection(methods):
+        reads.update(_MULTI_KEYS)
+    problems = [f"{label}: {', '.join(sorted(keys))}" for label, keys in (
+        ("config keys this sweep does not read", set(overrides) - reads),
+        ("missing config keys", reads - set(settings))) if keys]
+    if problems:
+        raise ValueError("; ".join(problems))
 
-    saturations = tuple(Saturation(s) for s in settings["saturations"])
-    methods = tuple(DetectionMethod(m) for m in settings["methods"])
+    if size_key == "n1_values":
+        sbms = [SbmParams(int(n1), math.ceil(round(settings["n2_fraction"] * n1, 9)),
+                          settings["l11"], settings["l12"], settings["l22"])
+                for n1 in _as_tuple(settings["n1_values"])]
+    else:
+        sbms = [SbmParams.ssbm(int(n), settings["ls"], settings["ld"])
+                for n in _as_tuple(settings["n_values"])]
+    saturations = tuple(Saturation(s) for s in _as_tuple(settings["saturations"]))
     gamma_sign = int(settings["gamma_sign"])
     points = tuple(ParameterPoint(sbm, float(offset), sat, gamma_sign)
                    for sbm in sbms
-                   for offset in settings["u_offsets"]
+                   for offset in _as_tuple(settings["u_offsets"])
                    for sat in saturations)
     return ExperimentConfig(
         preset=preset, points=points, trials=int(settings["trials"]),
         base_seed=int(base_seed), methods=methods,
-        d=float(settings.get("d", 1.0)), alpha=float(settings.get("alpha", 1.0)),
-        m_fractions=tuple(settings.get("m_fractions", ())),
-        pair_sets=int(settings.get("pair_sets", 10)),
-        collect_diagnostics=bool(settings.get("diagnostics", False)),
-        controls=settings.get("controls", IntegrationControls()))
+        d=float(settings["d"]), alpha=float(settings["alpha"]),
+        m_fractions=_as_tuple(settings["m_fractions"]), pair_sets=int(settings["pair_sets"]),
+        collect_diagnostics=bool(settings["diagnostics"]), controls=settings["controls"])
 
 
 def load_config_file(path) -> dict:
@@ -523,35 +468,21 @@ def read_records_csv(path):
     if not rows or rows[0] != RECORD_FIELDS:
         raise ValueError("not a trial-record CSV")
     fields = dataclasses.fields(TrialRecord)
-    return [TrialRecord(*(_parse_cell(f.type, cell) for f, cell in zip(fields, row)))
+    return [TrialRecord(**{f.name: _parse_cell(f.type, cell) for f, cell in zip(fields, row)})
             for row in rows[1:]]
 
 
 # ---------------------------------------------------------------------------
 # Aggregation
 
-@dataclass
-class SummaryRow:
-    preset: str
-    n: int
-    n1: int
-    n2: int
-    l11: float
-    l12: float
-    l22: float
-    gamma_sign: int
-    u_offset: float
-    saturation: str
-    m: int
-    method: str
-    mean_accuracy: float
-    stderr: float
-    count: int
-    failures: int
-
-
+# A summary row: the swept parameters its records share, then four statistics
+_GROUP_FIELDS = ("preset", "n", "n1", "n2", "l11", "l12", "l22", "gamma_sign", "u_offset",
+                 "saturation", "m", "method")
+SummaryRow = dataclasses.make_dataclass(
+    "SummaryRow", [(name, TrialRecord.__annotations__[name]) for name in _GROUP_FIELDS]
+    + [("mean_accuracy", float), ("stderr", float), ("count", int), ("failures", int)],
+    namespace={"__module__": __name__})
 SUMMARY_FIELDS = [f.name for f in dataclasses.fields(SummaryRow)]
-_GROUP_FIELDS = SUMMARY_FIELDS[:-4]  # all but the four statistics
 
 
 def summarize(records):

@@ -147,6 +147,8 @@ BAD_INPUT_CASES = {
     "simulate-graph-no-n1": ["simulate", "--graph", "graph_n.txt", "--gamma", "0.1",
                              "--u", "0.5", "--out", "eq.csv"],
     "detect-single-empty-file": ["detect-single", "--states", "empty.csv", "--out", "est.csv"],
+    "experiment-custom-missing-keys": ["experiment", "--preset", "custom", "--config", "c.cfg",
+                                       "--workers", "1", "--out", "records.csv"],
 }
 
 
@@ -162,6 +164,7 @@ def test_bad_input_file_is_an_error_not_a_traceback(argv, tmp_path, monkeypatch,
     (tmp_path / "graph.txt").write_text("0 1\n1 2\n")
     (tmp_path / "graph_n.txt").write_text("# n=3\n0 1\n1 2\n")
     (tmp_path / "empty.csv").write_text("")
+    (tmp_path / "c.cfg").write_text("n_values = 20\nls = 0.6\nld = 0.2\n")
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err

@@ -11,7 +11,8 @@ from commdyn.dynamics import Saturation
 from commdyn.errors import EmptyInput
 from commdyn.harness import (Preset, TrialRecord, build_config, derive_seed,
                              load_config_file, read_records_csv, resolve_m_values,
-                             run_experiment, summarize, write_records_csv)
+                             run_experiment, summarize, write_records_csv,
+                             write_summary_csv)
 from commdyn.graphgen import SbmParams
 from commdyn.theory import expected_threshold
 
@@ -72,6 +73,22 @@ def test_build_config_rejects_unknown_config_file_key(tmp_path):
     path.write_text("n_values = 40\ntrails = 3\n")
     with pytest.raises(ValueError, match="unknown config keys: trails"):
         build_config(Preset.SSBM_NEGATIVE, **load_config_file(path))
+
+
+@pytest.mark.parametrize("preset, overrides, message", [
+    ("unequal-sbm", dict(n_values=[100]), "missing config keys: ld, ls"),
+    ("ssbm-negative", dict(l11=0.9, n2_fraction=0.5), "does not read: l11, n2_fraction"),
+    ("unequal-sbm", dict(ls=0.9, ld=0.1), "does not read: ld, ls"),
+    ("ssbm-positive", dict(pair_sets=3, m_fractions=[0.5]), "does not read: m_fractions, pair_sets"),
+    ("custom", dict(n_values=[20], ls=0.6, ld=0.2),
+     "missing config keys: gamma_sign, methods, saturations, trials, u_offsets"),
+], ids=["n_values-for-unequal", "unequal-keys-for-ssbm", "ssbm-keys-for-unequal",
+        "multi-keys-for-single", "custom-without-required"])
+def test_build_config_rejects_keys_the_sweep_does_not_read(preset, overrides, message):
+    """Every override the chosen sweep does not read, and every key it needs
+    that neither the preset nor the overrides give, is named in the error."""
+    with pytest.raises(ValueError, match=message):
+        build_config(preset, **overrides)
 
 
 def test_mixed_method_kinds_rejected():
@@ -151,13 +168,6 @@ def test_adding_points_keeps_existing_trials():
     assert kept == base
 
 
-@pytest.mark.parametrize("value", ["abc", "2.5", "0", "-3"])
-def test_workers_env_rejects_bad_values(monkeypatch, value):
-    monkeypatch.setenv("COMMDYN_WORKERS", value)
-    with pytest.raises(ValueError, match="COMMDYN_WORKERS"):
-        run_experiment(tiny_single_config(trials=1))
-
-
 @pytest.mark.parametrize("make_config", [tiny_single_config, tiny_multi_config])
 def test_records_csv_round_trip(tmp_path, make_config):
     records = run_experiment(make_config(), workers=1)
@@ -184,22 +194,28 @@ def test_records_csv_reproducible_bytes(tmp_path):
 _BUILD_DEPENDENT = {"residual", "alignment", "concentration_ratio", "eigen_gap",
                     "sigma_min_x"}
 
+# (overrides, records sha256, summary sha256)
 _GOLDEN_RECORDS = {
     Preset.UNEQUAL_SBM: (
         dict(n1_values=[40, 80], u_offsets=[0.02], trials=3),
-        "4e882c68c739bc70bdeaa63bbe5247677c99022ef0c79c9f1eb4fb17d7109fb0"),
+        "4e882c68c739bc70bdeaa63bbe5247677c99022ef0c79c9f1eb4fb17d7109fb0",
+        "c4c8b08b9d0b7bc8636598680b3c079bce201fd35eeb0e14f4429dc89b2fe4ee"),
     Preset.SATURATION_SWEEP: (
         dict(n1_values=[40], trials=2, diagnostics=True),
-        "3341087a36ce453a4d8900981fc1a64c93733903f744b390bbb4994ac8e8590f"),
+        "3341087a36ce453a4d8900981fc1a64c93733903f744b390bbb4994ac8e8590f",
+        "9f8b1e47b58ad38ee88f0ddfdb8b8aa331760c44f1c3c6fc66756c14f77cd60f"),
     Preset.SSBM_POSITIVE: (
         dict(n_values=[40], u_offsets=[0.02], trials=3),
-        "6b0729c96f39d91753e01cd7345fa9348477e553280ff5dd2bc56ad9f99bc70b"),
+        "6b0729c96f39d91753e01cd7345fa9348477e553280ff5dd2bc56ad9f99bc70b",
+        "b3dffe46b3a2847fafb58045f015e521d61a18c80b72873762c141bdbf8d584b"),
     Preset.SSBM_NEGATIVE: (
         dict(n_values=[60, 120], u_offsets=[0.01], trials=3),
-        "01ff829f550db6901866d4e66ddaea2c5f838e3b13af1d75d45be8b8a0d44a7c"),
+        "01ff829f550db6901866d4e66ddaea2c5f838e3b13af1d75d45be8b8a0d44a7c",
+        "34fb5a85e86ab2b0f95d09cbf1b841a42b666a4e2a9c60cfc5b96aeda3aaf227"),
     Preset.MULTI_PAIRS: (
         dict(n_values=[16], trials=2, pair_sets=2, m_fractions=[0.25, 1.0]),
-        "6f9912c31cc9659bd516e6b8e0e274cd5c49561c1843ba2c761797bdf582da41"),
+        "6f9912c31cc9659bd516e6b8e0e274cd5c49561c1843ba2c761797bdf582da41",
+        "4f0e8760732bc31a28f72e389c5b3660b9901a93121fb2abf77d42d5a35d40aa"),
 }
 
 
@@ -207,11 +223,14 @@ _GOLDEN_RECORDS = {
 def test_records_csv_golden(tmp_path, preset):
     """The records of a small config of every preset are pinned across
     commits, below the timestamp line and with the build-dependent
-    numeric columns blanked."""
-    overrides, digest = _GOLDEN_RECORDS[preset]
+    numeric columns blanked; so is their whole summary CSV."""
+    overrides, digest, summary_digest = _GOLDEN_RECORDS[preset]
+    records = run_experiment(build_config(preset, base_seed=2024, **overrides), workers=1)
+    summary_path = tmp_path / "summary.csv"
+    write_summary_csv(summary_path, summarize(records))
+    assert hashlib.sha256(summary_path.read_bytes()).hexdigest() == summary_digest
     path = tmp_path / "records.csv"
-    write_records_csv(path, run_experiment(build_config(preset, base_seed=2024, **overrides),
-                                           workers=1))
+    write_records_csv(path, records)
     body = path.read_bytes().split(b"\r\n", 1)[1].decode()
     rows = list(csv.reader(io.StringIO(body)))
     blank = [i for i, name in enumerate(rows[0]) if name in _BUILD_DEPENDENT]
