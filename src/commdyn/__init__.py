@@ -1,5 +1,3 @@
 """Community detection from equilibria of saturating opinion dynamics on
 two-community stochastic block models. Import names from their modules, as in
 `from commdyn.harness import build_config`."""
-
-__version__ = "0.1.0"

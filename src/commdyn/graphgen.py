@@ -8,12 +8,6 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
-# sample_sbm draws the pair stream in blocks of whole rows of about this many
-# pairs (a longer row is a block of its own). 2^16 was no faster at
-# n = 1000-2000 and added 0.6 MB to the ssbm-neg-large peak RSS.
-_SAMPLE_BLOCK_PAIRS = 1 << 15
-
-
 @dataclass(frozen=True)
 class SbmParams:
     """Community sizes and link probabilities of a two-community SBM.
@@ -93,7 +87,11 @@ class Graph:
             raise ValueError("adjacency must be square")
         a.sum_duplicates()
         a.eliminate_zeros()
-        if (a != a.T).nnz:
+        # canonical CSR is unique, and A's CSC arrays (sorted by conversion) are
+        # A^T's CSR arrays, so A = A^T exactly when the two sets of arrays match
+        t = a.tocsc()
+        if not (np.array_equal(a.indptr, t.indptr) and np.array_equal(a.indices, t.indices)
+                and np.array_equal(a.data, t.data)):
             raise ValueError("adjacency must be symmetric")
         if np.any(a.diagonal() != 0.0):
             raise ValueError("no self-loops allowed")
@@ -118,40 +116,54 @@ class Graph:
 
 
 def _from_upper(n, rows, cols, labels) -> Graph:
-    """Graph from the upper-triangle edges (rows[k] < cols[k])."""
-    upper = sparse.csr_array((np.ones(len(rows)), (rows, cols)), shape=(n, n))
-    return Graph(adjacency=upper + upper.T, labels=labels)
+    """Graph from the upper-triangle edges (rows[k] < cols[k]).
+
+    The mirrored entries go first. COO to CSR is a stable sort by row, so
+    when each row's upper edges and each column's upper edges come in
+    increasing order (as from a lexicographic edge list), every CSR row comes
+    out sorted and scipy skips its own sort.
+    """
+    adjacency = CsrAdjacency((np.ones(2 * len(rows)), (np.concatenate([cols, rows]),
+                                                       np.concatenate([rows, cols]))),
+                             shape=(n, n))
+    return Graph(adjacency, labels)
+
+
+def _edge_positions(rng, pairs, p):
+    """Sorted edge positions among `pairs` pairs linked with probability p: a
+    Binomial(pairs, p) count, then that many distinct positions uniformly."""
+    return np.sort(rng.choice(pairs, rng.binomial(pairs, p), replace=False, shuffle=False))
+
+
+def _triangle_pairs(rng, m, p, first):
+    """Edges of a G(m, p) block on agents first..first+m-1, as (rows, cols)
+    with rows < cols, its pairs numbered in lexicographic order."""
+    positions = _edge_positions(rng, m * (m - 1) // 2, p)
+    row_lengths = np.arange(m - 1, 0, -1)
+    offsets = np.cumsum(row_lengths) - row_lengths  # row i starts at offsets[i]
+    rows = np.searchsorted(offsets, positions, side="right") - 1
+    return rows + first, positions - offsets[rows] + rows + 1 + first
 
 
 def sample_sbm(params: SbmParams, seed: int) -> Graph:
     """Sample a graph from the SBM, deterministically for a fixed seed.
 
-    Each unordered pair {i, j} (i < j, iterated in lexicographic order) is
-    drawn from one counter-based Philox stream keyed by the seed, so the
-    sample is bit-reproducible regardless of scheduling. The stream is drawn
-    in blocks of whole rows of about _SAMPLE_BLOCK_PAIRS pairs, so no n x n
-    buffer is built.
+    One counter-based Philox stream keyed by the seed is drawn in a fixed
+    order: for the block pairs 11, 12 and 22 in turn, the edge count from
+    Binomial(pairs in the block, l), then that many distinct pair positions
+    uniformly without replacement. Conditioned on its count a uniform subset
+    of pairs is exactly i.i.d. Bernoulli(l) per pair, so this is the SBM law;
+    work and memory are O(n + edges), not O(n^2). The sample is
+    bit-reproducible regardless of scheduling. This is sampler stream v2
+    (README, Conventions).
     """
     rng = np.random.Generator(np.random.Philox(seed))
-    n, n1 = params.n, params.n1
-    labels = params.labels()
-    agents = np.arange(n)
-    # row i's pairs are a run inside community 1 (j < n1), then a run of
-    # j >= max(i + 1, n1), each with one link probability
-    first = np.maximum(n1 - 1 - agents, 0)
-    run_lengths = np.column_stack([first, n - 1 - agents - first]).ravel()
-    run_probs = params.ell[labels - 1].ravel()
-    offsets = np.concatenate([[0], np.cumsum(n - 1 - agents)])  # row i starts at offsets[i]
-    hits, start = [], 0
-    while start < n - 1:
-        end = np.searchsorted(offsets, offsets[start] + _SAMPLE_BLOCK_PAIRS, side="right") - 1
-        end = max(int(end), start + 1)
-        probs = np.repeat(run_probs[2 * start:2 * end], run_lengths[2 * start:2 * end])
-        hits.append(np.flatnonzero(rng.random(probs.size) < probs) + offsets[start])
-        start = end
-    hits = np.concatenate(hits)
-    rows = np.searchsorted(offsets, hits, side="right") - 1
-    return _from_upper(n, rows, hits - offsets[rows] + rows + 1, labels)
+    n1, n2 = params.n1, params.n2
+    rows11, cols11 = _triangle_pairs(rng, n1, params.l11, 0)
+    rows12, cols12 = np.divmod(_edge_positions(rng, n1 * n2, params.l12), n2)
+    rows22, cols22 = _triangle_pairs(rng, n2, params.l22, n1)
+    return _from_upper(params.n, np.concatenate([rows11, rows12, rows22]),
+                       np.concatenate([cols11, cols12 + n1, cols22]), params.labels())
 
 
 def max_expected_degree(params: SbmParams) -> float:

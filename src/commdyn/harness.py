@@ -323,8 +323,11 @@ _SHAPES = {"n1_values": ("n1_values", "n2_fraction", "l11", "l12", "l22"),
            "n_values": ("n_values", "ls", "ld")}
 _MULTI_KEYS = ("m_fractions", "pair_sets")
 _OVERRIDE_KEYS = frozenset(_COMMON_KEYS + _MULTI_KEYS).union(*_SHAPES.values())
-_DEFAULTS = dict(d=1.0, alpha=1.0, diagnostics=False, n2_fraction=0.05, m_fractions=(),
-                 pair_sets=10, controls=IntegrationControls())
+# ExperimentConfig's own defaults, under the key names build_config reads
+_DEFAULTS = {field.name: field.default for field in dataclasses.fields(ExperimentConfig)
+             if field.default is not dataclasses.MISSING}
+_DEFAULTS["diagnostics"] = _DEFAULTS.pop("collect_diagnostics")
+_DEFAULTS["n2_fraction"] = 0.05
 
 
 def _as_tuple(value):

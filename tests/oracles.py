@@ -1,17 +1,34 @@
-"""Dense reference oracles for the expected SBM adjacency E{A}.
+"""Dense reference oracles: the per-pair SBM sampler and the expected SBM
+adjacency E{A}.
 
-The package computes everything it needs about E{A} in closed form (see
-commdyn.theory) and never builds it. These n x n versions are the definitions
-the closed forms are checked against, so they are kept simple rather than
-fast: O(n^2) memory and, for the Davis-Kahan reference, a full O(n^3)
-eigendecomposition.
+The package samples in O(edges) and computes everything it needs about E{A}
+in closed form (see commdyn.theory), never building either densely. These
+n x n versions are the definitions the package is checked against, so they
+are kept simple rather than fast: O(n^2) memory and, for the Davis-Kahan
+reference, a full O(n^3) eigendecomposition.
 """
 
 import numpy as np
+from scipy import sparse
 
 from commdyn.errors import ZeroGap
 from commdyn.graphgen import Graph, SbmParams
 from commdyn.spectral import extreme_eigpairs, sym_eig
+
+
+def bernoulli_pairs_sbm(params: SbmParams, seed: int) -> Graph:
+    """The SBM drawn pair by pair (sampler stream v1): each unordered pair
+    {i, j}, i < j in lexicographic order, takes one uniform from the
+    Philox(seed) stream and is an edge when it falls below its link
+    probability. graphgen.sample_sbm (stream v2) must give the same graph
+    wherever every link probability is 0 or 1, and the same law elsewhere."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    labels = params.labels()
+    probs = params.ell[:, labels - 1]
+    upper = np.zeros((params.n, params.n), dtype=bool)
+    for i in range(params.n - 1):
+        upper[i, i + 1:] = rng.random(params.n - 1 - i) < probs[labels[i] - 1, i + 1:]
+    return Graph(sparse.csr_array(upper | upper.T, dtype=float), labels)
 
 
 def expected_adjacency(params: SbmParams) -> np.ndarray:

@@ -4,11 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from commdyn import graphgen
 from commdyn.graphgen import (Graph, SbmParams, check_assumptions, is_connected,
                               max_expected_degree, read_edge_list, sample_sbm,
                               write_edge_list)
-from oracles import expected_adjacency
+from oracles import bernoulli_pairs_sbm, expected_adjacency
 
 
 def test_params_validation():
@@ -155,20 +154,36 @@ def test_edge_list_round_trip(tmp_path):
     assert np.array_equal(back.labels, g.labels)
 
 
-# sha256 of write_edge_list output, recorded from the dense n x n sampler the
-# row-by-row sampler replaced: equal hashes mean the same Philox stream
+# sha256 of write_edge_list output. The per-pair (stream v1) hashes were
+# recorded from the dense n x n sampler that preceded the blocked and the
+# O(edges) samplers, so stream v1 stays reproducible through the oracle.
+_GOLDEN_CASES = [(SbmParams.ssbm(1000, 0.005, 0.03), 11),
+                 (SbmParams(500, 25, 0.05, 0.1, 0.5), 7),
+                 (SbmParams(1, 6, 0.3, 0.6, 0.8), 3)]
+
+
+def _edge_list_digest(graph, tmp_path):
+    path = tmp_path / "graph.txt"
+    write_edge_list(graph, path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 @pytest.mark.parametrize("params, seed, digest", [
-    (SbmParams.ssbm(1000, 0.005, 0.03), 11,
-     "1e71d4fe1a2b61d7f927b1b2c2115d98d898181fae5e78daea6b51a258872f1c"),
-    (SbmParams(500, 25, 0.05, 0.1, 0.5), 7,
-     "01b754a6f1b07c97a9f1ca13a5316dc8e3d120d5a9907cfab78073cd1491d1de"),
-    (SbmParams(1, 6, 0.3, 0.6, 0.8), 3,
-     "483c6dd3221f4141c46c8dd62d0f0d8bfb01c64cdc07798dda35796c7a6b1c02"),
+    (*_GOLDEN_CASES[0], "1e71d4fe1a2b61d7f927b1b2c2115d98d898181fae5e78daea6b51a258872f1c"),
+    (*_GOLDEN_CASES[1], "01b754a6f1b07c97a9f1ca13a5316dc8e3d120d5a9907cfab78073cd1491d1de"),
+    (*_GOLDEN_CASES[2], "483c6dd3221f4141c46c8dd62d0f0d8bfb01c64cdc07798dda35796c7a6b1c02"),
 ])
 def test_sampler_golden_edge_lists(tmp_path, params, seed, digest):
-    path = tmp_path / "graph.txt"
-    write_edge_list(sample_sbm(params, seed), path)
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    assert _edge_list_digest(bernoulli_pairs_sbm(params, seed), tmp_path) == digest
+
+
+@pytest.mark.parametrize("params, seed, digest", [
+    (*_GOLDEN_CASES[0], "a7e0c504842f0817af7ee09dd6272ad603d0fcaa948508c0ad7a44c3c75e0160"),
+    (*_GOLDEN_CASES[1], "e110ddc437a90f58f7b338c339db355c5721f3713aa9228253c1ee91df44b96a"),
+    (*_GOLDEN_CASES[2], "170e668c0f0264d10cb82c060054136da928645534a02e9b2973cbdc0a481ddf"),
+])
+def test_sample_sbm_golden_edge_lists(tmp_path, params, seed, digest):
+    assert _edge_list_digest(sample_sbm(params, seed), tmp_path) == digest
 
 
 def test_read_edge_list_ignores_repeated_edge(tmp_path):
@@ -178,37 +193,45 @@ def test_read_edge_list_ignores_repeated_edge(tmp_path):
     assert np.array_equal(g.adjacency.toarray(), [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
 
 
-def _row_by_row_sbm(params, seed):
-    """The sampler's pair stream drawn one row at a time, as a dense boolean
-    adjacency: the reference the blocked sampler must reproduce exactly."""
-    rng = np.random.Generator(np.random.Philox(seed))
-    labels = params.labels()
-    probs = params.ell[:, labels - 1]
-    upper = np.zeros((params.n, params.n), dtype=bool)
-    for i in range(params.n - 1):
-        upper[i, i + 1:] = rng.random(params.n - 1 - i) < probs[labels[i] - 1, i + 1:]
-    return upper | upper.T
-
-
-SAMPLER_CASES = [
-    SbmParams(1, 1, 0.5, 0.5, 0.5),
+# every link probability 0 or 1, so every stream gives the one graph: each
+# block empty or complete, including one-agent communities and n = 2
+DETERMINISTIC_CASES = [
     SbmParams(1, 1, 0.0, 1.0, 0.0),
-    SbmParams(1, 6, 0.3, 0.6, 0.8),
-    SbmParams(6, 1, 0.3, 0.6, 0.8),
-    SbmParams(30, 7, 0.0, 1.0, 0.4),
-    SbmParams(7, 30, 1.0, 0.0, 0.2),
-    SbmParams(40, 3, 0.05, 0.1, 0.5),
-    SbmParams.ssbm(60, 0.2, 0.05),
+    SbmParams(1, 1, 1.0, 0.0, 1.0),
+    SbmParams(2, 2, 1.0, 1.0, 1.0),
+    SbmParams(3, 2, 0.0, 0.0, 0.0),
+    SbmParams(1, 6, 1.0, 0.0, 1.0),
+    SbmParams(6, 1, 0.0, 1.0, 0.0),
+    SbmParams(30, 7, 0.0, 1.0, 1.0),
+    SbmParams(7, 30, 1.0, 0.0, 1.0),
+    SbmParams(12, 9, 1.0, 1.0, 0.0),
 ]
 
 
-@pytest.mark.parametrize("params", SAMPLER_CASES,
+@pytest.mark.parametrize("params", DETERMINISTIC_CASES,
                          ids=lambda p: f"{p.n1}-{p.n2}-{p.l11}-{p.l12}-{p.l22}")
-@pytest.mark.parametrize("block_pairs", [None, 1, 7, 64])
-def test_blocked_sampler_matches_row_by_row(params, block_pairs, monkeypatch):
-    # tiny blocks put block boundaries at every row and make rows longer than a block
-    if block_pairs is not None:
-        monkeypatch.setattr(graphgen, "_SAMPLE_BLOCK_PAIRS", block_pairs)
+def test_sampler_matches_pair_oracle_at_zero_one_probabilities(params):
     for seed in (0, 3, 11):
-        sampled = sample_sbm(params, seed).adjacency.toarray()
-        assert np.array_equal(sampled, _row_by_row_sbm(params, seed)), seed
+        sampled = sample_sbm(params, seed).adjacency
+        reference = bernoulli_pairs_sbm(params, seed).adjacency
+        assert np.array_equal(sampled.toarray(), reference.toarray()), seed
+
+
+@pytest.mark.parametrize("params", [
+    SbmParams(1, 6, 0.3, 0.6, 0.8),
+    SbmParams(6, 1, 0.3, 0.6, 0.8),
+    SbmParams(40, 3, 0.05, 0.1, 0.5),
+    SbmParams(30, 11, 0.13, 0.31, 0.77),
+    SbmParams.ssbm(60, 0.2, 0.05),
+], ids=lambda p: f"{p.n1}-{p.n2}-{p.l11}-{p.l12}-{p.l22}")
+def test_block_edge_counts_match_binomial_mean(params):
+    seeds = 200
+    n1, n2 = params.n1, params.n2
+    counts = np.zeros(3)
+    for seed in range(seeds):
+        a = sample_sbm(params, seed).adjacency
+        counts += [a[:n1, :n1].sum() / 2, a[:n1, n1:].sum(), a[n1:, n1:].sum() / 2]
+    # a block of C pairs has Bin(C, l) edges: mean C*l, variance C*l*(1-l)
+    for count, pairs, p in zip(counts / seeds, (n1 * (n1 - 1) // 2, n1 * n2, n2 * (n2 - 1) // 2),
+                               (params.l11, params.l12, params.l22)):
+        assert abs(count - pairs * p) <= 4 * math.sqrt(pairs * p * (1 - p) / seeds)

@@ -198,24 +198,24 @@ _BUILD_DEPENDENT = {"residual", "alignment", "concentration_ratio", "eigen_gap",
 _GOLDEN_RECORDS = {
     Preset.UNEQUAL_SBM: (
         dict(n1_values=[40, 80], u_offsets=[0.02], trials=3),
-        "4e882c68c739bc70bdeaa63bbe5247677c99022ef0c79c9f1eb4fb17d7109fb0",
-        "c4c8b08b9d0b7bc8636598680b3c079bce201fd35eeb0e14f4429dc89b2fe4ee"),
+        "1922babf9873ffbbf7ec086f14d6d551538849b86a173e8cebadf36afc8055c5",
+        "1fb757e94e11e7b352af6c0658e31b3e1a7dada8ddd0169b3afdebe4d391e813"),
     Preset.SATURATION_SWEEP: (
         dict(n1_values=[40], trials=2, diagnostics=True),
-        "3341087a36ce453a4d8900981fc1a64c93733903f744b390bbb4994ac8e8590f",
-        "9f8b1e47b58ad38ee88f0ddfdb8b8aa331760c44f1c3c6fc66756c14f77cd60f"),
+        "368bb1132d2b323902ca4daa35a753720beddd758b41aab8f9b5ae1b69a32301",
+        "12f1ee5c00f1e6ee31d99ec583f6bd8a1583b568a03507d1bca64398325bd444"),
     Preset.SSBM_POSITIVE: (
         dict(n_values=[40], u_offsets=[0.02], trials=3),
-        "6b0729c96f39d91753e01cd7345fa9348477e553280ff5dd2bc56ad9f99bc70b",
-        "b3dffe46b3a2847fafb58045f015e521d61a18c80b72873762c141bdbf8d584b"),
+        "efdfb44134c5a2120e9cef3f4f6239b6463f0d16c00ffb01355acfd38633c24c",
+        "04d867139ff011aeb6ed46733ea1942fe0dd8201d4e241d994ac364204f82d65"),
     Preset.SSBM_NEGATIVE: (
         dict(n_values=[60, 120], u_offsets=[0.01], trials=3),
-        "01ff829f550db6901866d4e66ddaea2c5f838e3b13af1d75d45be8b8a0d44a7c",
-        "34fb5a85e86ab2b0f95d09cbf1b841a42b666a4e2a9c60cfc5b96aeda3aaf227"),
+        "e8316af5aff123d028c327c1928d2fc0bed0d9056c030763bf8d0a3ea863d382",
+        "f64701dfec4ee3c2cf910be3c5efe820d19f7f292dadd6b3ab8ed6a739737cd1"),
     Preset.MULTI_PAIRS: (
         dict(n_values=[16], trials=2, pair_sets=2, m_fractions=[0.25, 1.0]),
-        "6f9912c31cc9659bd516e6b8e0e274cd5c49561c1843ba2c761797bdf582da41",
-        "4f0e8760732bc31a28f72e389c5b3660b9901a93121fb2abf77d42d5a35d40aa"),
+        "c1eea6c72c5f78a1560c755aa7a0cfa3f2115116a458afa0f89f108d20710b1c",
+        "78e01eff79fe2db76a8a12db6c33840c05e17c9ba4c7831eac40958d4ae47ed9"),
 }
 
 
