@@ -129,10 +129,27 @@ def _from_upper(n, rows, cols, labels) -> Graph:
     return Graph(adjacency, labels)
 
 
+# Pairs per position draw. numpy's choice without replacement either hashes
+# its picks or, above a twentieth of its population, tail-shuffles an arange
+# of the whole population; bounded runs keep both and the sort cache-sized.
+_SAMPLE_BLOCK_PAIRS = 1 << 20
+
+
 def _edge_positions(rng, pairs, p):
-    """Sorted edge positions among `pairs` pairs linked with probability p: a
-    Binomial(pairs, p) count, then that many distinct positions uniformly."""
-    return np.sort(rng.choice(pairs, rng.binomial(pairs, p), replace=False, shuffle=False))
+    """Sorted edge positions among `pairs` pairs linked with probability p:
+    for each run of at most _SAMPLE_BLOCK_PAIRS consecutive pairs, a
+    Binomial(run, p) count, then that many distinct positions in the run
+    uniformly."""
+    parts = []
+    for start in range(0, pairs, _SAMPLE_BLOCK_PAIRS):
+        run = min(_SAMPLE_BLOCK_PAIRS, pairs - start)
+        part = rng.choice(run, rng.binomial(run, p), replace=False, shuffle=False)
+        part.sort()
+        part += start
+        parts.append(part)
+    if len(parts) == 1:
+        return parts[0]
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
 
 
 def _triangle_pairs(rng, m, p, first):
@@ -149,11 +166,12 @@ def sample_sbm(params: SbmParams, seed: int) -> Graph:
     """Sample a graph from the SBM, deterministically for a fixed seed.
 
     One counter-based Philox stream keyed by the seed is drawn in a fixed
-    order: for the block pairs 11, 12 and 22 in turn, the edge count from
-    Binomial(pairs in the block, l), then that many distinct pair positions
-    uniformly without replacement. Conditioned on its count a uniform subset
-    of pairs is exactly i.i.d. Bernoulli(l) per pair, so this is the SBM law;
-    work and memory are O(n + edges), not O(n^2). The sample is
+    order: for the block pairs 11, 12 and 22 in turn, and within each block
+    for runs of at most _SAMPLE_BLOCK_PAIRS pairs in lexicographic order, the
+    edge count from Binomial(pairs in the run, l), then that many distinct
+    pair positions uniformly without replacement. Conditioned on its count a
+    uniform subset of pairs is exactly i.i.d. Bernoulli(l) per pair, so this
+    is the SBM law; work and memory are O(n + edges), not O(n^2). The sample is
     bit-reproducible regardless of scheduling. This is sampler stream v2
     (README, Conventions).
     """

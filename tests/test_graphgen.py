@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from commdyn import graphgen
 from commdyn.graphgen import (Graph, SbmParams, check_assumptions, is_connected,
                               max_expected_degree, read_edge_list, sample_sbm,
                               write_edge_list)
@@ -191,6 +192,50 @@ def test_read_edge_list_ignores_repeated_edge(tmp_path):
     path.write_text("# n=3 n1=1\n0 1\n1 2\n0 1\n")
     g = read_edge_list(path)
     assert np.array_equal(g.adjacency.toarray(), [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+
+
+def _row_by_row_sbm(params, seed, block_pairs):
+    """Stream v2 as a dense boolean adjacency: the sampler's draws, with each
+    block's pairs listed row by row in lexicographic order and the drawn
+    positions looked up in that list. The reference for the blocked
+    sampler's position-to-pair arithmetic."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    n1, n = params.n1, params.n
+    upper = np.zeros((n, n), dtype=bool)
+    for rows, cols, p in ((range(n1), range(n1), params.l11),
+                          (range(n1), range(n1, n), params.l12),
+                          (range(n1, n), range(n1, n), params.l22)):
+        pairs = [(i, j) for i in rows for j in cols if i < j]
+        for start in range(0, len(pairs), block_pairs):
+            run = min(block_pairs, len(pairs) - start)
+            for k in rng.choice(run, rng.binomial(run, p), replace=False, shuffle=False):
+                upper[pairs[start + k]] = True
+    return upper | upper.T
+
+
+SAMPLER_CASES = [
+    SbmParams(1, 1, 0.5, 0.5, 0.5),
+    SbmParams(1, 1, 0.0, 1.0, 0.0),
+    SbmParams(1, 6, 0.3, 0.6, 0.8),
+    SbmParams(6, 1, 0.3, 0.6, 0.8),
+    SbmParams(30, 7, 0.0, 1.0, 0.4),
+    SbmParams(7, 30, 1.0, 0.0, 0.2),
+    SbmParams(40, 3, 0.05, 0.1, 0.5),
+    SbmParams.ssbm(60, 0.2, 0.05),
+]
+
+
+@pytest.mark.parametrize("params", SAMPLER_CASES,
+                         ids=lambda p: f"{p.n1}-{p.n2}-{p.l11}-{p.l12}-{p.l22}")
+@pytest.mark.parametrize("block_pairs", [None, 1, 7, 64])
+def test_blocked_sampler_matches_row_by_row(params, block_pairs, monkeypatch):
+    # tiny runs end mid-row and make rows longer than a run
+    if block_pairs is not None:
+        monkeypatch.setattr(graphgen, "_SAMPLE_BLOCK_PAIRS", block_pairs)
+    for seed in (0, 3, 11):
+        sampled = sample_sbm(params, seed).adjacency.toarray()
+        reference = _row_by_row_sbm(params, seed, graphgen._SAMPLE_BLOCK_PAIRS)
+        assert np.array_equal(sampled, reference), seed
 
 
 # every link probability 0 or 1, so every stream gives the one graph: each
