@@ -11,7 +11,7 @@ from enum import Enum
 import numpy as np
 from scipy.integrate import RK45
 from scipy.optimize import brentq  # already imported by scipy.integrate
-from scipy.sparse.linalg import LinearOperator, aslinearoperator, minres
+from scipy.sparse.linalg import LinearOperator, minres
 from scipy.special import erf, erfinv
 
 from .errors import DomainError, InvalidRegime, SingularJacobian
@@ -233,7 +233,8 @@ class Jacobian:
     def _k_norm(self) -> float:
         """The infinity norm of K, a bound on its 2-norm."""
         h, p = np.sqrt(self.slope), self.params
-        off_diagonal = abs(p.gamma) * h * (abs(self.adjacency) @ h)
+        # the adjacency is binary, so |K|'s off-diagonal part is |gamma| h A h
+        off_diagonal = abs(p.gamma) * h * (self.adjacency @ h)
         return float(np.max(np.abs(self.slope * p.alpha - p.d) + off_diagonal))
 
     def _minres_step(self, r) -> np.ndarray:
@@ -386,10 +387,8 @@ def _branch_seed(params: ModelParams, graph: Graph):
     projected on w. g'(0) = -d + u*mu > 0, and |w.S| <= ||w||_1 <= sqrt(n)
     puts the root at or below u*sqrt(n)/d.
     """
-    which = "LA" if params.gamma > 0 else "SA"
-    pairs = extreme_eigpairs(aslinearoperator(graph.adjacency), 1, which)
-    w = pairs.vectors[:, 0]
-    mu = params.alpha + params.gamma * pairs.values[0]
+    value, w = graph.extreme_eigenpair("LA" if params.gamma > 0 else "SA")
+    mu = params.alpha + params.gamma * value
     if -params.d + params.u * mu <= 0.0:
         return None
 

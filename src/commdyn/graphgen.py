@@ -2,11 +2,14 @@
 degree, connectivity and assumption checks, edge-list IO."""
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import aslinearoperator
+
+from .spectral import extreme_eigpairs
 
 @dataclass(frozen=True)
 class SbmParams:
@@ -75,11 +78,13 @@ class Graph:
     """Sampled undirected graph with ground-truth community labels.
 
     `adjacency` is stored as a CSR scipy.sparse array (use `.toarray()` for a
-    dense copy); a dense or sparse matrix is accepted and converted.
+    dense copy); a dense or sparse matrix is accepted and converted. It is
+    not to be modified afterwards: `extreme_eigenpair` caches its results.
     """
 
     adjacency: CsrAdjacency
     labels: np.ndarray
+    _eigenpairs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = CsrAdjacency(self.adjacency, dtype=float)
@@ -113,6 +118,23 @@ class Graph:
     @property
     def n2(self):
         return int(np.sum(self.labels == 2))
+
+    def extreme_eigenpair(self, which: str):
+        """(value, unit vector) of the adjacency's extreme eigenpair on the
+        `which` side ("LA" largest, "SA" smallest, "LM" largest magnitude).
+
+        The first call for a `which` runs spectral.extreme_eigpairs (the
+        adjacency was checked symmetric on construction, so it goes in as a
+        LinearOperator); later calls return the same pair. The vector is
+        read-only, as every caller shares it.
+        """
+        pair = self._eigenpairs.get(which)
+        if pair is None:
+            pairs = extreme_eigpairs(aslinearoperator(self.adjacency), 1, which)
+            vector = pairs.vectors[:, 0]
+            vector.flags.writeable = False
+            pair = self._eigenpairs[which] = (pairs.values[0], vector)
+        return pair
 
 
 def _from_upper(n, rows, cols, labels) -> Graph:

@@ -1,9 +1,12 @@
 """Seeded Monte Carlo experiment orchestration, presets, and CSV reporting.
 
-Every trial derives its seed from a stable hash of (parameter point, trial
-index), so adding points or re-running in parallel never reshuffles existing
-trials. The attention parameter is always specified as an offset from the
-expected-spectrum threshold.
+A task samples one graph per (SBM, trial) and runs every parameter point on
+that SBM on it, so the points compared share their graphs. Seeds come from a
+stable hash: the graph's of (SBM, trial index), the initial state's and the
+inputs' of (parameter point, trial index[, pair set]); adding points or
+re-running in parallel never reshuffles existing trials. The attention
+parameter is always specified as an offset from the expected-spectrum
+threshold.
 """
 
 import csv
@@ -86,6 +89,11 @@ class ExperimentConfig:
     def is_multi(self):
         return bool(_MULTI_METHODS.intersection(self.methods))
 
+    @property
+    def sbms(self):
+        """The distinct SBMs of the points, in order of first appearance."""
+        return tuple(dict.fromkeys(point.sbm for point in self.points))
+
 
 @dataclass(kw_only=True)
 class TrialRecord:
@@ -130,10 +138,12 @@ def derive_seed(base_seed: int, *parts) -> int:
     return (base_seed ^ int.from_bytes(digest[:8], "little")) & (2 ** 64 - 1)
 
 
+def _sbm_key(s: SbmParams):
+    return (s.n1, s.n2, s.l11, s.l12, s.l22)
+
+
 def _point_key(point: ParameterPoint):
-    s = point.sbm
-    return (s.n1, s.n2, s.l11, s.l12, s.l22, point.u_offset,
-            point.saturation.value, point.gamma_sign)
+    return _sbm_key(point.sbm) + (point.u_offset, point.saturation.value, point.gamma_sign)
 
 
 def resolve_m_values(fractions, n: int):
@@ -155,33 +165,39 @@ def generate_pair_set(graph: Graph, model: ModelParams, m: int, seed: int,
 
 
 def _run_task(args):
-    """The records of one (point index, trial, pair set) task; the pair set
-    is None in a single-equilibrium run, and all pair sets share the graph."""
-    config, (point_index, trial, pair_set) = args
-    point = config.points[point_index]
-    sbm = point.sbm
-    key = _point_key(point)
-    seed = derive_seed(config.base_seed, "graph", key, trial)
+    """The records of one (SBM index, trial, pair set) task: one graph, its
+    connectivity and, with diagnostics on, its concentration ratio, shared
+    by the rows of every point on that SBM. The pair set is None in a
+    single-equilibrium run; all pair sets of a trial share the graph too."""
+    config, (sbm_index, trial, pair_set) = args
+    sbm = config.sbms[sbm_index]
+    seed = derive_seed(config.base_seed, "graph", _sbm_key(sbm), trial)
     graph = sample_sbm(sbm, seed)
-    u_bar, gamma, delta = expected_threshold(sbm, point.gamma_sign, config.d, config.alpha)
-    base = TrialRecord(
-        preset=config.preset.value, method="", seed=seed, trial=trial, pair_set=pair_set,
-        n=sbm.n, n1=sbm.n1, n2=sbm.n2, l11=sbm.l11, l12=sbm.l12, l22=sbm.l22,
-        gamma_sign=point.gamma_sign, delta=delta, u_offset=point.u_offset,
-        saturation=point.saturation.value, connected=is_connected(graph))
+    connected = is_connected(graph)
+    ratio = concentration_ratio(graph, sbm) if config.collect_diagnostics else None
     if pair_set is None:
         step, m_values = _single_rows, [None]
     else:
         step, m_values = _pair_set_rows, resolve_m_values(config.m_fractions, sbm.n)
-    if u_bar is None:
-        return [dataclasses.replace(base, method=method.value, m=m, failure="invalid-regime")
-                for m in m_values for method in config.methods]
-    model = ModelParams(config.d, u_bar + point.u_offset, config.alpha, gamma,
-                        point.saturation)
-    base.u = model.u
-    if config.collect_diagnostics:
-        base.concentration_ratio = concentration_ratio(graph, sbm)
-    return step(config, base, key, graph, model, m_values)
+    rows = []
+    for point in config.points:
+        if point.sbm != sbm:
+            continue
+        u_bar, gamma, delta = expected_threshold(sbm, point.gamma_sign, config.d, config.alpha)
+        base = TrialRecord(
+            preset=config.preset.value, method="", seed=seed, trial=trial, pair_set=pair_set,
+            n=sbm.n, n1=sbm.n1, n2=sbm.n2, l11=sbm.l11, l12=sbm.l12, l22=sbm.l22,
+            gamma_sign=point.gamma_sign, delta=delta, u_offset=point.u_offset,
+            saturation=point.saturation.value, connected=connected)
+        if u_bar is None:
+            rows += [dataclasses.replace(base, method=method.value, m=m, failure="invalid-regime")
+                     for m in m_values for method in config.methods]
+            continue
+        model = ModelParams(config.d, u_bar + point.u_offset, config.alpha, gamma,
+                            point.saturation)
+        base.u, base.concentration_ratio = model.u, ratio
+        rows += step(config, base, _point_key(point), graph, model, m_values)
+    return rows
 
 
 def _single_rows(config, row, key, graph, model, _m_values):
@@ -257,7 +273,7 @@ def _record_sort_key(r: TrialRecord):
 
 
 def run_experiment(config: ExperimentConfig, workers: int = None):
-    """Run every (point, trial, pair set) task and return the sorted trial
+    """Run every (SBM, trial, pair set) task and return the sorted trial
     records.
 
     Tasks are pure functions of (config, indices); with workers > 1 (the
@@ -265,7 +281,7 @@ def run_experiment(config: ExperimentConfig, workers: int = None):
     and the sorted result is identical to a serial run.
     """
     pair_sets = range(config.pair_sets) if config.is_multi else [None]
-    tasks = itertools.product(range(len(config.points)), range(config.trials), pair_sets)
+    tasks = itertools.product(range(len(config.sbms)), range(config.trials), pair_sets)
     jobs = [(config, task) for task in tasks]
     if workers is None:
         workers = os.cpu_count() or 1

@@ -59,10 +59,11 @@ def extreme_eigpairs(matrix, k: int = 1, which: str = "LA") -> EigenPairs:
     """The k extreme eigenpairs of a symmetric real operator, by ARPACK.
 
     `matrix` is a dense array, a scipy.sparse array or a LinearOperator (the
-    last is trusted to be symmetric). Callers wrap a Graph's adjacency,
-    checked symmetric when the Graph was built, in aslinearoperator: the
-    check on a sparse matrix copies it about three times. `which` is "LA" (largest values), "SA"
-    (smallest values) or "LM" (largest magnitudes). Pairs come sorted
+    last is trusted to be symmetric). A Graph's adjacency, checked
+    symmetric when the Graph was built, goes in through
+    Graph.extreme_eigenpair as a LinearOperator: the check on a sparse
+    matrix copies it about three times. `which` is "LA" (largest values),
+    "SA" (smallest values) or "LM" (largest magnitudes). Pairs come sorted
     ascending by value with sym_eig's sign convention. ARPACK starts from a
     fixed seeded vector, so repeated calls are bit-identical.
 

@@ -1,4 +1,8 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -168,3 +172,21 @@ def test_bad_input_file_is_an_error_not_a_traceback(argv, tmp_path, monkeypatch,
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_cli_pins_blas_threads_unless_set():
+    """Importing the CLI sets each unset BLAS thread variable to 1 before
+    numpy loads, and keeps a value the environment already gives."""
+    env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARIABLES}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    probe = ("import os, sys, commdyn; assert 'numpy' not in sys.modules; import commdyn.cli; "
+             "print(' '.join(os.environ[v] for v in %r))" % (_THREAD_VARIABLES,))
+    for preset, expected in ((None, "1 1 1"), ("3", "3 1 1")):
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, check=True, timeout=120)
+        assert done.stdout.strip() == expected

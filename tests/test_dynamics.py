@@ -409,6 +409,18 @@ def test_certificate_decides_the_neutral_polish(small_graph, monkeypatch):
     assert verdicts == [True, False]
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+def test_k_norm_is_the_dense_infinity_norm(sign):
+    """Jacobian._k_norm, taken from the binary adjacency itself, equals
+    ||K||_inf of the dense symmetrized Jacobian."""
+    p, g = _connected_ssbm(DENSE_NEWTON_MAX_N + 100, 0.06, 0.02)
+    m = _model_above_threshold(p, g, sign, Saturation.TANH, 0.3)
+    x = np.random.Generator(np.random.Philox(36)).uniform(-1.0, 1.0, g.n)
+    jac = jacobian(x, m, g)
+    dense = np.abs(_symmetrized_dense(jac)).sum(axis=1).max()
+    assert jac._k_norm() == pytest.approx(dense, rel=1e-13, abs=0)
+
+
 def test_bifurcation_threshold_two_agent_graph():
     a = np.array([[0.0, 1.0], [1.0, 0.0]])
     m = ModelParams(1.0, 0.1, 1.0, 1.0)

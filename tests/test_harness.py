@@ -6,14 +6,16 @@ import math
 import numpy as np
 import pytest
 
+from commdyn import dynamics
 from commdyn.detect import DetectionMethod
-from commdyn.dynamics import Saturation
+from commdyn.dynamics import (NEUTRAL_TOL, IntegrationControls, ModelParams, Saturation,
+                              bifurcation_threshold)
 from commdyn.errors import EmptyInput
 from commdyn.harness import (Preset, TrialRecord, build_config, derive_seed,
                              load_config_file, read_records_csv, resolve_m_values,
                              run_experiment, summarize, write_records_csv,
                              write_summary_csv)
-from commdyn.graphgen import SbmParams
+from commdyn.graphgen import SbmParams, max_expected_degree, sample_sbm
 from commdyn.theory import expected_threshold
 
 
@@ -155,10 +157,40 @@ def test_rerun_is_deterministic():
     assert a == b
 
 
+def tiny_shared_graph_config(**overrides):
+    """Two SBMs with two saturations each, diagnostics on: four points, two
+    tasks per trial."""
+    defaults = dict(n1_values=[40, 60], u_offsets=[0.04], trials=2,
+                    saturations=[Saturation.TANH, Saturation.ALG_ABS], diagnostics=True)
+    defaults.update(overrides)
+    return build_config(Preset.SATURATION_SWEEP, base_seed=777, **defaults)
+
+
 def test_parallel_matches_serial():
-    serial = run_experiment(tiny_multi_config(), workers=1)
-    parallel = run_experiment(tiny_multi_config(), workers=2)
-    assert serial == parallel
+    for make_config in (tiny_multi_config, tiny_shared_graph_config):
+        serial = run_experiment(make_config(), workers=1)
+        parallel = run_experiment(make_config(), workers=2)
+        assert serial == parallel
+
+
+def test_points_on_one_sbm_share_their_graph():
+    """The points on one SBM share the trial's graph: its seed, connectivity
+    and concentration ratio; each point's rows are those it gets when run on
+    its own."""
+    records = run_experiment(tiny_shared_graph_config(), workers=1)
+    assert len(records) == 8
+    by_graph = {}
+    for r in records:
+        by_graph.setdefault((r.n1, r.trial), []).append(r)
+    assert len(by_graph) == 4
+    for rows in by_graph.values():
+        assert {r.saturation for r in rows} == {"tanh", "alg-abs"}
+        assert len({(r.seed, r.connected, r.concentration_ratio) for r in rows}) == 1
+        assert rows[0].concentration_ratio is not None
+    assert len({rows[0].seed for rows in by_graph.values()}) == 4
+    for saturation in (Saturation.TANH, Saturation.ALG_ABS):
+        alone = run_experiment(tiny_shared_graph_config(saturations=[saturation]), workers=1)
+        assert alone == [r for r in records if r.saturation == saturation.value]
 
 
 def test_adding_points_keeps_existing_trials():
@@ -198,24 +230,24 @@ _BUILD_DEPENDENT = {"residual", "alignment", "concentration_ratio", "eigen_gap",
 _GOLDEN_RECORDS = {
     Preset.UNEQUAL_SBM: (
         dict(n1_values=[40, 80], u_offsets=[0.02], trials=3),
-        "1922babf9873ffbbf7ec086f14d6d551538849b86a173e8cebadf36afc8055c5",
-        "1fb757e94e11e7b352af6c0658e31b3e1a7dada8ddd0169b3afdebe4d391e813"),
+        "c94a7cf2ec6789820bedba63ad70df0fb23e14fcb42cf07a726801416ca3a8d6",
+        "5b156940e10ccfd46c7ce6f1ba0e95139ce3fb4494f47ff5956402c02e22e66d"),
     Preset.SATURATION_SWEEP: (
         dict(n1_values=[40], trials=2, diagnostics=True),
-        "368bb1132d2b323902ca4daa35a753720beddd758b41aab8f9b5ae1b69a32301",
-        "12f1ee5c00f1e6ee31d99ec583f6bd8a1583b568a03507d1bca64398325bd444"),
+        "1ecf0f976d3ef9f9da15abc714a76aa4e17260740c831f0634d17c8222779c3c",
+        "23b4110dfe548b87e2eab5c9b96d02a7443eb567f685a58feaaf368b27f11b84"),
     Preset.SSBM_POSITIVE: (
         dict(n_values=[40], u_offsets=[0.02], trials=3),
-        "efdfb44134c5a2120e9cef3f4f6239b6463f0d16c00ffb01355acfd38633c24c",
-        "04d867139ff011aeb6ed46733ea1942fe0dd8201d4e241d994ac364204f82d65"),
+        "d58c92f9fe6e46a165c11cd96dbb40b8e6ef68c455ed6cb037b57f7d84eae1b7",
+        "da8a17a35885f64a68d2f499a3469144275b8c5544c8e12108b9bd7c94e982e5"),
     Preset.SSBM_NEGATIVE: (
         dict(n_values=[60, 120], u_offsets=[0.01], trials=3),
-        "e8316af5aff123d028c327c1928d2fc0bed0d9056c030763bf8d0a3ea863d382",
-        "f64701dfec4ee3c2cf910be3c5efe820d19f7f292dadd6b3ab8ed6a739737cd1"),
+        "835ae8bb62fc889cb65399dbdacf1e45f6644382d08f9f3900bef3c87c497a4c",
+        "85f26ee98c704850eff9c0e22509ffc3b1aba77ebec178615397132d4e550600"),
     Preset.MULTI_PAIRS: (
         dict(n_values=[16], trials=2, pair_sets=2, m_fractions=[0.25, 1.0]),
-        "c1eea6c72c5f78a1560c755aa7a0cfa3f2115116a458afa0f89f108d20710b1c",
-        "78e01eff79fe2db76a8a12db6c33840c05e17c9ba4c7831eac40958d4ae47ed9"),
+        "1e21cd9c5a2faede250d55e82265abeaabaa0a1306188d7b5260d1058abe01b8",
+        "5fdf89f0d15332098f97018cb82e35ed59ae323e92bbf59d1d2f7df3c1a53b44"),
 }
 
 
@@ -242,16 +274,41 @@ def test_records_csv_golden(tmp_path, preset):
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
 
 
-def test_unstable_origin_is_not_accepted_as_neutral_state():
+def _neutral_polish(offset, monkeypatch):
+    """_guarded_polish from within 1e-8 of the origin of an n = 1000
+    SSBM(0.005, 0.03) graph with gamma < 0, at u = the sampled graph's
+    threshold + offset; returns its result and each certificate verdict."""
+    params = SbmParams.ssbm(1000, 0.005, 0.03)
+    graph = sample_sbm(params, 5)
+    gamma = -1.0 / max_expected_degree(params)
+    u1 = bifurcation_threshold(graph.adjacency, ModelParams(1.0, 0.1, 1.0, gamma))
+    x = np.random.Generator(np.random.Philox(8)).uniform(-1e-8, 1e-8, graph.n)
+    verdicts = []
+    certificate = dynamics._is_stable
+    monkeypatch.setattr(dynamics, "_is_stable",
+                        lambda *args: verdicts.append(certificate(*args)) or verdicts[-1])
+    result = dynamics._guarded_polish(x, ModelParams(1.0, u1 + offset, 1.0, gamma), graph,
+                                      None, IntegrationControls())
+    return result, verdicts
+
+
+def test_unstable_origin_is_not_accepted_as_neutral_state(monkeypatch):
     """Near threshold the trajectory passes close to the origin on its way to
     the branch equilibrium. The polish there finds the origin; it is unstable
-    at this u, so the stability certificate rejects it and the trial goes on
-    to the branch equilibrium instead of ending as neutral-state."""
-    config = build_config(Preset.SSBM_NEGATIVE, base_seed=848297351135776325,
-                          n_values=[1000, 2000], u_offsets=[0.01], trials=1)
-    rows = {r.n: r for r in run_experiment(config, workers=1)}
-    assert rows[2000].failure == ""
-    assert rows[2000].converged and rows[2000].accuracy == 1.0
+    at this u, so the stability certificate rejects it, once."""
+    result, verdicts = _neutral_polish(0.01, monkeypatch)
+    assert result is None
+    assert verdicts == [False]
+
+
+def test_stable_origin_is_accepted_as_neutral_state(monkeypatch):
+    """Below threshold the same polish finds the origin, and the certificate
+    accepts it as the neutral state."""
+    result, verdicts = _neutral_polish(-0.01, monkeypatch)
+    assert result is not None
+    state, residual = result
+    assert np.abs(state).max() <= NEUTRAL_TOL and residual <= IntegrationControls().steady_tol
+    assert verdicts == [True]
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import aslinearoperator
 
+from commdyn import dynamics, spectral
 from commdyn.dynamics import (Equilibrium, ModelParams, bifurcation_threshold,
                               integrate_to_equilibrium)
 from commdyn.errors import NeutralState, ZeroGap
 from commdyn.graphgen import Graph, SbmParams, is_connected, max_expected_degree, sample_sbm
-from commdyn.spectral import sym_eig
+from commdyn.spectral import extreme_eigpairs, sym_eig
 from commdyn.theory import (_expected_top, alignment_check, c_of_u, concentration_ratio,
                             davis_kahan_check, expected_spectrum)
 from oracles import corrected_expected_matrix, dense_davis_kahan, dense_expected_top
@@ -201,13 +203,45 @@ def test_alignment_check_copies_no_adjacency():
     eq = Equilibrium(np.repeat([0.5, -0.5], 1000), 0.0, True, 0.0)
     model = ModelParams(1.0, 0.5, 1.0, -1.0 / max_expected_degree(p))
     alignment_check(eq, g, model)  # warm up: lazy imports and caches
+    fresh = Graph(g.adjacency, g.labels)  # its eigenpair cache is empty
     tracemalloc.start()
     try:
-        alignment_check(eq, g, model)
+        alignment_check(eq, fresh, model)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < g.adjacency.nbytes
+
+
+def test_spectral_callers_share_one_eigensolve_per_which(monkeypatch):
+    """_branch_seed, alignment_check, c_of_u and davis_kahan_check get the
+    bits of a direct extreme_eigpairs call on A, and ARPACK runs once per
+    graph and `which` (plus once on A - E{A} in davis_kahan_check)."""
+    p = SbmParams.ssbm(200, 0.1, 0.03)
+    g = sample_sbm(p, seed=4)
+    direct = {which: extreme_eigpairs(aslinearoperator(g.adjacency), 1, which)
+              for which in ("LA", "SA")}
+    solves = []
+    arpack = spectral.eigsh
+    monkeypatch.setattr(spectral, "eigsh",
+                        lambda *args, **kwargs: solves.append(kwargs["which"])
+                        or arpack(*args, **kwargs))
+    eq = Equilibrium(np.linspace(-1.0, 1.0, g.n), 0.0, True, 0.0)
+    for sign, which in ((1, "LA"), (-1, "SA")):
+        model = ModelParams(1.0, 2.0, 1.0, sign / max_expected_degree(p))
+        _, w = dynamics._branch_seed(model, g)
+        assert np.array_equal(w, direct[which].vectors[:, 0])
+        value, _ = g.extreme_eigenpair(which)
+        assert value == direct[which].values[0]
+        w = direct[which].vectors[:, 0]
+        assert alignment_check(eq, g, model) == float(abs(eq.state @ w)
+                                                      / np.linalg.norm(eq.state))
+    w = direct["LA"].vectors[:, 0]
+    assert c_of_u(eq, g) == float(eq.state @ w)
+    _, w_bar = _expected_top(p)
+    report = davis_kahan_check(g, p)
+    assert report.lhs == min(float(np.linalg.norm(w - w_bar)), float(np.linalg.norm(w + w_bar)))
+    assert sorted(solves) == ["LA", "LM", "SA"]
 
 
 def test_concentration_ratio_edgeless():
