@@ -84,7 +84,7 @@ def _cmd_simulate(args):
           f"gamma={model.gamma!r} saturation={model.saturation.value}")
     if args.pairs:
         pairs, eqs = harness.generate_pair_set(graph, model, args.pairs, args.pair_seed)
-        dynamics.write_equilibria_csv(args.out, eqs)
+        write_equilibria_csv(args.out, eqs)
         if args.inputs_out:
             _write_inputs_csv(args.inputs_out, pairs.B)
         print(f"wrote {args.pairs} input-driven equilibria to {args.out}")
@@ -92,10 +92,37 @@ def _cmd_simulate(args):
         rng = np.random.Generator(np.random.Philox(args.ic_seed))
         x0 = rng.uniform(-1e-3, 1e-3, graph.n)
         eq = dynamics.integrate_to_equilibrium(x0, model, graph)
-        dynamics.write_equilibria_csv(args.out, [eq])
+        write_equilibria_csv(args.out, [eq])
         print(f"wrote equilibrium to {args.out}: converged={eq.converged}, "
               f"residual={eq.residual_inf:.3e}, t={eq.elapsed_model_time:.1f}")
     return 0
+
+
+def write_equilibria_csv(path, equilibria) -> None:
+    """Rows: trial id, convergence flag, residual, then the n state entries."""
+    equilibria = list(equilibria)
+    if not equilibria:
+        raise ValueError("nothing to write")
+    n = equilibria[0].state.size
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["trial", "converged", "residual"] + [f"x{i}" for i in range(n)])
+        for t, eq in enumerate(equilibria):
+            writer.writerow([t, "true" if eq.converged else "false", repr(eq.residual_inf)]
+                            + [repr(float(v)) for v in eq.state])
+
+
+def read_equilibria_csv(path) -> list:
+    out = []
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])  # an empty file has no header either
+        if header[:3] != ["trial", "converged", "residual"]:
+            raise ValueError("not an equilibrium CSV")
+        for row in reader:
+            state = np.array([float(v) for v in row[3:]])
+            out.append(dynamics.Equilibrium(state, float(row[2]), row[1] == "true", 0.0))
+    return out
 
 
 def _write_inputs_csv(path, inputs):
@@ -129,7 +156,7 @@ def _truth_accuracy(labels, n1):
 
 
 def _cmd_detect_single(args):
-    eqs = dynamics.read_equilibria_csv(args.states)
+    eqs = read_equilibria_csv(args.states)
     if not 0 <= args.row < len(eqs):
         raise CommdynError(f"--row {args.row} outside the {len(eqs)} rows of {args.states}")
     estimate = detect.detect_single(eqs[args.row])
@@ -138,7 +165,7 @@ def _cmd_detect_single(args):
 
 
 def _cmd_detect_multi(args):
-    states = dynamics.read_equilibria_csv(args.states)
+    states = read_equilibria_csv(args.states)
     B = _read_inputs_csv(args.inputs)
     if len(states) != B.shape[1]:
         raise CommdynError("states and inputs must pair up")

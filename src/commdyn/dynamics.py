@@ -4,7 +4,6 @@ The model is dx/dt = -d*x + u*S(alpha*x + gamma*A*x) + b with an odd
 saturating S (unit slope at 0, range (-1, 1)).
 """
 
-import csv
 from dataclasses import dataclass
 from enum import Enum
 
@@ -27,11 +26,17 @@ _ERF_SCALE = np.sqrt(np.pi) / 2.0
 # ones run MINRES on the symmetrized Jacobian. Set at the measured crossover.
 DENSE_NEWTON_MAX_N = 300
 
-# MINRES stops once K's residual is below _MINRES_RTOL * ||K|| * ||y||. A step
-# whose residual in J s = r exceeds _REFINE_TOL * ||K|| * ||s|| gets one round
-# of iterative refinement (see Jacobian.solve).
+# MINRES stops once K's residual is below rtol * ||K|| * ||y||; rtol is
+# _MINRES_RTOL, or Newton's forcing term of at most _MAX_FORCING. A step whose
+# residual in J s = r exceeds max(_REFINE_TOL, rtol) * ||K|| * ||s|| gets one
+# round of iterative refinement (see Jacobian.solve).
 _MINRES_RTOL = 1e-12
 _REFINE_TOL = 1e-10
+_MAX_FORCING = 0.1
+
+# ARPACK's relative tolerance in the stability certificate's loose stage (see
+# _is_stable).
+_LOOSE_EIG_TOL = 1e-4
 
 # The branch seed's root search brackets c in [_SEED_BRACKET_LOW, 1] times
 # its upper bound u*sqrt(n)/d (see _branch_seed).
@@ -204,30 +209,41 @@ class Jacobian:
 
         return LinearOperator((h.size, h.size), matvec=matvec, dtype=float)
 
-    def solve(self, r) -> np.ndarray:
+    def solve(self, r, rtol: float = _MINRES_RTOL) -> np.ndarray:
         """The Newton step s with J s = r.
 
         At most DENSE_NEWTON_MAX_N agents this is a dense LAPACK solve; above
-        it, MINRES on K. Rows whose slope is below machine epsilon times the
+        it, MINRES on K to the relative tolerance rtol (at least
+        _MINRES_RTOL). Rows whose slope is below machine epsilon times the
         largest are decoupled to rounding and solved as -d*s_i = r_i, which
         keeps the 1/h scaling of the MINRES right-hand side within 1e8.
 
-        MINRES bounds K's residual relative to ||y||, and y = s/h. Far from
-        an equilibrium h spans orders of magnitude, the rows of small h
+        MINRES bounds K's residual relative to ||K|| ||y||, and y = s/h. Far
+        from an equilibrium h spans orders of magnitude, the rows of small h
         dominate ||y||, and the bound says little about the rows of large h.
         The step's residual in J s = r shows this, and one round of
         iterative refinement on it then recovers the step. A solve stopped
         short of its tolerance still returns its iterate: the caller's line
         search judges the step.
+
+        For the same reason a loose rtol does not bound ||r - J s|| / ||r||,
+        the relative residual an inexact Newton step must keep below 1: with
+        K nearly singular it can stay near 1, and Newton stalls. A loose
+        step whose relative residual exceeds _MAX_FORCING is solved again at
+        _MINRES_RTOL.
         """
         if self.slope.size <= DENSE_NEWTON_MAX_N:
             return np.linalg.solve(self.toarray(), r)
         coupled = self.slope > np.finfo(float).eps * self.slope.max()
         split = Jacobian(np.where(coupled, self.slope, 0.0), self.params, self.adjacency)
-        step = split._minres_step(r)
+        rtol = max(_MINRES_RTOL, rtol)
+        step = split._minres_step(r, rtol)
         residual = r - self.matvec(step)
-        if np.linalg.norm(residual) > _REFINE_TOL * split._k_norm() * np.linalg.norm(step):
-            step += split._minres_step(residual)
+        if rtol > _MINRES_RTOL and np.linalg.norm(residual) > _MAX_FORCING * np.linalg.norm(r):
+            return self.solve(r)  # not an inexact Newton step
+        if (np.linalg.norm(residual)
+                > max(_REFINE_TOL, rtol) * split._k_norm() * np.linalg.norm(step)):
+            step += split._minres_step(residual, rtol)
         return step
 
     def _k_norm(self) -> float:
@@ -237,7 +253,7 @@ class Jacobian:
         off_diagonal = abs(p.gamma) * h * (self.adjacency @ h)
         return float(np.max(np.abs(self.slope * p.alpha - p.d) + off_diagonal))
 
-    def _minres_step(self, r) -> np.ndarray:
+    def _minres_step(self, r, rtol) -> np.ndarray:
         """J s = r by MINRES on K: rows with h = 0 give s_i = -r_i/d, the
         others s = h*y with K y = r/h - h*gamma*(A @ s_sat), where s_sat holds
         the h = 0 rows' steps. The h = 0 rows form a -d block of K with a
@@ -250,7 +266,7 @@ class Jacobian:
         rhs_free = np.divide(r, h, out=np.zeros_like(r), where=free)
         if not free.all():
             rhs_free -= h * (p.gamma * (self.adjacency @ saturated))
-        y, _ = minres(self.symmetrized(), rhs_free, rtol=_MINRES_RTOL)
+        y, _ = minres(self.symmetrized(), rhs_free, rtol=rtol)
         return saturated + h * y
 
 
@@ -272,8 +288,16 @@ def _linearize(x, params: ModelParams, graph: Graph) -> Jacobian:
 
 def newton_refine(x, params: ModelParams, graph: Graph, b=None,
                   max_iter: int = NEWTON_MAX_ITER) -> Equilibrium:
-    """Damped Newton polish of a near-equilibrium point, to a sup-norm
-    residual of NEWTON_TOL.
+    """Damped inexact Newton polish of a near-equilibrium point, to a
+    sup-norm residual of NEWTON_TOL.
+
+    A MINRES step (n > DENSE_NEWTON_MAX_N) at residual F runs to the forcing
+    term max(_MINRES_RTOL, min(_MAX_FORCING, ||F||_inf)): a forcing term of
+    order ||F|| keeps Newton's local quadratic convergence (Dembo, Eisenstat
+    & Steihaug, "Inexact Newton Methods", 1982; Eisenstat & Walker,
+    "Choosing the forcing terms in an inexact Newton method", 1996).
+    Jacobian.solve solves a step again at _MINRES_RTOL when that tolerance
+    failed to bound its relative residual.
 
     Raises SingularJacobian when the linear solve fails or gives a
     non-finite step, which near a bifurcation is expected; callers fall back
@@ -285,8 +309,9 @@ def newton_refine(x, params: ModelParams, graph: Graph, b=None,
     for _ in range(max_iter):
         if res_norm <= NEWTON_TOL:
             return Equilibrium(x, res_norm, True, 0.0)
+        forcing = min(_MAX_FORCING, res_norm)
         try:
-            step = jacobian(x, params, graph).solve(residual)
+            step = jacobian(x, params, graph).solve(residual, forcing)
         except np.linalg.LinAlgError as exc:
             raise SingularJacobian(str(exc)) from exc
         if not np.all(np.isfinite(step)):
@@ -307,8 +332,37 @@ def newton_refine(x, params: ModelParams, graph: Graph, b=None,
 
 def _is_stable(x, params: ModelParams, graph: Graph) -> bool:
     """Stability certificate: the largest eigenvalue of the symmetrized
-    Jacobian at x (the same spectrum as J's) is negative."""
-    operator = _linearize(x, params, graph).symmetrized()
+    Jacobian K at x (the same spectrum as J's) is negative.
+
+    Only the sign of lambda_max(K) is used, so it is settled in stages; a
+    stage that cannot settle it passes it on:
+    (a) gamma > 0 and x of one strict sign: J is Metzler (its off-diagonal
+        entries slope*gamma*A are >= 0), and if J|x| < 0 in every entry the
+        Collatz-Wielandt bound lambda_max(J) <= max_i (J|x|)_i / |x_i| < 0
+        proves stability with one matvec (Horn & Johnson, Matrix Analysis,
+        ch. 8). This is a proof, up to the rounding of that matvec.
+    (b) a loose Lanczos solve (ARPACK tol _LOOSE_EIG_TOL) gives a unit
+        Ritz pair (theta, v) and r = Kv - theta*v; K is symmetric, so an
+        eigenvalue lies within ||r|| of theta. Reject when
+        theta - ||r|| > 0: that is a proof of instability. Accept when
+        theta + ||r|| < 0.
+    (c) otherwise, the sign of the Ritz value at machine precision.
+    A Lanczos Ritz value approaches lambda_max from below, so neither (b)'s
+    accepting branch nor (c) proves lambda_max < 0: both trust ARPACK to
+    have found the largest eigenvalue.
+    """
+    jac = _linearize(x, params, graph)
+    if params.gamma > 0 and (np.all(x > 0) or np.all(x < 0)):
+        if np.all(jac.matvec(np.abs(x)) < 0.0):
+            return True
+    operator = jac.symmetrized()
+    loose = extreme_eigpairs(operator, 1, "LA", tol=_LOOSE_EIG_TOL)
+    theta, v = loose.values[0], loose.vectors[:, 0]
+    bound = float(np.linalg.norm(operator.matvec(v) - theta * v))
+    if theta + bound < 0.0:
+        return True
+    if theta - bound > 0.0:
+        return False
     return bool(extreme_eigpairs(operator, 1, "LA").values[0] < 0.0)
 
 
@@ -480,29 +534,3 @@ def bifurcation_threshold(matrix, params: ModelParams) -> float:
         raise InvalidRegime(f"alpha + gamma*lambda = {denom} is not positive")
     return params.d / denom
 
-
-def write_equilibria_csv(path, equilibria) -> None:
-    """Rows: trial id, convergence flag, residual, then the n state entries."""
-    equilibria = list(equilibria)
-    if not equilibria:
-        raise ValueError("nothing to write")
-    n = equilibria[0].state.size
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["trial", "converged", "residual"] + [f"x{i}" for i in range(n)])
-        for t, eq in enumerate(equilibria):
-            writer.writerow([t, "true" if eq.converged else "false", repr(eq.residual_inf)]
-                            + [repr(float(v)) for v in eq.state])
-
-
-def read_equilibria_csv(path) -> list:
-    out = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])  # an empty file has no header either
-        if header[:3] != ["trial", "converged", "residual"]:
-            raise ValueError("not an equilibrium CSV")
-        for row in reader:
-            state = np.array([float(v) for v in row[3:]])
-            out.append(Equilibrium(state, float(row[2]), row[1] == "true", 0.0))
-    return out

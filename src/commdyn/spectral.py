@@ -55,7 +55,7 @@ def sym_eig(matrix) -> EigenPairs:
     return EigenPairs(values=values, vectors=_fix_signs(vectors))
 
 
-def extreme_eigpairs(matrix, k: int = 1, which: str = "LA") -> EigenPairs:
+def extreme_eigpairs(matrix, k: int = 1, which: str = "LA", tol: float = 0.0) -> EigenPairs:
     """The k extreme eigenpairs of a symmetric real operator, by ARPACK.
 
     `matrix` is a dense array, a scipy.sparse array or a LinearOperator (the
@@ -65,7 +65,9 @@ def extreme_eigpairs(matrix, k: int = 1, which: str = "LA") -> EigenPairs:
     matrix copies it about three times. `which` is "LA" (largest values),
     "SA" (smallest values) or "LM" (largest magnitudes). Pairs come sorted
     ascending by value with sym_eig's sign convention. ARPACK starts from a
-    fixed seeded vector, so repeated calls are bit-identical.
+    fixed seeded vector, so repeated calls are bit-identical. `tol` is
+    ARPACK's relative accuracy of the Ritz values; 0 asks for machine
+    precision.
 
     A dense solve replaces ARPACK where ARPACK cannot run as a partial
     method: when its Lanczos basis (scipy's default max(2k + 1, 20) vectors)
@@ -84,7 +86,7 @@ def extreme_eigpairs(matrix, k: int = 1, which: str = "LA") -> EigenPairs:
     if n > max(2 * k + 1, 20):
         v0 = np.random.Generator(np.random.Philox(_V0_SEED)).uniform(-1.0, 1.0, n)
         try:
-            values, vectors = eigsh(matrix, k=k, which=which, v0=v0)
+            values, vectors = eigsh(matrix, k=k, which=which, v0=v0, tol=tol)
         except ArpackError:
             pass
         else:

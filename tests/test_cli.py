@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from commdyn.cli import main
-from commdyn.dynamics import Equilibrium, read_equilibria_csv, write_equilibria_csv
+from commdyn.cli import main, read_equilibria_csv, write_equilibria_csv
+from commdyn.dynamics import Equilibrium
 from commdyn.graphgen import read_edge_list
 
 

@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
-from commdyn import dynamics
+from commdyn import dynamics, spectral
+from commdyn.cli import read_equilibria_csv, write_equilibria_csv
 from commdyn.detect import PairSet, detect_single
 from commdyn.dynamics import (DENSE_NEWTON_MAX_N, Equilibrium, IntegrationControls,
                               ModelParams, Saturation, bifurcation_threshold,
                               equilibria_for_inputs, integrate_to_equilibrium, jacobian,
-                              newton_refine, read_equilibria_csv, rhs, saturation_deriv,
-                              saturation_eval, saturation_inverse, write_equilibria_csv)
+                              newton_refine, rhs, saturation_deriv, saturation_eval,
+                              saturation_inverse)
 from commdyn.errors import DomainError, InvalidRegime, SingularJacobian
 from commdyn.graphgen import Graph, SbmParams, is_connected, max_expected_degree, sample_sbm
+from commdyn.spectral import extreme_eigpairs
 
 ALL_KINDS = list(Saturation)
 
@@ -370,6 +372,62 @@ def test_minres_newton_all_rows_saturated(krylov_graph):
     assert not newton_refine(far, m, g, max_iter=1).converged
 
 
+def _recording_minres(monkeypatch):
+    """Patch MINRES to record the rtol of each call."""
+    rtols, minres = [], dynamics.minres
+    monkeypatch.setattr(dynamics, "minres", lambda *args, **kwargs: rtols.append(
+        kwargs["rtol"]) or minres(*args, **kwargs))
+    return rtols
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+@pytest.mark.parametrize("sign", [1, -1])
+def test_inexact_newton_reaches_the_exact_steps_root(krylov_graph, sign, kind, monkeypatch):
+    """From the branch seed, Newton whose MINRES steps run to the forcing
+    term max(1e-12, min(0.1, ||F||_inf)) reaches NEWTON_TOL at the root that
+    steps solved to 1e-12 reach."""
+    p, g = krylov_graph
+    m = _model_above_threshold(p, g, sign, kind, 0.02)
+    c, w = dynamics._branch_seed(m, g)
+    rtols, residuals, linearize = _recording_minres(monkeypatch), [], dynamics.jacobian
+    first_rtols = []
+    monkeypatch.setattr(dynamics, "jacobian", lambda x, *args: residuals.append(
+        np.abs(rhs(x, m, g)).max()) or first_rtols.append(len(rtols)) or linearize(x, *args))
+    inexact = newton_refine(c * w, m, g)
+    assert [rtols[i] for i in first_rtols] == [max(1e-12, min(0.1, r)) for r in residuals]
+    assert rtols[0] > 1e-12
+    monkeypatch.setattr(dynamics, "_MAX_FORCING", 0.0)
+    exact = newton_refine(c * w, m, g)
+    assert inexact.converged and exact.converged
+    assert inexact.residual_inf <= dynamics.NEWTON_TOL
+    assert np.abs(inexact.state - exact.state).max() <= 1e-10
+
+
+@pytest.mark.parametrize("at_root", [False, True], ids=["seed", "near-root"])
+def test_loose_step_is_kept_only_as_an_inexact_newton_step(krylov_graph, at_root, monkeypatch):
+    """At the gamma < 0 branch seed K is nearly singular, and MINRES stopped
+    at Newton's forcing term (0.05 there) leaves a relative residual above
+    0.1, so the step is solved again at 1e-12; near the stable root the
+    loose step is kept."""
+    p, g = krylov_graph
+    m = _model_above_threshold(p, g, -1, Saturation.TANH, 0.02)
+    c, w = dynamics._branch_seed(m, g)
+    x = c * w
+    if at_root:
+        x = integrate_to_equilibrium(_small_start(g, 40), m, g).state + 1e-6 * w
+    r = rhs(x, m, g)
+    jac = jacobian(x, m, g)
+    forcing = min(0.1, np.abs(r).max())
+    rtols = _recording_minres(monkeypatch)
+    step = jac.solve(r, forcing)
+    relative_residual = np.linalg.norm(r - jac.matvec(step)) / np.linalg.norm(r)
+    if at_root:
+        assert set(rtols) == {forcing} and relative_residual <= 0.1
+    else:
+        assert rtols == [forcing, 1e-12]
+        assert _relative_error(step, np.linalg.solve(jac.toarray(), r)) <= 1e-8
+
+
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("graph_fixture", ["small_graph", "krylov_graph"])
 def test_newton_non_finite_step_raises(graph_fixture, request):
@@ -407,6 +465,90 @@ def test_certificate_decides_the_neutral_polish(small_graph, monkeypatch):
     assert dynamics._guarded_polish(x, ModelParams(1.0, 1.1 * u1, 1.0, gamma), g,
                                     None, controls) is None
     assert verdicts == [True, False]
+
+
+def _counting_eigsh(monkeypatch):
+    """Patch ARPACK to record the tol of each call."""
+    tols, eigsh = [], spectral.eigsh
+    monkeypatch.setattr(spectral, "eigsh", lambda *args, **kwargs: tols.append(
+        kwargs.get("tol")) or eigsh(*args, **kwargs))
+    return tols
+
+
+def _tight_lambda_max(x, m, g):
+    return extreme_eigpairs(dynamics._linearize(x, m, g).symmetrized(), 1, "LA").values[0]
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+def test_certificate_proves_a_positive_gamma_root_without_arpack(krylov_graph, kind,
+                                                                 monkeypatch):
+    """gamma > 0 and a root of one sign: the Collatz-Wielandt stage decides,
+    with no eigensolve, and agrees with the tight Ritz value."""
+    p, g = krylov_graph
+    m = _model_above_threshold(p, g, 1, kind, 0.05)
+    root = integrate_to_equilibrium(_small_start(g, 50), m, g).state
+    assert np.all(root > 0) or np.all(root < 0)
+    tols = _counting_eigsh(monkeypatch)
+    assert dynamics._is_stable(root, m, g)
+    assert tols == []
+    assert _tight_lambda_max(root, m, g) < 0.0
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_certificate_of_a_mixed_sign_state_is_the_loose_solve(krylov_graph, sign,
+                                                              monkeypatch):
+    """A state with entries of both signs skips the Collatz-Wielandt stage
+    (for gamma > 0 one entry of a stable root is flipped); one loose ARPACK
+    solve decides, and agrees with the tight Ritz value."""
+    p, g = krylov_graph
+    m = _model_above_threshold(p, g, sign, Saturation.TANH, 0.05)
+    x = integrate_to_equilibrium(_small_start(g, 51), m, g).state.copy()
+    x[0] = -x[0]
+    assert x.min() < 0.0 < x.max()
+    tols = _counting_eigsh(monkeypatch)
+    verdict = dynamics._is_stable(x, m, g)
+    assert tols == [dynamics._LOOSE_EIG_TOL]
+    assert verdict == (_tight_lambda_max(x, m, g) < 0.0)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_certificate_rejects_an_unstable_origin_in_the_loose_solve(krylov_graph, sign,
+                                                                   monkeypatch):
+    """Near the origin above threshold, theta - ||r|| > 0 proves an eigenvalue
+    above 0: one loose ARPACK solve rejects, with no tight one. The state has
+    one sign, and for gamma < 0 J|x| < 0 there, so the Collatz-Wielandt stage
+    must not run for gamma < 0 (J is not Metzler)."""
+    p, g = krylov_graph
+    m = _model_above_threshold(p, g, sign, Saturation.TANH, 0.05)
+    x = np.full(g.n, 1e-8)
+    tols = _counting_eigsh(monkeypatch)
+    assert not dynamics._is_stable(x, m, g)
+    assert tols == [dynamics._LOOSE_EIG_TOL]
+    assert _tight_lambda_max(x, m, g) > 0.0
+
+
+@pytest.mark.parametrize("offset, stable, theta", [(0.05, True, 1e-9), (-0.05, True, 1e-9),
+                                                  (0.05, False, -1e-9)])
+def test_inconclusive_loose_solve_falls_back_to_the_tight_one(krylov_graph, offset, stable,
+                                                              theta, monkeypatch):
+    """A loose Ritz pair whose residual bound straddles 0 (theta patched to
+    +-1e-9, of the sign opposite to the verdict) leaves the verdict to the
+    tight solve."""
+    p, g = krylov_graph
+    m = _model_above_threshold(p, g, -1, Saturation.ERF, offset)
+    x = (integrate_to_equilibrium(_small_start(g, 52), m, g).state if stable
+         else np.full(g.n, 1e-8))
+    solve, tols = dynamics.extreme_eigpairs, []
+
+    def inconclusive(operator, k, which, tol=0.0):
+        tols.append(tol)
+        pairs = solve(operator, k, which, tol=tol)
+        return spectral.EigenPairs(np.array([theta]), pairs.vectors) if tol else pairs
+
+    monkeypatch.setattr(dynamics, "extreme_eigpairs", inconclusive)
+    assert dynamics._is_stable(x, m, g) == stable
+    assert tols == [dynamics._LOOSE_EIG_TOL, 0.0]
+    assert (_tight_lambda_max(x, m, g) < 0.0) == stable
 
 
 @pytest.mark.parametrize("sign", [1, -1])
