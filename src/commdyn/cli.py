@@ -188,8 +188,7 @@ def _cmd_experiment(args):
     preset = args.preset or overrides.pop("preset", None)
     if preset is None:
         raise CommdynError("give a preset name or a config file with a preset key")
-    base_seed = overrides.pop("base_seed", 12345)
-    config = harness.build_config(preset, base_seed=base_seed, **overrides)
+    config = harness.build_config(preset, **overrides)
     records = harness.run_experiment(config, workers=args.workers)
     out = args.out or "records.csv"
     harness.write_records_csv(out, records)

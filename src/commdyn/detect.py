@@ -7,9 +7,8 @@ from enum import Enum
 
 import numpy as np
 
-from .dynamics import NEUTRAL_TOL, Equilibrium, ModelParams, rhs, saturation_inverse
+from .dynamics import NEUTRAL_TOL, Equilibrium, ModelParams, saturation_inverse
 from .errors import DomainError, LengthMismatch, NeutralState
-from .graphgen import Graph
 from .spectral import kmeans_two_1d, least_squares_min_norm, sym_eig
 
 
@@ -45,17 +44,8 @@ class PairSet:
             raise ValueError("need at least one pair")
 
     @property
-    def n(self):
-        return self.X.shape[0]
-
-    @property
     def m(self):
         return self.X.shape[1]
-
-    def fixed_point_residuals(self, graph: Graph) -> np.ndarray:
-        """Per-column sup-norm of the fixed-point equation; needs the
-        ground-truth graph, so this is a test-time consistency check."""
-        return np.abs(rhs(self.X, self.params, graph, self.B)).max(axis=0)
 
 
 def detect_single(equilibrium: Equilibrium) -> CommunityEstimate:
@@ -81,9 +71,7 @@ def invert_pairs(pairs: PairSet) -> np.ndarray:
     bad = np.abs(w) >= 1.0
     if bad.any():
         k, i = map(int, np.argwhere(bad.T)[0])
-        raise DomainError(
-            f"pair {k}, agent {i}: (d*x - b)/u = {w[i, k]} outside (-1, 1)",
-            pair=k, agent=i)
+        raise DomainError(f"pair {k}, agent {i}: (d*x - b)/u = {w[i, k]} outside (-1, 1)")
     return (saturation_inverse(p.saturation, w) - p.alpha * pairs.X) / p.gamma
 
 

@@ -1,4 +1,4 @@
-"""Saturating opinion model: vector field, equilibria, bifurcation thresholds.
+"""Saturating opinion model: vector field, Jacobian, equilibria.
 
 The model is dx/dt = -d*x + u*S(alpha*x + gamma*A*x) + b with an odd
 saturating S (unit slope at 0, range (-1, 1)).
@@ -13,7 +13,7 @@ from scipy.optimize import brentq  # already imported by scipy.integrate
 from scipy.sparse.linalg import LinearOperator, minres
 from scipy.special import erf, erfinv
 
-from .errors import DomainError, InvalidRegime, SingularJacobian
+from .errors import DomainError, SingularJacobian
 from .graphgen import Graph
 from .spectral import extreme_eigpairs
 
@@ -43,12 +43,13 @@ _LOOSE_EIG_TOL = 1e-4
 _SEED_BRACKET_LOW = 1e-9
 
 # Every equilibrium solve runs RK45 over at most [0, T_MAX] model time from a
-# first step of FIRST_STEP. The integrator cannot push the residual much below
-# rtol * ||x||, so once it drops under POLISH_TRIGGER a guarded Newton polish
-# takes over: to a sup-norm residual of NEWTON_TOL in at most NEWTON_MAX_ITER
-# iterations.
+# first step of FIRST_STEP, at absolute tolerance ATOL. The integrator cannot
+# push the residual much below rtol * ||x||, so once it drops under
+# POLISH_TRIGGER a guarded Newton polish takes over: to a sup-norm residual of
+# NEWTON_TOL in at most NEWTON_MAX_ITER iterations.
 T_MAX = 1e5
 FIRST_STEP = 1e-3
+ATOL = 1e-9
 POLISH_TRIGGER = 1e-5
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 25
@@ -118,6 +119,8 @@ class ModelParams:
     saturation: Saturation = Saturation.TANH
 
     def __post_init__(self):
+        if not np.isfinite([self.d, self.u, self.alpha, self.gamma]).all():
+            raise ValueError("model parameters must be finite")
         if self.d <= 0:
             raise ValueError("damping d must be positive")
         if self.u < 0:
@@ -140,20 +143,20 @@ class Equilibrium:
 
 @dataclass(frozen=True)
 class IntegrationControls:
-    """Tolerances of the adaptive integrator (rtol, atol) and the residual
+    """The adaptive integrator's relative tolerance (rtol) and the residual
     at which a state counts as an equilibrium (steady_tol).
 
-    The horizon, the first step and the Newton polish settings are module
-    constants: T_MAX, FIRST_STEP, POLISH_TRIGGER, NEWTON_TOL, NEWTON_MAX_ITER.
+    The horizon, the first step, the absolute tolerance and the Newton polish
+    settings are module constants: T_MAX, FIRST_STEP, ATOL, POLISH_TRIGGER,
+    NEWTON_TOL, NEWTON_MAX_ITER.
     """
 
     rtol: float = 1e-9
-    atol: float = 1e-9
     steady_tol: float = 1e-10
 
     def __post_init__(self):
-        if min(self.rtol, self.atol, self.steady_tol) <= 0:
-            raise ValueError("integration controls must be positive")
+        if not (0 < self.rtol < np.inf and 0 < self.steady_tol < np.inf):
+            raise ValueError("integration controls must be positive and finite")
 
 
 def rhs(x, params: ModelParams, graph: Graph, b=None):
@@ -356,14 +359,14 @@ def _is_stable(x, params: ModelParams, graph: Graph) -> bool:
         if np.all(jac.matvec(np.abs(x)) < 0.0):
             return True
     operator = jac.symmetrized()
-    loose = extreme_eigpairs(operator, 1, "LA", tol=_LOOSE_EIG_TOL)
+    loose = extreme_eigpairs(operator, "LA", tol=_LOOSE_EIG_TOL)
     theta, v = loose.values[0], loose.vectors[:, 0]
     bound = float(np.linalg.norm(operator.matvec(v) - theta * v))
     if theta + bound < 0.0:
         return True
     if theta - bound > 0.0:
         return False
-    return bool(extreme_eigpairs(operator, 1, "LA").values[0] < 0.0)
+    return bool(extreme_eigpairs(operator, "LA").values[0] < 0.0)
 
 
 def _guarded_polish(x, params, graph, b, controls):
@@ -405,7 +408,7 @@ def _stacked_equilibria(x0, params: ModelParams, graph: Graph, b,
 
     solver = RK45(lambda _t, y: rhs(y.reshape(n, m), params, graph, b).ravel(), 0.0,
                   x0.ravel(), t_bound=T_MAX, rtol=controls.rtol,
-                  atol=controls.atol, first_step=FIRST_STEP)
+                  atol=ATOL, first_step=FIRST_STEP)
     # RK45 keeps the field at solver.y in solver.f: the residuals cost no rhs call
     states, res = x0, np.abs(solver.f.reshape(n, m)).max(axis=0)
     next_trigger, attempts = POLISH_TRIGGER, 0
@@ -482,7 +485,7 @@ def _seeded_equilibrium(x0, params: ModelParams, graph: Graph,
     return None
 
 
-def integrate_to_equilibrium(x0, params: ModelParams, graph: Graph, b=None,
+def integrate_to_equilibrium(x0, params: ModelParams, graph: Graph,
                              controls: IntegrationControls = IntegrationControls()) -> Equilibrium:
     """Adaptive Runge-Kutta 4(5) to steady state, then a Newton polish.
 
@@ -492,19 +495,18 @@ def integrate_to_equilibrium(x0, params: ModelParams, graph: Graph, b=None,
     T_MAX. `converged` reflects the final residual against steady_tol, so a
     T_MAX exit with a large residual is reported rather than raised.
 
-    Without an input, a start that is not yet an equilibrium first tries the
-    seeded start: Newton from the bifurcated branch c*w (see
-    _seeded_equilibrium), which skips the slow transit out of the origin
-    near threshold. An accepted seeded root reports elapsed_model_time 0.0;
-    any rejection runs the ODE path from x0.
+    A start that is not yet an equilibrium first tries the seeded start:
+    Newton from the bifurcated branch c*w (see _seeded_equilibrium), which
+    skips the slow transit out of the origin near threshold. An accepted
+    seeded root reports elapsed_model_time 0.0; any rejection runs the ODE
+    path from x0.
     """
     x0 = np.array(x0, dtype=float).reshape(-1, 1)
-    b = None if b is None else np.asarray(b, dtype=float).reshape(-1, 1)
-    if b is None and float(np.abs(rhs(x0[:, 0], params, graph)).max()) > controls.steady_tol:
+    if float(np.abs(rhs(x0[:, 0], params, graph)).max()) > controls.steady_tol:
         seeded = _seeded_equilibrium(x0[:, 0], params, graph, controls)
         if seeded is not None:
             return seeded
-    return _stacked_equilibria(x0, params, graph, b, controls)[0]
+    return _stacked_equilibria(x0, params, graph, None, controls)[0]
 
 
 def equilibria_for_inputs(graph: Graph, params: ModelParams, inputs,
@@ -520,17 +522,4 @@ def equilibria_for_inputs(graph: Graph, params: ModelParams, inputs,
     if inputs.ndim != 2 or inputs.shape[0] != graph.n:
         raise ValueError("inputs must be an (n, m) matrix")
     return _stacked_equilibria(np.zeros(inputs.shape), params, graph, inputs, controls)
-
-
-def bifurcation_threshold(matrix, params: ModelParams) -> float:
-    """Attention value where the origin loses stability.
-
-    d / (alpha + gamma*lambda_max) for gamma > 0, d / (alpha + gamma*lambda_min)
-    for gamma < 0; works for both a sampled adjacency and an expected matrix.
-    """
-    extreme = extreme_eigpairs(matrix, 1, "LA" if params.gamma > 0 else "SA").values[0]
-    denom = params.alpha + params.gamma * extreme
-    if denom <= 0:
-        raise InvalidRegime(f"alpha + gamma*lambda = {denom} is not positive")
-    return params.d / denom
 

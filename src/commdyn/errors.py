@@ -12,18 +12,9 @@ class NotSymmetric(CommdynError):
 class DomainError(CommdynError):
     """Value outside the invertible range of a saturation function."""
 
-    def __init__(self, message, pair=None, agent=None):
-        super().__init__(message)
-        self.pair = pair
-        self.agent = agent
-
 
 class SingularJacobian(CommdynError):
     """Newton linear solve failed; typically means a near-bifurcation point."""
-
-
-class InvalidRegime(CommdynError):
-    """Bifurcation threshold undefined (nonpositive denominator)."""
 
 
 class NeutralState(CommdynError):

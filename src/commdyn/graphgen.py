@@ -41,15 +41,6 @@ class SbmParams:
             raise ValueError("SSBM needs an even number of agents")
         return cls(n // 2, n // 2, l_same, l12=l_diff, l22=l_same)
 
-    @classmethod
-    def from_matrix(cls, n1, n2, ell):
-        ell = np.asarray(ell, dtype=float)
-        if ell.shape != (2, 2):
-            raise ValueError("ell must be 2x2")
-        if ell[0, 1] != ell[1, 0]:
-            raise ValueError("ell must be symmetric")
-        return cls(n1, n2, ell[0, 0], ell[0, 1], ell[1, 1])
-
     @property
     def n(self):
         return self.n1 + self.n2
@@ -115,10 +106,6 @@ class Graph:
     def n1(self):
         return int(np.sum(self.labels == 1))
 
-    @property
-    def n2(self):
-        return int(np.sum(self.labels == 2))
-
     def extreme_eigenpair(self, which: str):
         """(value, unit vector) of the adjacency's extreme eigenpair on the
         `which` side ("LA" largest, "SA" smallest, "LM" largest magnitude).
@@ -130,7 +117,7 @@ class Graph:
         """
         pair = self._eigenpairs.get(which)
         if pair is None:
-            pairs = extreme_eigpairs(aslinearoperator(self.adjacency), 1, which)
+            pairs = extreme_eigpairs(aslinearoperator(self.adjacency), which)
             vector = pairs.vectors[:, 0]
             vector.flags.writeable = False
             pair = self._eigenpairs[which] = (pairs.values[0], vector)

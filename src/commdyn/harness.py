@@ -54,8 +54,8 @@ class ParameterPoint:
     gamma_sign: int
 
     def __post_init__(self):
-        if self.u_offset <= 0:
-            raise ValueError("u offset must be positive")
+        if not 0 < self.u_offset < math.inf:
+            raise ValueError("u offset must be positive and finite")
         if self.gamma_sign not in (1, -1):
             raise ValueError("gamma sign must be +1 or -1")
 
@@ -71,12 +71,14 @@ class ExperimentConfig:
     alpha: float = 1.0
     m_fractions: tuple = ()
     pair_sets: int = 10
-    collect_diagnostics: bool = False
+    diagnostics: bool = False
     controls: IntegrationControls = IntegrationControls()
 
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("need at least one trial")
+        if not (math.isfinite(self.d) and math.isfinite(self.alpha)):
+            raise ValueError("d and alpha must be finite")
         if not self.points:
             raise ValueError("no parameter points")
         if not self.methods:
@@ -138,12 +140,9 @@ def derive_seed(base_seed: int, *parts) -> int:
     return (base_seed ^ int.from_bytes(digest[:8], "little")) & (2 ** 64 - 1)
 
 
-def _sbm_key(s: SbmParams):
-    return (s.n1, s.n2, s.l11, s.l12, s.l22)
-
-
 def _point_key(point: ParameterPoint):
-    return _sbm_key(point.sbm) + (point.u_offset, point.saturation.value, point.gamma_sign)
+    return dataclasses.astuple(point.sbm) + (point.u_offset, point.saturation.value,
+                                             point.gamma_sign)
 
 
 def resolve_m_values(fractions, n: int):
@@ -171,10 +170,10 @@ def _run_task(args):
     single-equilibrium run; all pair sets of a trial share the graph too."""
     config, (sbm_index, trial, pair_set) = args
     sbm = config.sbms[sbm_index]
-    seed = derive_seed(config.base_seed, "graph", _sbm_key(sbm), trial)
+    seed = derive_seed(config.base_seed, "graph", dataclasses.astuple(sbm), trial)
     graph = sample_sbm(sbm, seed)
     connected = is_connected(graph)
-    ratio = concentration_ratio(graph, sbm) if config.collect_diagnostics else None
+    ratio = concentration_ratio(graph, sbm) if config.diagnostics else None
     if pair_set is None:
         step, m_values = _single_rows, [None]
     else:
@@ -186,9 +185,8 @@ def _run_task(args):
         u_bar, gamma, delta = expected_threshold(sbm, point.gamma_sign, config.d, config.alpha)
         base = TrialRecord(
             preset=config.preset.value, method="", seed=seed, trial=trial, pair_set=pair_set,
-            n=sbm.n, n1=sbm.n1, n2=sbm.n2, l11=sbm.l11, l12=sbm.l12, l22=sbm.l22,
-            gamma_sign=point.gamma_sign, delta=delta, u_offset=point.u_offset,
-            saturation=point.saturation.value, connected=connected)
+            n=sbm.n, **dataclasses.asdict(sbm), gamma_sign=point.gamma_sign, delta=delta,
+            u_offset=point.u_offset, saturation=point.saturation.value, connected=connected)
         if u_bar is None:
             rows += [dataclasses.replace(base, method=method.value, m=m, failure="invalid-regime")
                      for m in m_values for method in config.methods]
@@ -206,10 +204,10 @@ def _single_rows(config, row, key, graph, model, _m_values):
     rng = np.random.Generator(np.random.Philox(
         derive_seed(config.base_seed, "init", key, row.trial)))
     x0 = rng.uniform(-1e-3, 1e-3, graph.n)
-    eq = integrate_to_equilibrium(x0, model, graph, None, config.controls)
+    eq = integrate_to_equilibrium(x0, model, graph, config.controls)
     row.converged = eq.converged
     row.residual = eq.residual_inf
-    if config.collect_diagnostics:
+    if config.diagnostics:
         try:
             row.alignment = alignment_check(eq, graph, model)
         except NeutralState:
@@ -327,7 +325,7 @@ _PRESET_DEFAULTS = {
         methods=(DetectionMethod.MULTI_EQUILIBRIA, DetectionMethod.COVARIANCE_SPECTRAL),
         # input-driven equilibria converge fast; the Newton polish to 1e-12
         # makes the looser ODE tolerances safe
-        controls=IntegrationControls(rtol=1e-7, atol=1e-9, steady_tol=1e-8)),
+        controls=IntegrationControls(rtol=1e-7, steady_tol=1e-8)),
     Preset.CUSTOM: dict(),
 }
 
@@ -339,10 +337,9 @@ _SHAPES = {"n1_values": ("n1_values", "n2_fraction", "l11", "l12", "l22"),
            "n_values": ("n_values", "ls", "ld")}
 _MULTI_KEYS = ("m_fractions", "pair_sets")
 _OVERRIDE_KEYS = frozenset(_COMMON_KEYS + _MULTI_KEYS).union(*_SHAPES.values())
-# ExperimentConfig's own defaults, under the key names build_config reads
+# ExperimentConfig's own defaults, and the unequal-size sweeps' n2_fraction
 _DEFAULTS = {field.name: field.default for field in dataclasses.fields(ExperimentConfig)
              if field.default is not dataclasses.MISSING}
-_DEFAULTS["diagnostics"] = _DEFAULTS.pop("collect_diagnostics")
 _DEFAULTS["n2_fraction"] = 0.05
 
 
@@ -400,7 +397,7 @@ def build_config(preset, base_seed: int = 12345, **overrides) -> ExperimentConfi
         base_seed=int(base_seed), methods=methods,
         d=float(settings["d"]), alpha=float(settings["alpha"]),
         m_fractions=_as_tuple(settings["m_fractions"]), pair_sets=int(settings["pair_sets"]),
-        collect_diagnostics=bool(settings["diagnostics"]), controls=settings["controls"])
+        diagnostics=bool(settings["diagnostics"]), controls=settings["controls"])
 
 
 def load_config_file(path) -> dict:

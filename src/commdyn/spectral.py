@@ -55,24 +55,24 @@ def sym_eig(matrix) -> EigenPairs:
     return EigenPairs(values=values, vectors=_fix_signs(vectors))
 
 
-def extreme_eigpairs(matrix, k: int = 1, which: str = "LA", tol: float = 0.0) -> EigenPairs:
-    """The k extreme eigenpairs of a symmetric real operator, by ARPACK.
+def extreme_eigpairs(matrix, which: str = "LA", tol: float = 0.0) -> EigenPairs:
+    """The extreme eigenpair of a symmetric real operator, by ARPACK.
 
     `matrix` is a dense array, a scipy.sparse array or a LinearOperator (the
     last is trusted to be symmetric). A Graph's adjacency, checked
     symmetric when the Graph was built, goes in through
     Graph.extreme_eigenpair as a LinearOperator: the check on a sparse
-    matrix copies it about three times. `which` is "LA" (largest values),
-    "SA" (smallest values) or "LM" (largest magnitudes). Pairs come sorted
-    ascending by value with sym_eig's sign convention. ARPACK starts from a
-    fixed seeded vector, so repeated calls are bit-identical. `tol` is
-    ARPACK's relative accuracy of the Ritz values; 0 asks for machine
+    matrix copies it about three times. `which` is "LA" (largest value),
+    "SA" (smallest value) or "LM" (largest magnitude). It comes as a
+    one-column EigenPairs with sym_eig's sign convention. ARPACK starts from
+    a fixed seeded vector, so repeated calls are bit-identical. `tol` is
+    ARPACK's relative accuracy of the Ritz value; 0 asks for machine
     precision.
 
     A dense solve replaces ARPACK where ARPACK cannot run as a partial
-    method: when its Lanczos basis (scipy's default max(2k + 1, 20) vectors)
-    would span the whole space, and when it fails, as it does with error -9
-    on the zero operator.
+    method: when its Lanczos basis (scipy's default of 20 vectors for one
+    pair) would span the whole space, and when it fails, as it does with
+    error -9 on the zero operator.
     """
     if which not in ("LA", "SA", "LM"):
         raise ValueError(f"unknown which={which!r}")
@@ -81,27 +81,20 @@ def extreme_eigpairs(matrix, k: int = 1, which: str = "LA", tol: float = 0.0) ->
             matrix = np.asarray(matrix, dtype=float)
         _check_symmetric(matrix)
     n = matrix.shape[0]
-    if not 1 <= k <= n:
-        raise ValueError(f"k={k} outside [1, {n}]")
-    if n > max(2 * k + 1, 20):
+    if n > 20:
         v0 = np.random.Generator(np.random.Philox(_V0_SEED)).uniform(-1.0, 1.0, n)
         try:
-            values, vectors = eigsh(matrix, k=k, which=which, v0=v0, tol=tol)
+            values, vectors = eigsh(matrix, k=1, which=which, v0=v0, tol=tol)
         except ArpackError:
             pass
         else:
-            order = np.argsort(values, kind="stable")
-            return EigenPairs(values[order], _fix_signs(vectors[:, order]))
+            return EigenPairs(values, _fix_signs(vectors))
     if isinstance(matrix, LinearOperator):
         matrix = matrix @ np.eye(n)
     full = sym_eig(matrix)
-    if which == "LA":
-        keep = np.arange(n - k, n)
-    elif which == "SA":
-        keep = np.arange(k)
-    else:
-        keep = np.sort(np.argsort(np.abs(full.values), kind="stable")[n - k:])
-    return EigenPairs(full.values[keep], full.vectors[:, keep])
+    last_largest = int(np.argsort(np.abs(full.values), kind="stable")[-1])
+    keep = {"LA": n - 1, "SA": 0, "LM": last_largest}[which]
+    return EigenPairs(full.values[keep:keep + 1], full.vectors[:, keep:keep + 1])
 
 
 def least_squares_min_norm(y, x) -> np.ndarray:

@@ -103,7 +103,7 @@ def _deviation_norm(graph: Graph, params: SbmParams) -> float:
         return adjacency @ x - (block - diag * x)
 
     deviation = LinearOperator((graph.n, graph.n), matvec=matvec, dtype=float)
-    return float(abs(extreme_eigpairs(deviation, 1, "LM").values[0]))
+    return float(abs(extreme_eigpairs(deviation, "LM").values[0]))
 
 
 def _expected_top(params: SbmParams):
@@ -157,10 +157,3 @@ def alignment_check(equilibrium: Equilibrium, graph: Graph, params: ModelParams)
     _, w = graph.extreme_eigenpair("LA" if params.gamma > 0 else "SA")
     return float(abs(x @ w) / np.linalg.norm(x))
 
-
-def c_of_u(equilibrium: Equilibrium, graph: Graph) -> float:
-    """Signed projection of the equilibrium on the top eigenvector; its
-    magnitude shrinks to zero as the attention approaches the threshold."""
-    x = np.asarray(equilibrium.state, dtype=float)
-    _, w = graph.extreme_eigenpair("LA")
-    return float(x @ w)

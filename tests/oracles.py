@@ -1,16 +1,22 @@
-"""Dense reference oracles: the per-pair SBM sampler and the expected SBM
-adjacency E{A}.
+"""Reference oracles the package is checked against.
 
+Dense ones: the per-pair SBM sampler and the expected SBM adjacency E{A}.
 The package samples in O(edges) and computes everything it needs about E{A}
 in closed form (see commdyn.theory), never building either densely. These
-n x n versions are the definitions the package is checked against, so they
-are kept simple rather than fast: O(n^2) memory and, for the Davis-Kahan
-reference, a full O(n^3) eigendecomposition.
+n x n versions are the definitions, so they are kept simple rather than
+fast: O(n^2) memory and, for the Davis-Kahan reference, a full O(n^3)
+eigendecomposition.
+
+Model ones, which need a sampled graph or the ground truth and so have no
+place in a detection run: the bifurcation threshold of a given matrix, the
+equilibrium's amplitude along the top eigenvector, and the fixed-point
+residuals of input-equilibrium pairs.
 """
 
 import numpy as np
 from scipy import sparse
 
+from commdyn.dynamics import Equilibrium, ModelParams, rhs
 from commdyn.errors import ZeroGap
 from commdyn.graphgen import Graph, SbmParams
 from commdyn.spectral import extreme_eigpairs, sym_eig
@@ -63,9 +69,37 @@ def dense_davis_kahan(graph: Graph, params: SbmParams):
     """(lhs, rhs, delta) of the Davis-Kahan check with E{A} built densely and
     ||A - E{A}||_2 taken from the dense difference."""
     delta, w_bar = dense_expected_top(params)
-    w = extreme_eigpairs(graph.adjacency, 1, "LA").vectors[:, 0]
+    w = extreme_eigpairs(graph.adjacency, "LA").vectors[:, 0]
     lhs = min(float(np.linalg.norm(w - w_bar)), float(np.linalg.norm(w + w_bar)))
     deviation = float(np.abs(np.linalg.eigvalsh(graph.adjacency.toarray()
                                                 - expected_adjacency(params))).max())
     return lhs, 2.0 ** 1.5 * deviation / delta, delta
 
+
+
+def bifurcation_threshold(matrix, params: ModelParams) -> float:
+    """Attention value where the origin loses stability.
+
+    d / (alpha + gamma*lambda_max) for gamma > 0, d / (alpha + gamma*lambda_min)
+    for gamma < 0; works for both a sampled adjacency and an expected matrix.
+    Raises ValueError when the denominator is not positive.
+    """
+    extreme = extreme_eigpairs(matrix, "LA" if params.gamma > 0 else "SA").values[0]
+    denom = params.alpha + params.gamma * extreme
+    if denom <= 0:
+        raise ValueError(f"alpha + gamma*lambda = {denom} is not positive")
+    return params.d / denom
+
+
+def c_of_u(equilibrium: Equilibrium, graph: Graph) -> float:
+    """Signed projection of the equilibrium on the top eigenvector; its
+    magnitude shrinks to zero as the attention approaches the threshold."""
+    x = np.asarray(equilibrium.state, dtype=float)
+    _, w = graph.extreme_eigenpair("LA")
+    return float(x @ w)
+
+
+def fixed_point_residuals(pairs, graph: Graph) -> np.ndarray:
+    """Per-column sup-norm of the fixed-point equation of a detect.PairSet;
+    needs the ground-truth graph, so it is a test-time consistency check."""
+    return np.abs(rhs(pairs.X, pairs.params, graph, pairs.B)).max(axis=0)

@@ -12,16 +12,15 @@ import numpy as np
 import pytest
 
 from commdyn.detect import accuracy, estimate_adjacency, invert_pairs
-from commdyn.dynamics import (ModelParams, Saturation, bifurcation_threshold,
-                              integrate_to_equilibrium, saturation_eval,
-                              saturation_inverse)
+from commdyn.dynamics import (ModelParams, Saturation, integrate_to_equilibrium,
+                              saturation_eval, saturation_inverse)
 from commdyn.graphgen import SbmParams, is_connected, max_expected_degree, sample_sbm
 from commdyn.harness import (Preset, build_config, derive_seed, generate_pair_set,
                              run_experiment, write_records_csv)
 from commdyn.spectral import kmeans_two_1d, sym_eig
-from commdyn.theory import (alignment_check, c_of_u, davis_kahan_check, expected_spectrum,
+from commdyn.theory import (alignment_check, davis_kahan_check, expected_spectrum,
                             expected_threshold)
-from oracles import corrected_expected_matrix
+from oracles import bifurcation_threshold, c_of_u, corrected_expected_matrix
 
 BASE_SEED = 20250809
 

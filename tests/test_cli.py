@@ -9,7 +9,8 @@ import pytest
 
 from commdyn.cli import main, read_equilibria_csv, write_equilibria_csv
 from commdyn.dynamics import Equilibrium
-from commdyn.graphgen import read_edge_list
+from commdyn.graphgen import SbmParams, read_edge_list
+from commdyn.harness import build_config, derive_seed, read_records_csv
 
 
 SBM_FLAGS = ["--n1", "10", "--n2", "10", "--l11", "0.6", "--l12", "0.2", "--l22", "0.6"]
@@ -137,6 +138,49 @@ def test_experiment_rejects_unknown_config_key(tmp_path, capsys):
     assert code == 1
     assert "error: unknown config keys: n_value, trails" in capsys.readouterr().err
     assert not records_csv.exists()
+
+
+def _experiment_seeds(tmp_path, config_text, *flags):
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text("preset = ssbm-positive\nn_values = 20\nls = 0.6\nld = 0.2\n"
+                   "u_offsets = 0.05\ntrials = 2\n" + config_text)
+    records_csv = tmp_path / "seed.csv"
+    assert main(["experiment", "--config", str(cfg), *flags, "--workers", "1",
+                 "--out", str(records_csv)]) == 0
+    return [r.seed for r in read_records_csv(records_csv)]
+
+
+def test_experiment_base_seed_reaches_build_config(tmp_path):
+    """The config file's base_seed and --base-seed set the seeds; with
+    neither, build_config's default holds."""
+    default = _experiment_seeds(tmp_path, "")
+    sbm = SbmParams.ssbm(20, 0.6, 0.2)
+    assert default == [derive_seed(build_config("ssbm-positive").base_seed, "graph",
+                                   (sbm.n1, sbm.n2, sbm.l11, sbm.l12, sbm.l22), trial)
+                       for trial in range(2)]
+    from_file = _experiment_seeds(tmp_path, "base_seed = 7\n")
+    assert from_file != default
+    assert _experiment_seeds(tmp_path, "", "--base-seed", "7") == from_file
+
+
+def test_experiment_rejects_non_finite_offset(tmp_path, capsys):
+    cfg = tmp_path / "inf.cfg"
+    cfg.write_text("preset = ssbm-positive\nn_values = 20\nls = 0.6\nld = 0.2\n"
+                   "u_offsets = inf\n")
+    records_csv = tmp_path / "records.csv"
+    code = main(["experiment", "--config", str(cfg), "--workers", "1",
+                 "--out", str(records_csv)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not records_csv.exists()
+
+
+def test_simulate_rejects_nan_attention(tmp_path, capsys):
+    eq_csv = tmp_path / "eq.csv"
+    code = main(["simulate", *SBM_FLAGS, "--u", "nan", "--out", str(eq_csv)])
+    assert code == 1
+    assert "error: model parameters must be finite" in capsys.readouterr().err
+    assert not eq_csv.exists()
 
 
 BAD_INPUT_CASES = {

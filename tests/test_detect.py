@@ -10,7 +10,7 @@ from commdyn.errors import DomainError, LengthMismatch, NeutralState
 from commdyn.graphgen import Graph, SbmParams, is_connected, sample_sbm
 from commdyn.harness import generate_pair_set
 from commdyn.theory import expected_threshold
-from oracles import expected_adjacency
+from oracles import expected_adjacency, fixed_point_residuals
 
 
 def _eq(state):
@@ -84,9 +84,8 @@ def test_invert_pairs_domain_error_reports_index():
     x = np.zeros((3, 2))
     b = np.zeros((3, 2))
     x[2, 1] = 0.75  # (d*x - b)/u = 1.5 at pair 1, agent 2
-    with pytest.raises(DomainError) as excinfo:
+    with pytest.raises(DomainError, match="pair 1, agent 2:"):
         invert_pairs(PairSet(x, b, model))
-    assert excinfo.value.pair == 1 and excinfo.value.agent == 2
 
 
 def test_pair_set_residual_invariant():
@@ -96,7 +95,7 @@ def test_pair_set_residual_invariant():
     model = ModelParams(1.0, u_bar + 0.02, 1.0, gamma)
     pairs, eqs = generate_pair_set(g, model, 6, seed=9)
     assert all(eq.converged for eq in eqs)
-    assert pairs.fixed_point_residuals(g).max() <= 1e-10
+    assert fixed_point_residuals(pairs, g).max() <= 1e-10
 
 
 # ---------------------------------------------------------------------------

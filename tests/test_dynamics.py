@@ -5,13 +5,13 @@ from commdyn import dynamics, spectral
 from commdyn.cli import read_equilibria_csv, write_equilibria_csv
 from commdyn.detect import PairSet, detect_single
 from commdyn.dynamics import (DENSE_NEWTON_MAX_N, Equilibrium, IntegrationControls,
-                              ModelParams, Saturation, bifurcation_threshold,
-                              equilibria_for_inputs, integrate_to_equilibrium, jacobian,
-                              newton_refine, rhs, saturation_deriv, saturation_eval,
-                              saturation_inverse)
-from commdyn.errors import DomainError, InvalidRegime, SingularJacobian
+                              ModelParams, Saturation, equilibria_for_inputs,
+                              integrate_to_equilibrium, jacobian, newton_refine, rhs,
+                              saturation_deriv, saturation_eval, saturation_inverse)
+from commdyn.errors import DomainError, SingularJacobian
 from commdyn.graphgen import Graph, SbmParams, is_connected, max_expected_degree, sample_sbm
 from commdyn.spectral import extreme_eigpairs
+from oracles import bifurcation_threshold, fixed_point_residuals
 
 ALL_KINDS = list(Saturation)
 
@@ -206,19 +206,6 @@ def _above_threshold_model(p, g, offset=0.05):
     return ModelParams(1.0, u1 + offset, 1.0, gamma)
 
 
-def test_single_start_is_one_column_input_solve(small_graph):
-    p, g = small_graph
-    m = _above_threshold_model(p, g)
-    b = np.random.Generator(np.random.Philox(25)).standard_normal(g.n)
-    single = integrate_to_equilibrium(np.zeros(g.n), m, g, b)
-    column = equilibria_for_inputs(g, m, b[:, None])[0]
-    assert np.array_equal(single.state, column.state)
-    assert single.residual_inf == column.residual_inf
-    assert single.converged == column.converged
-    assert single.elapsed_model_time == column.elapsed_model_time
-    assert single.converged and single.elapsed_model_time > 0.0
-
-
 def test_input_columns_meet_their_own_fixed_points(small_graph):
     p, g = small_graph
     m = _above_threshold_model(p, g)
@@ -226,7 +213,7 @@ def test_input_columns_meet_their_own_fixed_points(small_graph):
     eqs = equilibria_for_inputs(g, m, inputs)
     assert all(eq.converged for eq in eqs)
     pairs = PairSet(np.column_stack([eq.state for eq in eqs]), inputs, m)
-    assert pairs.fixed_point_residuals(g).max() <= IntegrationControls().steady_tol
+    assert fixed_point_residuals(pairs, g).max() <= IntegrationControls().steady_tol
 
 
 def test_newton_exact_input_unchanged(small_graph):
@@ -476,7 +463,7 @@ def _counting_eigsh(monkeypatch):
 
 
 def _tight_lambda_max(x, m, g):
-    return extreme_eigpairs(dynamics._linearize(x, m, g).symmetrized(), 1, "LA").values[0]
+    return extreme_eigpairs(dynamics._linearize(x, m, g).symmetrized(), "LA").values[0]
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
@@ -540,9 +527,9 @@ def test_inconclusive_loose_solve_falls_back_to_the_tight_one(krylov_graph, offs
          else np.full(g.n, 1e-8))
     solve, tols = dynamics.extreme_eigpairs, []
 
-    def inconclusive(operator, k, which, tol=0.0):
+    def inconclusive(operator, which, tol=0.0):
         tols.append(tol)
-        pairs = solve(operator, k, which, tol=tol)
+        pairs = solve(operator, which, tol=tol)
         return spectral.EigenPairs(np.array([theta]), pairs.vectors) if tol else pairs
 
     monkeypatch.setattr(dynamics, "extreme_eigpairs", inconclusive)
@@ -578,7 +565,7 @@ def test_bifurcation_threshold_negative_gamma():
 
 def test_bifurcation_threshold_invalid_regime():
     m = ModelParams(1.0, 0.1, 1.0, -1.0)
-    with pytest.raises(InvalidRegime):
+    with pytest.raises(ValueError, match="not positive"):
         bifurcation_threshold(np.diag([5.0, 2.0]), m)
 
 
@@ -704,6 +691,20 @@ def test_large_start_is_not_seeded(graph_fixture, request, monkeypatch):
 def test_integration_controls_validation():
     with pytest.raises(ValueError):
         IntegrationControls(rtol=-1.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            IntegrationControls(rtol=bad)
+        with pytest.raises(ValueError, match="finite"):
+            IntegrationControls(steady_tol=bad)
+
+
+@pytest.mark.parametrize("field", ["d", "u", "alpha", "gamma"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_model_params_reject_non_finite(field, bad):
+    values = dict(d=1.0, u=0.5, alpha=1.0, gamma=0.1)
+    values[field] = bad
+    with pytest.raises(ValueError, match="finite"):
+        ModelParams(**values)
 
 
 def test_non_convergence_reported_not_raised(small_graph, monkeypatch):

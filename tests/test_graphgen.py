@@ -16,10 +16,6 @@ def test_params_validation():
         SbmParams(0, 3, 0.5, 0.5, 0.5)
     with pytest.raises(ValueError):
         SbmParams(2, 2, 1.2, 0.5, 0.5)
-    with pytest.raises(ValueError):
-        SbmParams.from_matrix(2, 2, [[0.5, 0.3], [0.4, 0.5]])
-    p = SbmParams.from_matrix(2, 3, [[0.5, 0.3], [0.3, 0.4]])
-    assert (p.l11, p.l12, p.l22) == (0.5, 0.3, 0.4)
 
 
 def test_is_symmetric():

@@ -8,8 +8,7 @@ import pytest
 
 from commdyn import dynamics
 from commdyn.detect import DetectionMethod
-from commdyn.dynamics import (NEUTRAL_TOL, IntegrationControls, ModelParams, Saturation,
-                              bifurcation_threshold)
+from commdyn.dynamics import NEUTRAL_TOL, IntegrationControls, ModelParams, Saturation
 from commdyn.errors import EmptyInput
 from commdyn.harness import (Preset, TrialRecord, build_config, derive_seed,
                              load_config_file, read_records_csv, resolve_m_values,
@@ -17,6 +16,7 @@ from commdyn.harness import (Preset, TrialRecord, build_config, derive_seed,
                              write_summary_csv)
 from commdyn.graphgen import SbmParams, max_expected_degree, sample_sbm
 from commdyn.theory import expected_threshold
+from oracles import bifurcation_threshold
 
 
 def tiny_single_config(**overrides):
@@ -58,6 +58,17 @@ def test_preset_point_grids():
 def test_build_config_rejects_bad_offsets():
     with pytest.raises(ValueError):
         build_config(Preset.SSBM_POSITIVE, u_offsets=[0.0])
+
+
+@pytest.mark.parametrize("overrides", [dict(u_offsets=[math.nan]), dict(u_offsets=[math.inf]),
+                                       dict(u_offsets=[0.01, math.inf]), dict(d=math.nan),
+                                       dict(alpha=math.inf)],
+                         ids=["offset-nan", "offset-inf", "one-offset-inf", "d-nan", "alpha-inf"])
+def test_build_config_rejects_non_finite_values(overrides):
+    """A non-finite model or sweep value fails in build_config, before any
+    trial runs, instead of as failed rows or an exception mid-sweep."""
+    with pytest.raises(ValueError, match="finite"):
+        build_config(Preset.SSBM_POSITIVE, **overrides)
 
 
 def test_build_config_custom_requires_shape():
@@ -383,7 +394,7 @@ def test_load_config_file(tmp_path):
     config = build_config(preset, **overrides)
     assert config.trials == 4
     assert {p.sbm.n for p in config.points} == {200, 500}
-    assert config.collect_diagnostics
+    assert config.diagnostics
 
 
 def test_load_config_file_rejects_garbage(tmp_path):

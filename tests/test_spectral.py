@@ -72,40 +72,42 @@ def test_extreme_eigpairs_matches_sym_eig(n, which, as_sparse):
     a = sample_sbm(SbmParams.ssbm(n, 0.4, 0.1), seed=5).adjacency
     matrix = a if as_sparse else a.toarray()
     full = sym_eig(a)
-    k = 2
-    pairs = extreme_eigpairs(matrix, k, which)
-    cols = slice(n - k, n) if which == "LA" else slice(0, k)
+    pairs = extreme_eigpairs(matrix, which)
+    cols = slice(n - 1, n) if which == "LA" else slice(0, 1)
+    assert pairs.values.shape == (1,) and pairs.vectors.shape == (n, 1)
     scale = float(np.abs(full.values).max())
     assert np.abs(pairs.values - full.values[cols]).max() <= 1e-10 * scale
     assert np.abs(pairs.vectors - full.vectors[:, cols]).max() <= 1e-8
-    again = extreme_eigpairs(matrix, k, which)
+    again = extreme_eigpairs(matrix, which)
     assert np.array_equal(again.values, pairs.values)
     assert np.array_equal(again.vectors, pairs.vectors)
 
 
 def test_extreme_eigpairs_largest_magnitude():
     a = np.diag([-5.0, 1.0, 2.0, 4.0])
-    pairs = extreme_eigpairs(a, 2, "LM")
-    assert np.array_equal(pairs.values, [-5.0, 4.0])
-    assert np.array_equal(np.abs(pairs.vectors), np.eye(4)[:, [0, 3]])
+    full = sym_eig(a)
+    pairs = extreme_eigpairs(a, "LM")
+    assert np.array_equal(pairs.values, full.values[:1])  # |-5| > 4
+    assert np.array_equal(pairs.vectors, full.vectors[:, :1])
+    # a tie in magnitude goes to the larger value, as with the stable sort of |values|
+    tie = np.diag([-4.0, 1.0, 4.0])
+    assert np.array_equal(extreme_eigpairs(tie, "LM").vectors, sym_eig(tie).vectors[:, 2:])
 
 
 def test_extreme_eigpairs_zero_operator():
     # ARPACK fails on the zero operator (error -9); the dense fallback answers
-    pairs = extreme_eigpairs(sparse.csr_array((50, 50)), 1, "LM")
+    pairs = extreme_eigpairs(sparse.csr_array((50, 50)), "LM")
     assert pairs.values[0] == 0.0
     assert np.linalg.norm(pairs.vectors[:, 0]) == pytest.approx(1.0)
 
 
 def test_extreme_eigpairs_rejects_bad_input():
     with pytest.raises(NotSymmetric):
-        extreme_eigpairs(np.array([[0.0, 1.0], [0.5, 0.0]]), 1, "LA")
+        extreme_eigpairs(np.array([[0.0, 1.0], [0.5, 0.0]]), "LA")
     with pytest.raises(NotSymmetric):
-        extreme_eigpairs(sparse.csr_array(np.triu(np.ones((30, 30)), 1)), 1, "LA")
+        extreme_eigpairs(sparse.csr_array(np.triu(np.ones((30, 30)), 1)), "LA")
     with pytest.raises(ValueError):
-        extreme_eigpairs(np.eye(3), 1, "BE")
-    with pytest.raises(ValueError):
-        extreme_eigpairs(np.eye(3), 4, "LA")
+        extreme_eigpairs(np.eye(3), "BE")
 
 
 def test_least_squares_exact_inverse_case():

@@ -6,14 +6,14 @@ import pytest
 from scipy.sparse.linalg import aslinearoperator
 
 from commdyn import dynamics, spectral
-from commdyn.dynamics import (Equilibrium, ModelParams, bifurcation_threshold,
-                              integrate_to_equilibrium)
+from commdyn.dynamics import Equilibrium, ModelParams, integrate_to_equilibrium
 from commdyn.errors import NeutralState, ZeroGap
 from commdyn.graphgen import Graph, SbmParams, is_connected, max_expected_degree, sample_sbm
 from commdyn.spectral import extreme_eigpairs, sym_eig
-from commdyn.theory import (_expected_top, alignment_check, c_of_u, concentration_ratio,
+from commdyn.theory import (_expected_top, alignment_check, concentration_ratio,
                             davis_kahan_check, expected_spectrum)
-from oracles import corrected_expected_matrix, dense_davis_kahan, dense_expected_top
+from oracles import (bifurcation_threshold, c_of_u, corrected_expected_matrix,
+                     dense_davis_kahan, dense_expected_top)
 
 
 def _connected(params, start_seed=0):
@@ -219,7 +219,7 @@ def test_spectral_callers_share_one_eigensolve_per_which(monkeypatch):
     graph and `which` (plus once on A - E{A} in davis_kahan_check)."""
     p = SbmParams.ssbm(200, 0.1, 0.03)
     g = sample_sbm(p, seed=4)
-    direct = {which: extreme_eigpairs(aslinearoperator(g.adjacency), 1, which)
+    direct = {which: extreme_eigpairs(aslinearoperator(g.adjacency), which)
               for which in ("LA", "SA")}
     solves = []
     arpack = spectral.eigsh
