@@ -29,10 +29,13 @@ DENSE_NEWTON_MAX_N = 300
 # MINRES stops once K's residual is below rtol * ||K|| * ||y||; rtol is
 # _MINRES_RTOL, or Newton's forcing term of at most _MAX_FORCING. A step whose
 # residual in J s = r exceeds max(_REFINE_TOL, rtol) * ||K|| * ||s|| gets one
-# round of iterative refinement (see Jacobian.solve).
+# round of iterative refinement. A loose step's relative residual above
+# _MAX_FORCING is continued at a scaled rtol while it is at most
+# _MAX_OVERSHOOT times _MAX_FORCING (see Jacobian.solve).
 _MINRES_RTOL = 1e-12
 _REFINE_TOL = 1e-10
 _MAX_FORCING = 0.1
+_MAX_OVERSHOOT = 3.0
 
 # ARPACK's relative tolerance in the stability certificate's loose stage (see
 # _is_stable).
@@ -212,7 +215,7 @@ class Jacobian:
 
         return LinearOperator((h.size, h.size), matvec=matvec, dtype=float)
 
-    def solve(self, r, rtol: float = _MINRES_RTOL) -> np.ndarray:
+    def solve(self, r, rtol: float = _MINRES_RTOL, rescale: bool = True) -> np.ndarray:
         """The Newton step s with J s = r.
 
         At most DENSE_NEWTON_MAX_N agents this is a dense LAPACK solve; above
@@ -232,8 +235,13 @@ class Jacobian:
         For the same reason a loose rtol does not bound ||r - J s|| / ||r||,
         the relative residual an inexact Newton step must keep below 1: with
         K nearly singular it can stay near 1, and Newton stalls. A loose
-        step whose relative residual exceeds _MAX_FORCING is solved again at
-        _MINRES_RTOL.
+        step whose relative residual exceeds _MAX_FORCING continues MINRES
+        from its own iterate once, at rtol divided by that overshoot. If the
+        residual still exceeds _MAX_FORCING, the step is solved afresh at
+        _MINRES_RTOL, as it is at once when rescale is False or the
+        overshoot is above _MAX_OVERSHOOT: there K is so ill conditioned
+        along the step that a relative residual of 0.1 leaves the step's
+        error near 1.
         """
         if self.slope.size <= DENSE_NEWTON_MAX_N:
             return np.linalg.solve(self.toarray(), r)
@@ -242,25 +250,39 @@ class Jacobian:
         rtol = max(_MINRES_RTOL, rtol)
         step = split._minres_step(r, rtol)
         residual = r - self.matvec(step)
-        if rtol > _MINRES_RTOL and np.linalg.norm(residual) > _MAX_FORCING * np.linalg.norm(r):
-            return self.solve(r)  # not an inexact Newton step
-        if (np.linalg.norm(residual)
-                > max(_REFINE_TOL, rtol) * split._k_norm() * np.linalg.norm(step)):
+        res_norm, cap = np.linalg.norm(residual), _MAX_FORCING * np.linalg.norm(r)
+        if rtol > _MINRES_RTOL and res_norm > cap:
+            if rescale and res_norm <= _MAX_OVERSHOOT * cap:
+                rtol = max(_MINRES_RTOL, rtol * cap / res_norm)
+                step = split._minres_step(r, rtol, start=step)
+                residual = r - self.matvec(step)
+                res_norm = np.linalg.norm(residual)
+            if res_norm > cap:
+                return self.solve(r)  # not an inexact Newton step
+        step_norm, tol = np.linalg.norm(step), max(_REFINE_TOL, rtol)
+        # K's diagonal bounds ||K||_inf from below: a residual within that
+        # bound needs no refinement, and no _k_norm matvec to tell
+        if (res_norm > tol * split._k_norm(off_diagonal=False) * step_norm
+                and res_norm > tol * split._k_norm() * step_norm):
             step += split._minres_step(residual, rtol)
         return step
 
-    def _k_norm(self) -> float:
-        """The infinity norm of K, a bound on its 2-norm."""
+    def _k_norm(self, off_diagonal: bool = True) -> float:
+        """The infinity norm of K, a bound on its 2-norm; without its
+        off-diagonal part, a lower bound on it that needs no matvec."""
         h, p = np.sqrt(self.slope), self.params
-        # the adjacency is binary, so |K|'s off-diagonal part is |gamma| h A h
-        off_diagonal = abs(p.gamma) * h * (self.adjacency @ h)
-        return float(np.max(np.abs(self.slope * p.alpha - p.d) + off_diagonal))
+        row_sums = np.abs(self.slope * p.alpha - p.d)
+        if off_diagonal:
+            # the adjacency is binary, so |K|'s off-diagonal part is |gamma| h A h
+            row_sums = row_sums + abs(p.gamma) * h * (self.adjacency @ h)
+        return float(np.max(row_sums))
 
-    def _minres_step(self, r, rtol) -> np.ndarray:
+    def _minres_step(self, r, rtol, start=None) -> np.ndarray:
         """J s = r by MINRES on K: rows with h = 0 give s_i = -r_i/d, the
         others s = h*y with K y = r/h - h*gamma*(A @ s_sat), where s_sat holds
         the h = 0 rows' steps. The h = 0 rows form a -d block of K with a
-        zero right-hand side, which MINRES never leaves."""
+        zero right-hand side, which MINRES never leaves. MINRES starts from
+        y = start/h when a previous step `start` is given, else from 0."""
         h, p = np.sqrt(self.slope), self.params
         free = h > 0
         saturated = np.where(free, 0.0, -r / p.d)
@@ -269,7 +291,8 @@ class Jacobian:
         rhs_free = np.divide(r, h, out=np.zeros_like(r), where=free)
         if not free.all():
             rhs_free -= h * (p.gamma * (self.adjacency @ saturated))
-        y, _ = minres(self.symmetrized(), rhs_free, rtol=rtol)
+        y0 = None if start is None else np.divide(start, h, out=np.zeros_like(r), where=free)
+        y, _ = minres(self.symmetrized(), rhs_free, x0=y0, rtol=rtol)
         return saturated + h * y
 
 
@@ -299,8 +322,12 @@ def newton_refine(x, params: ModelParams, graph: Graph, b=None,
     order ||F|| keeps Newton's local quadratic convergence (Dembo, Eisenstat
     & Steihaug, "Inexact Newton Methods", 1982; Eisenstat & Walker,
     "Choosing the forcing terms in an inexact Newton method", 1996).
-    Jacobian.solve solves a step again at _MINRES_RTOL when that tolerance
-    failed to bound its relative residual.
+    Jacobian.solve continues MINRES from its iterate when that tolerance
+    failed to bound the step's relative residual by _MAX_FORCING. That bound
+    serves Newton's local phase, where steps are taken whole; where K is
+    nearly singular it does not bound the step's error. So once the line
+    search has damped a step, the next step's continuation skips the
+    scaled rtol and goes straight to _MINRES_RTOL.
 
     Raises SingularJacobian when the linear solve fails or gives a
     non-finite step, which near a bifurcation is expected; callers fall back
@@ -309,12 +336,13 @@ def newton_refine(x, params: ModelParams, graph: Graph, b=None,
     x = np.array(x, dtype=float)
     residual = rhs(x, params, graph, b)
     res_norm = float(np.abs(residual).max())
+    damped = False
     for _ in range(max_iter):
         if res_norm <= NEWTON_TOL:
             return Equilibrium(x, res_norm, True, 0.0)
         forcing = min(_MAX_FORCING, res_norm)
         try:
-            step = jacobian(x, params, graph).solve(residual, forcing)
+            step = jacobian(x, params, graph).solve(residual, forcing, rescale=not damped)
         except np.linalg.LinAlgError as exc:
             raise SingularJacobian(str(exc)) from exc
         if not np.all(np.isfinite(step)):
@@ -330,6 +358,7 @@ def newton_refine(x, params: ModelParams, graph: Graph, b=None,
             damping /= 2.0
         else:
             break  # no descent direction left; return best iterate
+        damped = damping < 1.0
     return Equilibrium(x, res_norm, res_norm <= NEWTON_TOL, 0.0)
 
 

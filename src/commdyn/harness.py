@@ -349,6 +349,18 @@ def _as_tuple(value):
     return (value,)
 
 
+def _whole(key, value) -> int:
+    """value as an int; anything but a whole number raises ValueError
+    instead of being truncated."""
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):
+        whole = None
+    if whole is None or whole != value:
+        raise ValueError(f"{key} must be a whole number, got {value!r}")
+    return whole
+
+
 def build_config(preset, base_seed: int = 12345, **overrides) -> ExperimentConfig:
     """Assemble an ExperimentConfig from a preset plus overrides.
 
@@ -379,13 +391,15 @@ def build_config(preset, base_seed: int = 12345, **overrides) -> ExperimentConfi
     if problems:
         raise ValueError("; ".join(problems))
 
+    sizes = [_whole(size_key, value) for value in _as_tuple(settings[size_key])]
     if size_key == "n1_values":
-        sbms = [SbmParams(int(n1), math.ceil(round(settings["n2_fraction"] * n1, 9)),
-                          settings["l11"], settings["l12"], settings["l22"])
-                for n1 in _as_tuple(settings["n1_values"])]
+        fraction = float(settings["n2_fraction"])
+        if not math.isfinite(fraction):
+            raise ValueError(f"n2_fraction must be finite, got {fraction}")
+        sbms = [SbmParams(n1, math.ceil(round(fraction * n1, 9)),
+                          settings["l11"], settings["l12"], settings["l22"]) for n1 in sizes]
     else:
-        sbms = [SbmParams.ssbm(int(n), settings["ls"], settings["ld"])
-                for n in _as_tuple(settings["n_values"])]
+        sbms = [SbmParams.ssbm(n, settings["ls"], settings["ld"]) for n in sizes]
     saturations = tuple(Saturation(s) for s in _as_tuple(settings["saturations"]))
     gamma_sign = int(settings["gamma_sign"])
     points = tuple(ParameterPoint(sbm, float(offset), sat, gamma_sign)
@@ -393,10 +407,11 @@ def build_config(preset, base_seed: int = 12345, **overrides) -> ExperimentConfi
                    for offset in _as_tuple(settings["u_offsets"])
                    for sat in saturations)
     return ExperimentConfig(
-        preset=preset, points=points, trials=int(settings["trials"]),
+        preset=preset, points=points, trials=_whole("trials", settings["trials"]),
         base_seed=int(base_seed), methods=methods,
         d=float(settings["d"]), alpha=float(settings["alpha"]),
-        m_fractions=_as_tuple(settings["m_fractions"]), pair_sets=int(settings["pair_sets"]),
+        m_fractions=_as_tuple(settings["m_fractions"]),
+        pair_sets=_whole("pair_sets", settings["pair_sets"]),
         diagnostics=bool(settings["diagnostics"]), controls=settings["controls"])
 
 

@@ -175,6 +175,23 @@ def test_experiment_rejects_non_finite_offset(tmp_path, capsys):
     assert not records_csv.exists()
 
 
+@pytest.mark.parametrize("config", [
+    "preset = unequal-sbm\nn1_values = 20\nn2_fraction = inf\n",
+    "preset = ssbm-positive\nn_values = 20\nls = 0.6\nld = 0.2\ntrials = 2.7\n",
+], ids=["n2-fraction-inf", "trials-2.7"])
+def test_experiment_rejects_bad_counts_and_fractions(config, tmp_path, capsys):
+    """Exit 1 with an error line and no CSV, not a traceback or a truncated
+    sweep."""
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(config)
+    records_csv = tmp_path / "records.csv"
+    code = main(["experiment", "--config", str(cfg), "--workers", "1",
+                 "--out", str(records_csv)])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not records_csv.exists()
+
+
 def test_simulate_rejects_nan_attention(tmp_path, capsys):
     eq_csv = tmp_path / "eq.csv"
     code = main(["simulate", *SBM_FLAGS, "--u", "nan", "--out", str(eq_csv)])

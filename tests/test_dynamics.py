@@ -390,11 +390,22 @@ def test_inexact_newton_reaches_the_exact_steps_root(krylov_graph, sign, kind, m
     assert np.abs(inexact.state - exact.state).max() <= 1e-10
 
 
+def _exact_steps_root_agrees(x, m, g, monkeypatch):
+    inexact = newton_refine(x, m, g)
+    monkeypatch.setattr(dynamics, "_MAX_FORCING", 0.0)
+    exact = newton_refine(x, m, g)
+    return (inexact.converged and exact.converged
+            and np.abs(inexact.state - exact.state).max() <= 1e-10)
+
+
 @pytest.mark.parametrize("at_root", [False, True], ids=["seed", "near-root"])
 def test_loose_step_is_kept_only_as_an_inexact_newton_step(krylov_graph, at_root, monkeypatch):
     """At the gamma < 0 branch seed K is nearly singular, and MINRES stopped
     at Newton's forcing term (0.05 there) leaves a relative residual above
-    0.1, so the step is solved again at 1e-12; near the stable root the
+    0.1. The step continues from its own iterate, at an rtol scaled by that
+    overshoot; here that still leaves it above 0.1, so the step is solved
+    afresh at 1e-12 (at once when rescale is False), and Newton from the
+    seed reaches the root that exact steps reach. Near the stable root the
     loose step is kept."""
     p, g = krylov_graph
     m = _model_above_threshold(p, g, -1, Saturation.TANH, 0.02)
@@ -407,12 +418,118 @@ def test_loose_step_is_kept_only_as_an_inexact_newton_step(krylov_graph, at_root
     forcing = min(0.1, np.abs(r).max())
     rtols = _recording_minres(monkeypatch)
     step = jac.solve(r, forcing)
-    relative_residual = np.linalg.norm(r - jac.matvec(step)) / np.linalg.norm(r)
+    assert np.linalg.norm(r - jac.matvec(step)) / np.linalg.norm(r) <= 0.1
     if at_root:
-        assert set(rtols) == {forcing} and relative_residual <= 0.1
+        assert set(rtols) == {forcing}
+        return
+    assert rtols[0] == forcing and 1e-12 < rtols[1] < forcing and rtols[2:] == [1e-12]
+    exact = np.linalg.solve(jac.toarray(), r)
+    assert _relative_error(step, exact) <= 1e-8
+    rtols.clear()
+    assert _relative_error(jac.solve(r, forcing, rescale=False), exact) <= 1e-8
+    assert rtols == [forcing, 1e-12]
+    assert _exact_steps_root_agrees(x, m, g, monkeypatch)
+
+
+def test_overshooting_step_continues_from_its_own_iterate(krylov_graph, monkeypatch):
+    """At the gamma > 0 erf branch seed (u 0.1 above threshold) the loose
+    step overshoots 0.1; one continuation from its iterate at the scaled
+    rtol brings it below 0.1, in fewer MINRES iterations (counted by the
+    callback) than one solve at 1e-12, and Newton from the seed reaches the
+    root that exact steps reach."""
+    p, g = krylov_graph
+    m = _model_above_threshold(p, g, 1, Saturation.ERF, 0.1)
+    c, w = dynamics._branch_seed(m, g)
+    r = rhs(c * w, m, g)
+    jac = jacobian(c * w, m, g)
+    forcing = min(0.1, np.abs(r).max())
+    calls, minres = [], dynamics.minres
+
+    def counting(*args, **kwargs):
+        iterations = []
+        result = minres(*args, callback=iterations.append, **kwargs)
+        calls.append((kwargs["rtol"], len(iterations)))
+        return result
+
+    monkeypatch.setattr(dynamics, "minres", counting)
+    step = jac.solve(r, forcing)
+    assert np.linalg.norm(r - jac.matvec(step)) / np.linalg.norm(r) <= 0.1
+    (loose, _), (scaled, _) = calls
+    assert loose == forcing and 1e-12 < scaled < forcing
+    continued = sum(iterations for _, iterations in calls)
+    calls.clear()
+    jac.solve(r)
+    assert calls[0][0] == 1e-12 and continued < calls[0][1]
+    assert _exact_steps_root_agrees(c * w, m, g, monkeypatch)
+
+
+def test_large_overshoot_goes_straight_to_the_tight_solve(monkeypatch):
+    """Where K is indefinite and nearly singular (a random state and input
+    near an unstable origin, gamma < 0: perfbench/nsweep.py's Newton cell at
+    n = 1000) a loose step at rtol 0.1 overshoots the 0.1 cap more than
+    _MAX_OVERSHOOT times; it is solved afresh at 1e-12 with no scaled
+    continuation in between."""
+    p = SbmParams.ssbm(1000, 0.005, 0.03)
+    g = sample_sbm(p, 3)
+    rng = np.random.Generator(np.random.Philox(3))
+    x = rng.uniform(-0.1, 0.1, g.n)
+    m = ModelParams(1.0, 1.5, 1.0, -1.0 / max_expected_degree(p))
+    r, jac = rhs(x, m, g, rng.standard_normal(g.n)), jacobian(x, m, g)
+    rtols = _recording_minres(monkeypatch)
+    step = jac.solve(r, 0.1)
+    assert rtols[:2] == [0.1, 1e-12] and set(rtols[2:]) <= {1e-12}
+    assert _relative_error(step, np.linalg.solve(jac.toarray(), r)) <= 1e-8
+    loose = jac._minres_step(r, 0.1)
+    overshoot = np.linalg.norm(r - jac.matvec(loose)) / (0.1 * np.linalg.norm(r))
+    assert overshoot > dynamics._MAX_OVERSHOOT
+
+
+def test_newton_rescales_only_after_a_whole_step(krylov_graph, monkeypatch):
+    """newton_refine lets a step's continuation use the scaled rtol only when
+    the previous step was taken whole (the first step counts as such)."""
+    p, g = krylov_graph
+    m = _model_above_threshold(p, g, -1, Saturation.TANH, 0.02)
+    c, w = dynamics._branch_seed(m, g)
+    states, steps, rescales = [], [], []
+    linearize, solve = dynamics.jacobian, dynamics.Jacobian.solve
+    monkeypatch.setattr(dynamics, "jacobian", lambda x, *args: states.append(x.copy())
+                        or linearize(x, *args))
+
+    def recording_solve(jac, r, rtol=1e-12, rescale=True):
+        if len(rescales) == len(states):  # the last resort's inner call
+            return solve(jac, r, rtol, rescale)
+        rescales.append(rescale)
+        steps.append(solve(jac, r, rtol, rescale))
+        return steps[-1]
+
+    monkeypatch.setattr(dynamics.Jacobian, "solve", recording_solve)
+    assert newton_refine(c * w, m, g).converged
+    whole = [np.array_equal(x - step, after) for x, step, after in zip(states, steps, states[1:])]
+    assert rescales == [True] + whole
+    assert not all(whole)  # the line search damped at least one step here
+
+
+@pytest.mark.parametrize("point", ["seed", "far"])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_refinement_trigger_needs_no_k_norm_matvec_to_decide(krylov_graph, sign, point,
+                                                             monkeypatch):
+    """K's diagonal bounds ||K||_inf from below, so the refinement trigger
+    decides as the full ||K||_inf would: the steps are bit-identical."""
+    p, g = krylov_graph
+    m = _model_above_threshold(p, g, sign, Saturation.TANH, 0.5)
+    if point == "seed":
+        c, w = dynamics._branch_seed(m, g)
+        x = c * w
     else:
-        assert rtols == [forcing, 1e-12]
-        assert _relative_error(step, np.linalg.solve(jac.toarray(), r)) <= 1e-8
+        x = np.random.Generator(np.random.Philox(33)).uniform(-3.0, 3.0, g.n)
+    r, jac = rhs(x, m, g), jacobian(x, m, g)
+    assert jac._k_norm(off_diagonal=False) <= jac._k_norm()
+    steps = [jac.solve(r, rtol) for rtol in (1e-12, 1e-3, 0.1)]
+    k_norm = dynamics.Jacobian._k_norm
+    monkeypatch.setattr(dynamics.Jacobian, "_k_norm",
+                        lambda self, off_diagonal=True: k_norm(self))
+    for rtol, step in zip((1e-12, 1e-3, 0.1), steps):
+        assert np.array_equal(jac.solve(r, rtol), step)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")

@@ -71,6 +71,32 @@ def test_build_config_rejects_non_finite_values(overrides):
         build_config(Preset.SSBM_POSITIVE, **overrides)
 
 
+@pytest.mark.parametrize("preset, overrides", [
+    (Preset.UNEQUAL_SBM, dict(n1_values=[20], n2_fraction=math.inf)),
+    (Preset.UNEQUAL_SBM, dict(n1_values=[20], n2_fraction=math.nan)),
+], ids=["n2-fraction-inf", "n2-fraction-nan"])
+def test_build_config_rejects_non_finite_n2_fraction(preset, overrides):
+    with pytest.raises(ValueError, match="n2_fraction must be finite"):
+        build_config(preset, **overrides)
+
+
+@pytest.mark.parametrize("preset, overrides, key", [
+    (Preset.SSBM_POSITIVE, dict(trials=2.7), "trials"),
+    (Preset.SSBM_POSITIVE, dict(n_values=[20.5]), "n_values"),
+    (Preset.SSBM_POSITIVE, dict(n_values=[20, math.inf]), "n_values"),
+    (Preset.UNEQUAL_SBM, dict(n1_values=[20.5]), "n1_values"),
+    (Preset.MULTI_PAIRS, dict(pair_sets=1.5), "pair_sets"),
+    (Preset.SSBM_POSITIVE, dict(trials=[2, 3]), "trials"),
+], ids=["trials", "n-values", "n-values-inf", "n1-values", "pair-sets", "trials-list"])
+def test_build_config_rejects_non_integral_counts(preset, overrides, key):
+    """A count that is not a whole number is an error, not truncated; a
+    whole float such as 4.0 is accepted."""
+    with pytest.raises(ValueError, match=f"{key} must be a whole number"):
+        build_config(preset, **overrides)
+    config = build_config(Preset.SSBM_POSITIVE, n_values=[20.0], trials=4.0)
+    assert config.trials == 4 and config.sbms[0].n1 == 10
+
+
 def test_build_config_custom_requires_shape():
     with pytest.raises(ValueError):
         build_config(Preset.CUSTOM, trials=2)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import aslinearoperator
 
-from commdyn import dynamics, spectral
+from commdyn import dynamics, spectral, theory
 from commdyn.dynamics import Equilibrium, ModelParams, integrate_to_equilibrium
 from commdyn.errors import NeutralState, ZeroGap
 from commdyn.graphgen import Graph, SbmParams, is_connected, max_expected_degree, sample_sbm
@@ -13,7 +13,7 @@ from commdyn.spectral import extreme_eigpairs, sym_eig
 from commdyn.theory import (_expected_top, alignment_check, concentration_ratio,
                             davis_kahan_check, expected_spectrum)
 from oracles import (bifurcation_threshold, c_of_u, corrected_expected_matrix,
-                     dense_davis_kahan, dense_expected_top)
+                     dense_davis_kahan, dense_expected_top, expected_adjacency)
 
 
 def _connected(params, start_seed=0):
@@ -262,6 +262,33 @@ def test_concentration_ratio_median_calibration():
     p = SbmParams.ssbm(300, 0.3, 0.05)
     ratios = [concentration_ratio(sample_sbm(p, seed), p) for seed in range(100)]
     assert np.median(ratios) <= 3.0
+
+
+@pytest.mark.parametrize("p", [
+    SbmParams.ssbm(600, 0.005, 0.03),
+    SbmParams.ssbm(400, 0.3, 0.05),
+    SbmParams(500, 25, 0.05, 0.1, 0.5),
+    SbmParams(300, 200, 0.02, 0.005, 0.04),
+], ids=["ssbm-sparse", "ssbm-dense", "unequal-leader", "unequal"])
+@pytest.mark.parametrize("seed", [3, 4])
+def test_concentration_ratio_matches_dense_oracle(p, seed, monkeypatch):
+    """concentration_ratio stops its Lanczos solve at a loose ARPACK tol and
+    still matches ||A - E{A}||_2 / sqrt(Delta log n) from a dense
+    eigendecomposition; its Ritz pair (theta, v) meets ARPACK's criterion
+    ||D v - theta v|| <= tol |theta| on the dense difference D."""
+    g = sample_sbm(p, seed)
+    solves, solve = [], theory.extreme_eigpairs
+    monkeypatch.setattr(theory, "extreme_eigpairs", lambda *args, **kwargs: solves.append(
+        (kwargs["tol"], solve(*args, **kwargs))) or solves[-1][1])
+    ratio = concentration_ratio(g, p)
+    deviation = g.adjacency.toarray() - expected_adjacency(p)
+    scale = math.sqrt(max_expected_degree(p) * math.log(g.n))
+    assert ratio == pytest.approx(np.abs(np.linalg.eigvalsh(deviation)).max() / scale,
+                                  rel=1e-12, abs=0)
+    (tol, pairs), = solves
+    assert tol == theory._DEVIATION_EIG_TOL > 0.0
+    theta, v = pairs.values[0], pairs.vectors[:, 0]
+    assert np.linalg.norm(deviation @ v - theta * v) <= tol * abs(theta)
 
 
 # ---------------------------------------------------------------------------
