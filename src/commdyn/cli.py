@@ -151,8 +151,7 @@ def _write_estimate(path, estimate, acc):
 def _truth_accuracy(labels, n1):
     if n1 is None:
         return None
-    truth = np.repeat([1, 2], [n1, labels.size - n1])
-    return detect.accuracy(truth, labels)
+    return detect.accuracy(graphgen.block_labels(labels.size, n1), labels)
 
 
 def _cmd_detect_single(args):

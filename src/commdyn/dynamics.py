@@ -2,14 +2,17 @@
 
 The model is dx/dt = -d*x + u*S(alpha*x + gamma*A*x) + b with an odd
 saturating S (unit slope at 0, range (-1, 1)).
+
+The ODE solver class RK45 is loaded from scipy.integrate on first use (see
+__getattr__), so a run whose equilibria all come from the seeded start never
+imports scipy.integrate or the scipy.optimize it pulls in.
 """
 
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.integrate import RK45
-from scipy.optimize import brentq  # already imported by scipy.integrate
 from scipy.sparse.linalg import LinearOperator, minres
 from scipy.special import erf, erfinv
 
@@ -41,9 +44,12 @@ _MAX_OVERSHOOT = 3.0
 # _is_stable).
 _LOOSE_EIG_TOL = 1e-4
 
-# The branch seed's root search brackets c in [_SEED_BRACKET_LOW, 1] times
-# its upper bound u*sqrt(n)/d (see _branch_seed).
-_SEED_BRACKET_LOW = 1e-9
+# The branch seed's amplitude c lies in (0, 1] times u*sqrt(n)/d; a root below
+# _SEED_LOW times that bound gives no seed. Newton on c stops once its step is
+# at most _SEED_XTOL + _SEED_RTOL * c (see _branch_seed).
+_SEED_LOW = 1e-9
+_SEED_XTOL = 2e-12
+_SEED_RTOL = 4.0 * np.finfo(float).eps
 
 # Every equilibrium solve runs RK45 over at most [0, T_MAX] model time from a
 # first step of FIRST_STEP, at absolute tolerance ATOL. The integrator cannot
@@ -435,7 +441,10 @@ def _stacked_equilibria(x0, params: ModelParams, graph: Graph, b,
         return _guarded_polish(states[:, k], params, graph,
                                None if b is None else b[:, k], controls)
 
-    solver = RK45(lambda _t, y: rhs(y.reshape(n, m), params, graph, b).ravel(), 0.0,
+    # read from the module per call: the first read imports scipy.integrate
+    # (see __getattr__), and a class set on the module in its place is used
+    rk45 = sys.modules[__name__].RK45
+    solver = rk45(lambda _t, y: rhs(y.reshape(n, m), params, graph, b).ravel(), 0.0,
                   x0.ravel(), t_bound=T_MAX, rtol=controls.rtol,
                   atol=ATOL, first_step=FIRST_STEP)
     # RK45 keeps the field at solver.y in solver.f: the residuals cost no rhs call
@@ -467,11 +476,15 @@ def _stacked_equilibria(x0, params: ModelParams, graph: Graph, b,
 def _branch_seed(params: ModelParams, graph: Graph):
     """(c, w): the bifurcated branch's projected amplitude c > 0 and the
     extreme eigenvector w of A on the gamma side, or None when the origin is
-    stable (-d + u*mu <= 0, mu = alpha + gamma*lambda).
+    stable (-d + u*mu <= 0, mu = alpha + gamma*lambda) or the root is below
+    _SEED_LOW times its bound.
 
     c is the positive root of g(c) = -d*c + u*w.S(c*mu*w), the fixed point
     projected on w. g'(0) = -d + u*mu > 0, and |w.S| <= ||w||_1 <= sqrt(n)
-    puts the root at or below u*sqrt(n)/d.
+    puts the root at or below high = u*sqrt(n)/d, where g(high) <= 0. S is
+    odd and concave on [0, inf), so each term w_i*S(c*mu*w_i) =
+    |w_i|*S(c*mu*|w_i|) and with it g are concave for c >= 0: Newton from
+    high falls monotonically to the root, never below it.
     """
     value, w = graph.extreme_eigenpair("LA" if params.gamma > 0 else "SA")
     mu = params.alpha + params.gamma * value
@@ -482,11 +495,19 @@ def _branch_seed(params: ModelParams, graph: Graph):
         return -params.d * c + params.u * float(w @ saturation_eval(params.saturation,
                                                                     c * mu * w))
 
-    high = params.u * np.sqrt(w.size) / params.d
-    low = _SEED_BRACKET_LOW * high
-    if projected(low) <= 0.0:  # so close to threshold that the root is below low
+    c = params.u * np.sqrt(w.size) / params.d
+    if projected(_SEED_LOW * c) <= 0.0:  # so close to threshold that the root is below that
         return None
-    return brentq(projected, low, high), w
+    while (residual := projected(c)) < 0.0:  # >= 0: at the root, or past it by rounding
+        slope = -params.d + params.u * mu * float(
+            (w * w) @ saturation_deriv(params.saturation, c * mu * w))
+        if not slope < 0.0:  # g' < 0 above the root; >= 0 only by rounding at it
+            break
+        step = residual / slope
+        c -= step
+        if step <= _SEED_XTOL + _SEED_RTOL * c:
+            break
+    return c, w
 
 
 def _seeded_equilibrium(x0, params: ModelParams, graph: Graph,
@@ -552,3 +573,12 @@ def equilibria_for_inputs(graph: Graph, params: ModelParams, inputs,
         raise ValueError("inputs must be an (n, m) matrix")
     return _stacked_equilibria(np.zeros(inputs.shape), params, graph, inputs, controls)
 
+
+def __getattr__(name):
+    """RK45, imported from scipy.integrate on the first read (PEP 562) and
+    kept as the module attribute from then on."""
+    if name == "RK45":
+        from scipy.integrate import RK45
+        globals()[name] = RK45
+        return RK45
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -53,7 +53,7 @@ class SbmParams:
         return self.n1 == self.n2 and self.l11 == self.l22
 
     def labels(self):
-        return np.repeat(np.array([1, 2]), [self.n1, self.n2])
+        return block_labels(self.n, self.n1)
 
 
 class CsrAdjacency(sparse.csr_array):
@@ -235,6 +235,14 @@ def check_assumptions(params: SbmParams) -> AssumptionReport:
     return AssumptionReport(connectivity_ok, applies, ssbm_ok, threshold)
 
 
+def block_labels(n: int, n1: int) -> np.ndarray:
+    """Label 1 for agents 0..n1-1 and 2 for the rest of the n. Raises
+    ValueError when n1 is outside 0..n."""
+    if not 0 <= n1 <= n:
+        raise ValueError(f"n1={n1} is outside 0..n for n={n}")
+    return np.repeat(np.array([1, 2]), [n1, n - n1])
+
+
 def write_edge_list(graph: Graph, path) -> None:
     """Write `# n=<n> n1=<n1>` then one `i j` line per edge, 0-indexed, i < j."""
     rows, cols = graph.adjacency.nonzero()
@@ -251,7 +259,8 @@ def read_edge_list(path) -> Graph:
         if not header.startswith("# n=") or " n1=" not in header:
             raise ValueError("missing edge-list header")
         fields = dict(part.split("=") for part in header[2:].split())
-        n, n1 = int(fields["n"]), int(fields["n1"])
+        n = int(fields["n"])
+        labels = block_labels(n, int(fields["n1"]))
         edges = set()
         for line in fh:
             line = line.strip()
@@ -263,5 +272,4 @@ def read_edge_list(path) -> Graph:
             edges.add((i, j))
     # a set, not a list: COO assembly would sum a repeated line to weight 2
     pairs = np.array(sorted(edges), dtype=int).reshape(-1, 2)
-    labels = np.repeat(np.array([1, 2]), [n1, n - n1])
     return _from_upper(n, pairs[:, 0], pairs[:, 1], labels)

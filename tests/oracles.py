@@ -11,12 +11,16 @@ Model ones, which need a sampled graph or the ground truth and so have no
 place in a detection run: the bifurcation threshold of a given matrix, the
 equilibrium's amplitude along the top eigenvector, and the fixed-point
 residuals of input-equilibrium pairs.
+
+The seeded start's amplitude by bracketing: scipy's brentq on the projected
+fixed point, which the package solves by Newton without scipy.optimize.
 """
 
 import numpy as np
 from scipy import sparse
+from scipy.optimize import brentq
 
-from commdyn.dynamics import Equilibrium, ModelParams, rhs
+from commdyn.dynamics import Equilibrium, ModelParams, rhs, saturation_eval
 from commdyn.errors import ZeroGap
 from commdyn.graphgen import Graph, SbmParams
 from commdyn.spectral import extreme_eigpairs, sym_eig
@@ -103,3 +107,20 @@ def fixed_point_residuals(pairs, graph: Graph) -> np.ndarray:
     """Per-column sup-norm of the fixed-point equation of a detect.PairSet;
     needs the ground-truth graph, so it is a test-time consistency check."""
     return np.abs(rhs(pairs.X, pairs.params, graph, pairs.B)).max(axis=0)
+
+
+def projected_fixed_point(params: ModelParams, graph: Graph, c: float) -> float:
+    """g(c) = -d*c + u*w.S(c*mu*w): the fixed-point equation along the
+    extreme eigenvector w of A on the gamma side, mu = alpha + gamma*lambda."""
+    value, w = graph.extreme_eigenpair("LA" if params.gamma > 0 else "SA")
+    mu = params.alpha + params.gamma * value
+    return -params.d * c + params.u * float(w @ saturation_eval(params.saturation, c * mu * w))
+
+
+def branch_amplitude(params: ModelParams, graph: Graph) -> float:
+    """The positive root of projected_fixed_point, by brentq to machine
+    precision on [1e-9, 1] times its bound u*sqrt(n)/d (the origin must be
+    unstable and the root above the bracket's low end)."""
+    high = params.u * np.sqrt(graph.n) / params.d
+    return brentq(lambda c: projected_fixed_point(params, graph, c), 1e-9 * high, high,
+                  xtol=np.finfo(float).tiny)

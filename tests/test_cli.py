@@ -235,6 +235,39 @@ def test_bad_input_file_is_an_error_not_a_traceback(argv, tmp_path, monkeypatch,
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+N1_OUT_OF_RANGE_CASES = {
+    "edge-list-n1-above-n": (["simulate", "--graph", "graph.txt", "--gamma", "0.1",
+                              "--u", "0.5", "--out", "eq.csv"], "n1=7", "n=4"),
+    "edge-list-negative-n1": (["simulate", "--graph", "graph_neg.txt", "--gamma", "0.1",
+                               "--u", "0.5", "--out", "eq.csv"], "n1=-1", "n=4"),
+    "detect-single-n1-above-n": (["detect-single", "--states", "states.csv", "--n1", "9",
+                                  "--out", "est.csv"], "n1=9", "n=4"),
+    "detect-single-negative-n1": (["detect-single", "--states", "states.csv", "--n1", "-2",
+                                   "--out", "est.csv"], "n1=-2", "n=4"),
+    "detect-multi-negative-n1": (["detect-multi", "--states", "states.csv", "--inputs",
+                                  "inputs.csv", "--u", "0.5", "--gamma", "0.1", "--n1", "-1",
+                                  "--out", "est.csv"], "n1=-1", "n=4"),
+}
+
+
+@pytest.mark.parametrize("argv, n1_text, n_text", N1_OUT_OF_RANGE_CASES.values(),
+                         ids=N1_OUT_OF_RANGE_CASES.keys())
+def test_out_of_range_n1_is_an_error_naming_n1_and_n(argv, n1_text, n_text, tmp_path,
+                                                      monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "graph.txt").write_text("# n=4 n1=7\n0 1\n1 2\n2 3\n")
+    (tmp_path / "graph_neg.txt").write_text("# n=4 n1=-1\n0 1\n1 2\n2 3\n")
+    states = np.array([[0.1, -0.2, 0.3, -0.1], [0.2, -0.1, 0.1, -0.3],
+                       [-0.1, 0.1, 0.2, -0.2], [0.3, 0.2, -0.1, 0.1]])
+    write_equilibria_csv("states.csv", [Equilibrium(x, 1e-13, True, 1.0) for x in states])
+    np.savetxt("inputs.csv", 0.5 * states, delimiter=",")  # one row per pair
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert n1_text in err and n_text in err
+    assert not (tmp_path / "eq.csv").exists() and not (tmp_path / "est.csv").exists()
+
+
 _THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -251,3 +284,23 @@ def test_cli_pins_blas_threads_unless_set():
         done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                               text=True, check=True, timeout=120)
         assert done.stdout.strip() == expected
+
+
+def test_cli_import_leaves_the_ode_solver_for_the_first_ode_solve():
+    """`import commdyn.cli` loads neither scipy.optimize nor scipy.integrate;
+    the first ODE solve imports scipy.integrate and keeps its RK45 as the
+    module attribute dynamics.RK45."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    probe = (
+        "import sys, numpy as np, commdyn.cli\n"
+        "from commdyn import dynamics, graphgen\n"
+        "bad = {'scipy.optimize', 'scipy.integrate'} & set(sys.modules)\n"
+        "assert not bad, f'loaded at import: {sorted(bad)}'\n"
+        "g = graphgen.sample_sbm(graphgen.SbmParams(10, 10, 0.6, 0.2, 0.6), 4)\n"
+        "dynamics.equilibria_for_inputs(g, dynamics.ModelParams(1.0, 0.5, 1.0, 0.1),\n"
+        "                               np.ones((20, 1)))\n"
+        "import scipy.integrate\n"
+        "assert vars(dynamics)['RK45'] is dynamics.RK45 is scipy.integrate.RK45\n")
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

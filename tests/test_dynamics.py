@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from commdyn import dynamics, spectral
 from commdyn.cli import read_equilibria_csv, write_equilibria_csv
@@ -11,7 +12,8 @@ from commdyn.dynamics import (DENSE_NEWTON_MAX_N, Equilibrium, IntegrationContro
 from commdyn.errors import DomainError, SingularJacobian
 from commdyn.graphgen import Graph, SbmParams, is_connected, max_expected_degree, sample_sbm
 from commdyn.spectral import extreme_eigpairs
-from oracles import bifurcation_threshold, fixed_point_residuals
+from oracles import (bifurcation_threshold, branch_amplitude, fixed_point_residuals,
+                     projected_fixed_point)
 
 ALL_KINDS = list(Saturation)
 
@@ -726,6 +728,63 @@ def test_seeded_start_agrees_with_ode_path(graph_fixture, sign, kind, request):
     assert seeded.residual_inf <= IntegrationControls().steady_tol
     assert np.abs(seeded.state - ode.state).max() <= 1e-8
     assert np.array_equal(detect_single(seeded).labels, detect_single(ode).labels)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("graph_fixture", ["dense_newton_graph", "krylov_graph"])
+def test_branch_seed_amplitude_is_the_bracketed_root(graph_fixture, sign, kind, request):
+    p, g = request.getfixturevalue(graph_fixture)
+    m = _model_above_threshold(p, g, sign, kind, 0.02)
+    c, _ = dynamics._branch_seed(m, g)
+    reference = branch_amplitude(m, g)
+    assert abs(c - reference) <= 1e-12 * reference
+    # the terms -d*c and u*w.S are each about d*c at the root
+    assert abs(projected_fixed_point(m, g, c)) <= 8.0 * np.finfo(float).eps * m.d * c
+
+
+def test_branch_seed_root_below_its_floor_gives_no_seed(dense_newton_graph):
+    """Just above threshold the root is about 1e-3 times the floor
+    _SEED_LOW * u*sqrt(n)/d: the origin is unstable, yet no seed."""
+    p, g = dense_newton_graph
+    m = _model_above_threshold(p, g, 1, Saturation.ALG_ABS, 0.0)
+    mu = m.alpha + m.gamma * g.extreme_eigenpair("LA")[0]
+    m = ModelParams(m.d, m.d / mu * (1.0 + 1e-12), m.alpha, m.gamma, m.saturation)
+    assert -m.d + m.u * mu > 0.0
+    assert dynamics._branch_seed(m, g) is None
+
+
+def test_branch_seed_at_an_exact_root_takes_no_newton_step(monkeypatch):
+    """On K4 with its exact top pair (3, 1/2), tanh rounds to 1 at the start
+    c = u*sqrt(n)/d = 20, where g is then exactly 0: c is returned as is."""
+    g = Graph(sparse.csr_array(np.ones((4, 4)) - np.eye(4)), np.array([1, 1, 2, 2]))
+    monkeypatch.setattr(g, "extreme_eigenpair", lambda which: (3.0, np.full(4, 0.5)))
+    m = ModelParams(1.0, 10.0, 0.0, 1.0)
+    assert projected_fixed_point(m, g, 20.0) == 0.0
+
+    def no_slope(kind, z):
+        raise AssertionError("Newton step taken at an exact root")
+
+    monkeypatch.setattr(dynamics, "saturation_deriv", no_slope)
+    c, w = dynamics._branch_seed(m, g)
+    assert c == 20.0 and np.array_equal(w, np.full(4, 0.5))
+
+
+def test_ode_solve_builds_the_rk45_set_on_the_module(small_graph, monkeypatch):
+    """_stacked_equilibria reads dynamics.RK45 per call, so a subclass set on
+    the module in its place is the solver an ODE solve builds."""
+    built = []
+
+    class Recording(dynamics.RK45):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(dynamics, "RK45", Recording)
+    p, g = small_graph
+    m = _model_above_threshold(p, g, 1, Saturation.TANH, 0.05)
+    assert _ode_path(_small_start(g, 45), m, g).converged
+    assert len(built) == 1 and type(built[0]) is Recording
 
 
 @pytest.mark.parametrize("graph_fixture", ["dense_newton_graph", "krylov_graph"])
