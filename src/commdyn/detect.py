@@ -9,7 +9,7 @@ import numpy as np
 
 from .dynamics import NEUTRAL_TOL, Equilibrium, ModelParams, saturation_inverse
 from .errors import DomainError, LengthMismatch, NeutralState
-from .spectral import kmeans_two_1d, least_squares_min_norm, sym_eig
+from .spectral import kmeans_two_1d, sym_eig
 
 
 class DetectionMethod(str, Enum):
@@ -76,16 +76,17 @@ def invert_pairs(pairs: PairSet) -> np.ndarray:
 
 
 def estimate_adjacency(X, Y) -> np.ndarray:
-    """Least-squares adjacency estimate Y @ pinv(X), symmetrized."""
-    a_tilde = least_squares_min_norm(np.asarray(Y, dtype=float), np.asarray(X, dtype=float))
+    """Minimum-norm least-squares adjacency estimate Y @ pinv(X), symmetrized.
+    Singular values of X below max(X.shape) * eps * sigma_max count as zero."""
+    X = np.asarray(X, dtype=float)
+    rcond = max(X.shape) * np.finfo(float).eps
+    a_tilde = np.asarray(Y, dtype=float) @ np.linalg.pinv(X, rcond=rcond)
     return (a_tilde + a_tilde.T) / 2.0
 
 
 def _cluster_second_eigenvector(matrix, method: DetectionMethod) -> CommunityEstimate:
-    pairs = sym_eig(matrix)
-    values = pairs.values
-    v = pairs.vectors[:, -2]
-    km = kmeans_two_1d(v)
+    values, vectors = sym_eig(matrix)
+    km = kmeans_two_1d(vectors[:, -2])
     top3 = [float(x) for x in values[::-1][:3]]
     diagnostics = {
         "centers": km.centers,

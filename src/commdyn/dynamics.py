@@ -394,14 +394,13 @@ def _is_stable(x, params: ModelParams, graph: Graph) -> bool:
         if np.all(jac.matvec(np.abs(x)) < 0.0):
             return True
     operator = jac.symmetrized()
-    loose = extreme_eigpairs(operator, "LA", tol=_LOOSE_EIG_TOL)
-    theta, v = loose.values[0], loose.vectors[:, 0]
+    theta, v = extreme_eigpairs(operator, "LA", tol=_LOOSE_EIG_TOL)
     bound = float(np.linalg.norm(operator.matvec(v) - theta * v))
     if theta + bound < 0.0:
         return True
     if theta - bound > 0.0:
         return False
-    return bool(extreme_eigpairs(operator, "LA").values[0] < 0.0)
+    return bool(extreme_eigpairs(operator, "LA")[0] < 0.0)
 
 
 def _guarded_polish(x, params, graph, b, controls):

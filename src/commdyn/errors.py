@@ -5,10 +5,6 @@ class CommdynError(Exception):
     """Base class for all commdyn errors."""
 
 
-class NotSymmetric(CommdynError):
-    """Matrix handed to the symmetric eigensolver is not symmetric."""
-
-
 class DomainError(CommdynError):
     """Value outside the invertible range of a saturation function."""
 

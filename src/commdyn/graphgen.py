@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import aslinearoperator
 
 from .spectral import extreme_eigpairs
 
@@ -110,17 +109,15 @@ class Graph:
         """(value, unit vector) of the adjacency's extreme eigenpair on the
         `which` side ("LA" largest, "SA" smallest, "LM" largest magnitude).
 
-        The first call for a `which` runs spectral.extreme_eigpairs (the
-        adjacency was checked symmetric on construction, so it goes in as a
-        LinearOperator); later calls return the same pair. The vector is
-        read-only, as every caller shares it.
+        The first call for a `which` runs spectral.extreme_eigpairs on the
+        CSR adjacency (checked symmetric on construction); later calls return
+        the same pair. The vector is read-only, as every caller shares it.
         """
         pair = self._eigenpairs.get(which)
         if pair is None:
-            pairs = extreme_eigpairs(aslinearoperator(self.adjacency), which)
-            vector = pairs.vectors[:, 0]
+            value, vector = extreme_eigpairs(self.adjacency, which)
             vector.flags.writeable = False
-            pair = self._eigenpairs[which] = (pairs.values[0], vector)
+            pair = self._eigenpairs[which] = (value, vector)
         return pair
 
 
@@ -206,33 +203,19 @@ def is_connected(graph: Graph) -> bool:
     return connected_components(graph.adjacency, directed=False, return_labels=False) == 1
 
 
-@dataclass(frozen=True)
-class AssumptionReport:
-    """Advisory report on the finite-n surrogates of the asymptotic assumptions."""
-
-    connectivity_ok: bool
-    ssbm_condition_applies: bool
-    ssbm_condition_ok: bool
-    connectivity_threshold: float
-
-
-def check_assumptions(params: SbmParams) -> AssumptionReport:
-    """Check the link-probability growth conditions with unit surrogate
-    constants: every l >= log(n)/n, and for an assortative SSBM also
-    l12 >= sqrt(l11*log(n)).
+def check_assumptions(params: SbmParams) -> bool:
+    """True when the link probabilities meet the growth conditions with unit
+    surrogate constants: every l >= log(n)/n, and for an assortative SSBM
+    also l12 >= sqrt(l11*log(n)).
 
     The conditions are asymptotic; at finite n these checks are heuristic and
-    purely advisory. The extra condition only applies to an assortative SSBM.
+    purely advisory.
     """
-    n = params.n
-    threshold = math.log(n) / n
-    connectivity_ok = all(p >= threshold for p in (params.l11, params.l12, params.l22))
-    applies = params.is_symmetric() and params.l11 > params.l12
-    if applies:
-        ssbm_ok = params.l12 >= math.sqrt(params.l11 * math.log(n))
-    else:
-        ssbm_ok = True
-    return AssumptionReport(connectivity_ok, applies, ssbm_ok, threshold)
+    log_n = math.log(params.n)
+    if any(p < log_n / params.n for p in (params.l11, params.l12, params.l22)):
+        return False
+    assortative_ssbm = params.is_symmetric() and params.l11 > params.l12
+    return not assortative_ssbm or params.l12 >= math.sqrt(params.l11 * log_n)
 
 
 def block_labels(n: int, n1: int) -> np.ndarray:
@@ -254,21 +237,32 @@ def write_edge_list(graph: Graph, path) -> None:
 
 
 def read_edge_list(path) -> Graph:
+    """Read write_edge_list's format. A malformed line is a ValueError naming
+    `path:line` and, in the header, the field."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if not header.startswith("# n=") or " n1=" not in header:
-            raise ValueError("missing edge-list header")
-        fields = dict(part.split("=") for part in header[2:].split())
-        n = int(fields["n"])
-        labels = block_labels(n, int(fields["n1"]))
+            raise ValueError(f"{path}:1: missing edge-list header '# n=<n> n1=<n1>'")
+        fields = {}
+        for part in header[2:].split():
+            key, _, value = part.partition("=")
+            try:
+                fields[key] = int(value)
+            except ValueError:
+                raise ValueError(f"{path}:1: header field {part!r} is not key=<integer>") from None
+        n = fields["n"]
+        labels = block_labels(n, fields["n1"])
         edges = set()
-        for line in fh:
+        for lineno, line in enumerate(fh, 2):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            i, j = (int(tok) for tok in line.split())
+            try:
+                i, j = map(int, line.split())
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: {line!r} is not an edge 'i j'") from None
             if not 0 <= i < j < n:
-                raise ValueError(f"bad edge {i} {j}")
+                raise ValueError(f"{path}:{lineno}: bad edge {i} {j}")
             edges.add((i, j))
     # a set, not a list: COO assembly would sum a repeated line to weight 2
     pairs = np.array(sorted(edges), dtype=int).reshape(-1, 2)

@@ -459,8 +459,6 @@ def _format_cell(value):
         return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
-    if isinstance(value, Enum):
-        return value.value
     return str(value)
 
 

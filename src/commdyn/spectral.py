@@ -1,39 +1,15 @@
-"""Numerical kernels: symmetric eigendecomposition (full and extreme pairs),
-minimum-norm least squares, and exact two-cluster k-means on the line."""
+"""Numerical kernels: symmetric eigendecomposition (full and extreme pairs)
+and exact two-cluster k-means on the line."""
 
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
-
-from .errors import NotSymmetric
+from scipy.sparse.linalg import ArpackError, eigsh
 
 # Fixed seed of the ARPACK start vector: eigsh's default start is random, and
 # a seeded one makes extreme_eigpairs bit-reproducible across processes.
 _V0_SEED = 0
-
-
-@dataclass
-class EigenPairs:
-    """Eigenvalues sorted ascending; column j of `vectors` belongs to values[j].
-
-    Columns are unit norm with a fixed sign: the entry of largest magnitude
-    (lowest index on ties) is positive.
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-
-def _check_symmetric(a) -> None:
-    """Raise NotSymmetric unless `a` (dense or scipy.sparse) is square and
-    symmetric within 1e-12 of its largest entry."""
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-        raise NotSymmetric("expected a square matrix")
-    scale = max(1.0, float(abs(a).max()))
-    if float(abs(a - a.T).max()) > 1e-12 * scale:
-        raise NotSymmetric("matrix is not symmetric within 1e-12")
 
 
 def _fix_signs(vectors) -> np.ndarray:
@@ -46,27 +22,27 @@ def _fix_signs(vectors) -> np.ndarray:
     return vectors
 
 
-def sym_eig(matrix) -> EigenPairs:
-    """Full eigendecomposition of a symmetric real matrix (dense or
-    scipy.sparse; a sparse input is densified)."""
+def sym_eig(matrix):
+    """(values, vectors) of a symmetric real matrix, as np.linalg.eigh gives
+    them: values ascending, column j of `vectors` for values[j]. A sparse
+    input is densified. Columns are unit norm with a fixed sign: the entry of
+    largest magnitude (lowest index on ties) is positive. Only the lower
+    triangle is read, so the caller supplies a symmetric matrix."""
     a = matrix.toarray() if sparse.issparse(matrix) else np.asarray(matrix, dtype=float)
-    _check_symmetric(a)
     values, vectors = np.linalg.eigh(a)
-    return EigenPairs(values=values, vectors=_fix_signs(vectors))
+    return values, _fix_signs(vectors)
 
 
-def extreme_eigpairs(matrix, which: str = "LA", tol: float = 0.0) -> EigenPairs:
-    """The extreme eigenpair of a symmetric real operator, by ARPACK.
+def extreme_eigpairs(matrix, which: str = "LA", tol: float = 0.0):
+    """(value, unit vector) of the extreme eigenpair of a symmetric real
+    operator, by ARPACK.
 
-    `matrix` is a dense array, a scipy.sparse array or a LinearOperator (the
-    last is trusted to be symmetric). A Graph's adjacency, checked
-    symmetric when the Graph was built, goes in through
-    Graph.extreme_eigenpair as a LinearOperator: the check on a sparse
-    matrix copies it about three times. `which` is "LA" (largest value),
-    "SA" (smallest value) or "LM" (largest magnitude). It comes as a
-    one-column EigenPairs with sym_eig's sign convention. ARPACK starts from
-    a fixed seeded vector, so repeated calls are bit-identical. `tol` is
-    ARPACK's relative accuracy of the Ritz value; 0 asks for machine
+    `matrix` is a dense array, a scipy.sparse array or a LinearOperator, and
+    is trusted to be symmetric: the program builds every operator it passes
+    symmetric. `which` is "LA" (largest value), "SA" (smallest value) or "LM"
+    (largest magnitude). The vector has sym_eig's sign convention. ARPACK
+    starts from a fixed seeded vector, so repeated calls are bit-identical.
+    `tol` is ARPACK's relative accuracy of the Ritz value; 0 asks for machine
     precision.
 
     A dense solve replaces ARPACK where ARPACK cannot run as a partial
@@ -76,10 +52,6 @@ def extreme_eigpairs(matrix, which: str = "LA", tol: float = 0.0) -> EigenPairs:
     """
     if which not in ("LA", "SA", "LM"):
         raise ValueError(f"unknown which={which!r}")
-    if not isinstance(matrix, LinearOperator):
-        if not sparse.issparse(matrix):
-            matrix = np.asarray(matrix, dtype=float)
-        _check_symmetric(matrix)
     n = matrix.shape[0]
     if n > 20:
         v0 = np.random.Generator(np.random.Philox(_V0_SEED)).uniform(-1.0, 1.0, n)
@@ -88,29 +60,11 @@ def extreme_eigpairs(matrix, which: str = "LA", tol: float = 0.0) -> EigenPairs:
         except ArpackError:
             pass
         else:
-            return EigenPairs(values, _fix_signs(vectors))
-    if isinstance(matrix, LinearOperator):
-        matrix = matrix @ np.eye(n)
-    full = sym_eig(matrix)
-    last_largest = int(np.argsort(np.abs(full.values), kind="stable")[-1])
+            return values[0], _fix_signs(vectors)[:, 0]
+    values, vectors = sym_eig(matrix @ np.eye(n))
+    last_largest = int(np.argsort(np.abs(values), kind="stable")[-1])
     keep = {"LA": n - 1, "SA": 0, "LM": last_largest}[which]
-    return EigenPairs(full.values[keep:keep + 1], full.vectors[:, keep:keep + 1])
-
-
-def least_squares_min_norm(y, x) -> np.ndarray:
-    """Minimum-norm least-squares factor: y @ pinv(x).
-
-    Singular values of x below max(n, m) * eps * sigma_max are truncated, so
-    rank-deficient inputs are handled without error (pinv(0) = 0).
-    """
-    y = np.asarray(y, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if y.shape != x.shape:
-        raise ValueError("y and x must have matching shapes")
-    if x.ndim != 2 or x.shape[1] < 1:
-        raise ValueError("need at least one column")
-    rcond = max(x.shape) * np.finfo(float).eps
-    return y @ np.linalg.pinv(x, rcond=rcond)
+    return values[keep], vectors[:, keep]
 
 
 @dataclass

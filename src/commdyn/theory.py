@@ -109,7 +109,7 @@ def _deviation_norm(graph: Graph, params: SbmParams) -> float:
         return adjacency @ x - (block - diag * x)
 
     deviation = LinearOperator((graph.n, graph.n), matvec=matvec, dtype=float)
-    return float(abs(extreme_eigpairs(deviation, "LM", tol=_DEVIATION_EIG_TOL).values[0]))
+    return float(abs(extreme_eigpairs(deviation, "LM", tol=_DEVIATION_EIG_TOL)[0]))
 
 
 def _expected_top(params: SbmParams):

@@ -62,18 +62,18 @@ def dense_expected_top(params: SbmParams):
     """(delta, w_bar) from a full eigendecomposition of the dense E{A}: the gap
     below its top eigenvalue and the top eigenvector. Raises ZeroGap when the
     computed gap is exactly 0."""
-    pairs = sym_eig(expected_adjacency(params))
-    delta = float(pairs.values[-1] - pairs.values[-2])
+    values, vectors = sym_eig(expected_adjacency(params))
+    delta = float(values[-1] - values[-2])
     if delta == 0.0:
         raise ZeroGap("expected matrix has a degenerate top eigenvalue")
-    return delta, pairs.vectors[:, -1]
+    return delta, vectors[:, -1]
 
 
 def dense_davis_kahan(graph: Graph, params: SbmParams):
     """(lhs, rhs, delta) of the Davis-Kahan check with E{A} built densely and
     ||A - E{A}||_2 taken from the dense difference."""
     delta, w_bar = dense_expected_top(params)
-    w = extreme_eigpairs(graph.adjacency, "LA").vectors[:, 0]
+    _, w = extreme_eigpairs(graph.adjacency, "LA")
     lhs = min(float(np.linalg.norm(w - w_bar)), float(np.linalg.norm(w + w_bar)))
     deviation = float(np.abs(np.linalg.eigvalsh(graph.adjacency.toarray()
                                                 - expected_adjacency(params))).max())
@@ -88,7 +88,7 @@ def bifurcation_threshold(matrix, params: ModelParams) -> float:
     for gamma < 0; works for both a sampled adjacency and an expected matrix.
     Raises ValueError when the denominator is not positive.
     """
-    extreme = extreme_eigpairs(matrix, "LA" if params.gamma > 0 else "SA").values[0]
+    extreme, _ = extreme_eigpairs(matrix, "LA" if params.gamma > 0 else "SA")
     denom = params.alpha + params.gamma * extreme
     if denom <= 0:
         raise ValueError(f"alpha + gamma*lambda = {denom} is not positive")

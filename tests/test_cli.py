@@ -268,6 +268,28 @@ def test_out_of_range_n1_is_an_error_naming_n1_and_n(argv, n1_text, n_text, tmp_
     assert not (tmp_path / "eq.csv").exists() and not (tmp_path / "est.csv").exists()
 
 
+MALFORMED_EDGE_LISTS = {
+    "header-field-without-equals": ("# n=4 n1=2 x\n0 1\n", "graph.txt:1:", "'x'"),
+    "header-field-not-an-integer": ("# n=4 n1=two\n0 1\n", "graph.txt:1:", "'n1=two'"),
+    "edge-agent-not-an-integer": ("# n=4 n1=2\n0 1\n0 a\n", "graph.txt:3:", "'0 a'"),
+    "edge-with-three-agents": ("# n=4 n1=2\n0 1\n\n0 1 2\n", "graph.txt:4:", "'0 1 2'"),
+}
+
+
+@pytest.mark.parametrize("text, line, field", MALFORMED_EDGE_LISTS.values(),
+                         ids=MALFORMED_EDGE_LISTS.keys())
+def test_malformed_edge_list_is_an_error_naming_the_line(text, line, field, tmp_path,
+                                                         monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "graph.txt").write_text(text)
+    assert main(["simulate", "--graph", "graph.txt", "--gamma", "0.1", "--u", "0.5",
+                 "--out", "eq.csv"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert line in err and field in err
+    assert not (tmp_path / "eq.csv").exists()
+
+
 _THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 

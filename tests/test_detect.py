@@ -112,6 +112,23 @@ def test_estimate_adjacency_exact_square_case():
     assert np.array_equal(a_hat, a_hat.T)
 
 
+def test_estimate_adjacency_exact_inverse_case():
+    rng = np.random.Generator(np.random.Philox(2))
+    a = rng.standard_normal((6, 6))
+    x = rng.standard_normal((6, 6)) + 3 * np.eye(6)
+    estimate = estimate_adjacency(x, a @ x)
+    assert np.abs(estimate - (a + a.T) / 2).max() < 1e-10
+
+
+def test_estimate_adjacency_wide_pairs():
+    rng = np.random.Generator(np.random.Philox(4))
+    a = rng.standard_normal((8, 8))
+    x = rng.standard_normal((8, 12))  # full row rank w.p. 1
+    y = a @ x
+    estimate = estimate_adjacency(x, y)
+    assert np.linalg.norm(estimate @ x - (a + a.T) / 2 @ x) <= 1e-8 * np.linalg.norm(y)
+
+
 def test_estimate_adjacency_zero_targets():
     rng = np.random.Generator(np.random.Philox(33))
     x = rng.standard_normal((5, 3))

@@ -582,7 +582,7 @@ def _counting_eigsh(monkeypatch):
 
 
 def _tight_lambda_max(x, m, g):
-    return extreme_eigpairs(dynamics._linearize(x, m, g).symmetrized(), "LA").values[0]
+    return extreme_eigpairs(dynamics._linearize(x, m, g).symmetrized(), "LA")[0]
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
@@ -648,8 +648,8 @@ def test_inconclusive_loose_solve_falls_back_to_the_tight_one(krylov_graph, offs
 
     def inconclusive(operator, which, tol=0.0):
         tols.append(tol)
-        pairs = solve(operator, which, tol=tol)
-        return spectral.EigenPairs(np.array([theta]), pairs.vectors) if tol else pairs
+        value, vector = solve(operator, which, tol=tol)
+        return (theta, vector) if tol else (value, vector)
 
     monkeypatch.setattr(dynamics, "extreme_eigpairs", inconclusive)
     assert dynamics._is_stable(x, m, g) == stable

@@ -122,13 +122,13 @@ def test_is_connected():
 
 
 def test_check_assumptions():
-    ok = check_assumptions(SbmParams.ssbm(500, 0.3, 0.3))
-    assert ok.connectivity_ok
-    bad = check_assumptions(SbmParams.ssbm(500, 0.001, 0.001))
-    assert not bad.connectivity_ok
-    # disassortative SSBM: the extra condition is vacuous
-    dis = check_assumptions(SbmParams.ssbm(100, 0.005, 0.03))
-    assert not dis.ssbm_condition_applies and dis.ssbm_condition_ok
+    assert check_assumptions(SbmParams.ssbm(500, 0.3, 0.3))
+    # 0.001 < log(500)/500
+    assert not check_assumptions(SbmParams.ssbm(500, 0.001, 0.001))
+    # assortative SSBM: connected, but l12 < sqrt(l11 * log n)
+    assert not check_assumptions(SbmParams.ssbm(500, 0.3, 0.05))
+    # disassortative SSBM: the extra condition does not apply
+    assert check_assumptions(SbmParams.ssbm(500, 0.05, 0.3))
 
 
 def test_graph_validation():
