@@ -5,7 +5,9 @@ saturating S (unit slope at 0, range (-1, 1)).
 
 The ODE solver class RK45 is loaded from scipy.integrate on first use (see
 __getattr__), so a run whose equilibria all come from the seeded start never
-imports scipy.integrate or the scipy.optimize it pulls in.
+imports scipy.integrate or the scipy.optimize it pulls in. Likewise
+scipy.special is imported by the first evaluation of the erf saturation (see
+_erf), unless an ODE solve has already loaded it with scipy.integrate.
 """
 
 import sys
@@ -14,7 +16,6 @@ from enum import Enum
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, minres
-from scipy.special import erf, erfinv
 
 from .errors import DomainError, SingularJacobian
 from .graphgen import Graph
@@ -79,6 +80,16 @@ def _tanh_deriv(z):
     return 1.0 - t * t
 
 
+def _erf(z):
+    from scipy.special import erf
+    return erf(_ERF_SCALE * z)
+
+
+def _erf_inverse(y):
+    from scipy.special import erfinv
+    return erfinv(y) / _ERF_SCALE
+
+
 # (S, S', S^-1) of each family; S^-1 is only called on the open range (-1, 1).
 _FAMILIES = {
     Saturation.TANH: (np.tanh, _tanh_deriv, np.arctanh),
@@ -88,9 +99,7 @@ _FAMILIES = {
     Saturation.ALG_SQRT: (lambda z: z / np.hypot(1.0, z),
                           lambda z: (1.0 + z * z) ** -1.5,
                           lambda y: y / np.sqrt((1.0 - y) * (1.0 + y))),
-    Saturation.ERF: (lambda z: erf(_ERF_SCALE * z),
-                     lambda z: np.exp(-np.pi * z * z / 4.0),
-                     lambda y: erfinv(y) / _ERF_SCALE),
+    Saturation.ERF: (_erf, lambda z: np.exp(-np.pi * z * z / 4.0), _erf_inverse),
 }
 
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import breadth_first_order
 
 from .spectral import extreme_eigpairs
 
@@ -122,12 +122,13 @@ class Graph:
 
 
 def _from_upper(n, rows, cols, labels) -> Graph:
-    """Graph from the upper-triangle edges (rows[k] < cols[k]).
+    """Graph from the int32 upper-triangle edges (rows[k] < cols[k]).
 
     The mirrored entries go first. COO to CSR is a stable sort by row, so
     when each row's upper edges and each column's upper edges come in
     increasing order (as from a lexicographic edge list), every CSR row comes
-    out sorted and scipy skips its own sort.
+    out sorted and scipy skips its own sort. Given int32 indices, scipy keeps
+    int32 `indices` and `indptr` unless nnz or n needs int64.
     """
     adjacency = CsrAdjacency((np.ones(2 * len(rows)), (np.concatenate([cols, rows]),
                                                        np.concatenate([rows, cols]))),
@@ -159,13 +160,21 @@ def _edge_positions(rng, pairs, p):
 
 
 def _triangle_pairs(rng, m, p, first):
-    """Edges of a G(m, p) block on agents first..first+m-1, as (rows, cols)
-    with rows < cols, its pairs numbered in lexicographic order."""
+    """Edges of a G(m, p) block on agents first..first+m-1, as int32 (rows,
+    cols) with rows < cols, its pairs numbered in lexicographic order."""
     positions = _edge_positions(rng, m * (m - 1) // 2, p)
     row_lengths = np.arange(m - 1, 0, -1)
     offsets = np.cumsum(row_lengths) - row_lengths  # row i starts at offsets[i]
     rows = np.searchsorted(offsets, positions, side="right") - 1
-    return rows + first, positions - offsets[rows] + rows + 1 + first
+    cols = (positions - offsets[rows] + rows + 1 + first).astype(np.int32)
+    return (rows + first).astype(np.int32), cols
+
+
+def _cross_pairs(rng, n1, n2, p):
+    """Edges between agents 0..n1-1 and n1..n1+n2-1, as int32 (rows, cols),
+    the n1*n2 pairs numbered row by row."""
+    rows, cols = np.divmod(_edge_positions(rng, n1 * n2, p), n2)
+    return rows.astype(np.int32), (cols + n1).astype(np.int32)
 
 
 def sample_sbm(params: SbmParams, seed: int) -> Graph:
@@ -183,11 +192,11 @@ def sample_sbm(params: SbmParams, seed: int) -> Graph:
     """
     rng = np.random.Generator(np.random.Philox(seed))
     n1, n2 = params.n1, params.n2
-    rows11, cols11 = _triangle_pairs(rng, n1, params.l11, 0)
-    rows12, cols12 = np.divmod(_edge_positions(rng, n1 * n2, params.l12), n2)
-    rows22, cols22 = _triangle_pairs(rng, n2, params.l22, n1)
-    return _from_upper(params.n, np.concatenate([rows11, rows12, rows22]),
-                       np.concatenate([cols11, cols12 + n1, cols22]), params.labels())
+    blocks = [_triangle_pairs(rng, n1, params.l11, 0), _cross_pairs(rng, n1, n2, params.l12),
+              _triangle_pairs(rng, n2, params.l22, n1)]
+    rows, cols = (np.concatenate(side) for side in zip(*blocks))
+    del blocks  # 8 bytes per edge that would stay alive through the CSR build
+    return _from_upper(params.n, rows, cols, params.labels())
 
 
 def max_expected_degree(params: SbmParams) -> float:
@@ -199,8 +208,12 @@ def max_expected_degree(params: SbmParams) -> float:
 
 
 def is_connected(graph: Graph) -> bool:
-    """True when the graph has a single connected component."""
-    return connected_components(graph.adjacency, directed=False, return_labels=False) == 1
+    """True when the graph has a single connected component (False for n = 0).
+
+    One breadth-first search from agent 0: Graph has checked the adjacency
+    symmetric, so the agents it reaches are agent 0's component."""
+    return graph.n > 0 and breadth_first_order(
+        graph.adjacency, 0, directed=True, return_predecessors=False).size == graph.n
 
 
 def check_assumptions(params: SbmParams) -> bool:
@@ -265,5 +278,5 @@ def read_edge_list(path) -> Graph:
                 raise ValueError(f"{path}:{lineno}: bad edge {i} {j}")
             edges.add((i, j))
     # a set, not a list: COO assembly would sum a repeated line to weight 2
-    pairs = np.array(sorted(edges), dtype=int).reshape(-1, 2)
+    pairs = np.array(sorted(edges), dtype=np.int32).reshape(-1, 2)
     return _from_upper(n, pairs[:, 0], pairs[:, 1], labels)

@@ -308,21 +308,70 @@ def test_cli_pins_blas_threads_unless_set():
         assert done.stdout.strip() == expected
 
 
-def test_cli_import_leaves_the_ode_solver_for_the_first_ode_solve():
-    """`import commdyn.cli` loads neither scipy.optimize nor scipy.integrate;
-    the first ODE solve imports scipy.integrate and keeps its RK45 as the
-    module attribute dynamics.RK45."""
+def _run_fresh(probe):
+    """Run `probe` in a fresh interpreter that imports commdyn from src/."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    return subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+def test_cli_import_leaves_the_ode_solver_for_the_first_ode_solve():
+    """`import commdyn.cli` loads none of scipy.optimize, scipy.integrate and
+    scipy.special; the first ODE solve imports scipy.integrate and keeps its
+    RK45 as the module attribute dynamics.RK45."""
     probe = (
         "import sys, numpy as np, commdyn.cli\n"
         "from commdyn import dynamics, graphgen\n"
-        "bad = {'scipy.optimize', 'scipy.integrate'} & set(sys.modules)\n"
+        "bad = {'scipy.optimize', 'scipy.integrate', 'scipy.special'} & set(sys.modules)\n"
         "assert not bad, f'loaded at import: {sorted(bad)}'\n"
         "g = graphgen.sample_sbm(graphgen.SbmParams(10, 10, 0.6, 0.2, 0.6), 4)\n"
         "dynamics.equilibria_for_inputs(g, dynamics.ModelParams(1.0, 0.5, 1.0, 0.1),\n"
         "                               np.ones((20, 1)))\n"
         "import scipy.integrate\n"
         "assert vars(dynamics)['RK45'] is dynamics.RK45 is scipy.integrate.RK45\n")
-    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                          text=True, timeout=120)
+    done = _run_fresh(probe)
+    assert done.returncode == 0, done.stderr
+
+
+def test_first_erf_call_loads_scipy_special():
+    """The erf saturation imports scipy.special on its first call, and its S,
+    S' and S^-1 are bit for bit erf(sqrt(pi)*z/2), exp(-pi*z^2/4) and
+    erfinv(y)/(sqrt(pi)/2)."""
+    probe = (
+        "import sys, numpy as np, commdyn.cli\n"
+        "from commdyn.dynamics import (Saturation, saturation_deriv, saturation_eval,\n"
+        "                              saturation_inverse)\n"
+        "assert 'scipy.special' not in sys.modules\n"
+        "z = np.linspace(-6.0, 6.0, 1201)\n"
+        "s = saturation_eval(Saturation.ERF, z)\n"
+        "assert 'scipy.special' in sys.modules\n"
+        "from scipy.special import erf, erfinv\n"
+        "scale = np.sqrt(np.pi) / 2.0\n"
+        "y = np.linspace(-0.999, 0.999, 1999)\n"
+        "assert np.array_equal(s, erf(scale * z))\n"
+        "assert np.array_equal(saturation_deriv(Saturation.ERF, z), np.exp(-np.pi * z * z / 4.0))\n"
+        "assert np.array_equal(saturation_inverse(Saturation.ERF, y), erfinv(y) / scale)\n"
+        "assert saturation_eval(Saturation.ERF, 0.5) == float(erf(scale * 0.5))\n")
+    done = _run_fresh(probe)
+    assert done.returncode == 0, done.stderr
+
+
+def test_tanh_seeded_equilibrium_leaves_scipy_special_unloaded():
+    """A tanh integrate_to_equilibrium at n = 400 that the seeded start
+    solves imports neither scipy.special nor scipy.integrate."""
+    probe = (
+        "import sys, numpy as np\n"
+        "from commdyn import dynamics, graphgen\n"
+        "p = graphgen.SbmParams.ssbm(400, 0.06, 0.02)\n"
+        "g = next(g for g in (graphgen.sample_sbm(p, s) for s in range(50))\n"
+        "         if graphgen.is_connected(g))\n"
+        "gamma = -1.0 / graphgen.max_expected_degree(p)\n"
+        "u = 1.0 / (1.0 + gamma * g.extreme_eigenpair('SA')[0])  # the origin's threshold\n"
+        "m = dynamics.ModelParams(1.0, u + 0.02, 1.0, gamma, dynamics.Saturation.TANH)\n"
+        "x0 = np.random.Generator(np.random.Philox(40)).uniform(-1e-3, 1e-3, g.n)\n"
+        "eq = dynamics.integrate_to_equilibrium(x0, m, g)\n"
+        "assert eq.converged and eq.elapsed_model_time == 0.0, 'the seeded start did not solve'\n"
+        "bad = {'scipy.special', 'scipy.integrate'} & set(sys.modules)\n"
+        "assert not bad, f'loaded by a tanh solve: {sorted(bad)}'\n")
+    done = _run_fresh(probe)
     assert done.returncode == 0, done.stderr

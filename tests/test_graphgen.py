@@ -1,8 +1,10 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import connected_components
 
 from commdyn import graphgen
 from commdyn.graphgen import (Graph, SbmParams, check_assumptions, is_connected,
@@ -119,6 +121,61 @@ def test_is_connected():
     path = np.zeros((3, 3))
     path[0, 1] = path[1, 0] = path[1, 2] = path[2, 1] = 1.0
     assert is_connected(Graph(path, np.array([1, 1, 2])))
+
+
+def _connectivity_cases(tmp_path):
+    """Graphs named for what they show: connected and two-block SBM draws, an
+    isolated vertex, and the smallest edge lists."""
+    cases = {f"ssbm-{seed}": sample_sbm(SbmParams.ssbm(200, 0.1, 0.05), seed)
+             for seed in range(3)}
+    cases.update({f"decoupled-{seed}": sample_sbm(SbmParams(30, 20, 0.5, 0.0, 0.5), seed)
+                  for seed in range(2)})
+    k4 = np.zeros((5, 5))
+    k4[:4, :4] = 1.0 - np.eye(4)
+    cases["isolated-vertex"] = Graph(k4, np.array([1, 1, 2, 2, 2]))
+    for name, text in (("n0", "# n=0 n1=0\n"), ("n1", "# n=1 n1=1\n"),
+                       ("n3-one-edge", "# n=3 n1=1\n0 1\n")):
+        path = tmp_path / f"{name}.txt"
+        path.write_text(text)
+        cases[name] = read_edge_list(path)
+    return cases
+
+
+def test_is_connected_agrees_with_connected_components(tmp_path):
+    cases = _connectivity_cases(tmp_path)
+    answers = {}
+    for name, graph in cases.items():
+        answers[name] = is_connected(graph)
+        reference = connected_components(graph.adjacency, directed=False,
+                                         return_labels=False) == 1
+        assert answers[name] == reference, name
+    # both answers occur, and the small cases keep their meaning
+    assert all(answers[f"ssbm-{seed}"] for seed in range(3)) and answers["n1"]
+    assert not (answers["decoupled-0"] or answers["isolated-vertex"]
+                or answers["n0"] or answers["n3-one-edge"])
+
+
+def test_sampled_graph_is_int32_and_small(tmp_path):
+    """sample_sbm's CSR holds int32 `indices` and `indptr`, so do the same
+    graph's arrays after an edge-list round trip, and sampling peaks at no
+    more than 72 traced bytes per edge (int64 indices and their copies took
+    112)."""
+    params = SbmParams.ssbm(4000, 0.005, 0.03)
+    tracemalloc.start()
+    try:
+        g = sample_sbm(params, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    edges = g.adjacency.nnz // 2
+    assert peak <= 72 * edges, peak / edges
+    path = tmp_path / "graph.txt"
+    write_edge_list(g, path)
+    back = read_edge_list(path)
+    for a in (g.adjacency, back.adjacency):
+        assert a.indices.dtype == a.indptr.dtype == np.int32
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(back.adjacency, name), getattr(g.adjacency, name)), name
 
 
 def test_check_assumptions():
