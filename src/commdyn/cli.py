@@ -183,7 +183,8 @@ def _cmd_experiment(args):
             overrides[key] = value
     if args.diagnostics:
         overrides["diagnostics"] = True
-    preset = args.preset or overrides.pop("preset", None)
+    file_preset = overrides.pop("preset", None)
+    preset = args.preset or file_preset
     if preset is None:
         raise CommdynError("give a preset name or a config file with a preset key")
     config = harness.build_config(preset, **overrides)

@@ -8,7 +8,7 @@ from enum import Enum
 import numpy as np
 
 from .dynamics import NEUTRAL_TOL, Equilibrium, ModelParams, saturation_inverse
-from .errors import DomainError, LengthMismatch, NeutralState
+from .errors import DomainError, NeutralState
 from .spectral import kmeans_two_1d, sym_eig
 
 
@@ -96,17 +96,11 @@ def _cluster_second_eigenvector(matrix, method: DetectionMethod) -> CommunityEst
     return CommunityEstimate(km.labels, method, diagnostics, degenerate=km.degenerate)
 
 
-def detect_from_estimate(a_hat) -> CommunityEstimate:
-    """Spectral step of the multi-equilibria detector: cluster the eigenvector
-    of the second largest (by value) eigenvalue of the adjacency estimate."""
-    return _cluster_second_eigenvector(a_hat, DetectionMethod.MULTI_EQUILIBRIA)
-
-
 def detect_multi(pairs: PairSet) -> CommunityEstimate:
-    """Fixed-point inversion + least squares + spectral clustering."""
-    y = invert_pairs(pairs)
-    a_hat = estimate_adjacency(pairs.X, y)
-    estimate = detect_from_estimate(a_hat)
+    """Fixed-point inversion + least squares + spectral clustering of the
+    eigenvector of the adjacency estimate's second largest eigenvalue."""
+    a_hat = estimate_adjacency(pairs.X, invert_pairs(pairs))
+    estimate = _cluster_second_eigenvector(a_hat, DetectionMethod.MULTI_EQUILIBRIA)
     sigma = np.linalg.svd(pairs.X, compute_uv=False)
     estimate.diagnostics["sigma_min_x"] = float(sigma[-1])
     return estimate
@@ -132,7 +126,7 @@ def accuracy(truth, estimate) -> float:
     truth = np.asarray(truth, dtype=int)
     estimate = np.asarray(estimate, dtype=int)
     if truth.shape != estimate.shape:
-        raise LengthMismatch(f"lengths {truth.shape} vs {estimate.shape}")
+        raise ValueError(f"lengths {truth.shape} vs {estimate.shape}")
     if not (np.isin(truth, (1, 2)).all() and np.isin(estimate, (1, 2)).all()):
         raise ValueError("labels must be over {1, 2}")
     same = int(np.sum(truth == estimate))

@@ -274,23 +274,16 @@ class Jacobian:
                 res_norm = np.linalg.norm(residual)
             if res_norm > cap:
                 return self.solve(r)  # not an inexact Newton step
-        step_norm, tol = np.linalg.norm(step), max(_REFINE_TOL, rtol)
-        # K's diagonal bounds ||K||_inf from below: a residual within that
-        # bound needs no refinement, and no _k_norm matvec to tell
-        if (res_norm > tol * split._k_norm(off_diagonal=False) * step_norm
-                and res_norm > tol * split._k_norm() * step_norm):
+        if res_norm > max(_REFINE_TOL, rtol) * split._k_norm() * np.linalg.norm(step):
             step += split._minres_step(residual, rtol)
         return step
 
-    def _k_norm(self, off_diagonal: bool = True) -> float:
-        """The infinity norm of K, a bound on its 2-norm; without its
-        off-diagonal part, a lower bound on it that needs no matvec."""
+    def _k_norm(self) -> float:
+        """The infinity norm of K, a bound on its 2-norm."""
         h, p = np.sqrt(self.slope), self.params
-        row_sums = np.abs(self.slope * p.alpha - p.d)
-        if off_diagonal:
-            # the adjacency is binary, so |K|'s off-diagonal part is |gamma| h A h
-            row_sums = row_sums + abs(p.gamma) * h * (self.adjacency @ h)
-        return float(np.max(row_sums))
+        # the adjacency is binary, so |K|'s off-diagonal part is |gamma| h A h
+        return float(np.max(np.abs(self.slope * p.alpha - p.d)
+                            + abs(p.gamma) * h * (self.adjacency @ h)))
 
     def _minres_step(self, r, rtol, start=None) -> np.ndarray:
         """J s = r by MINRES on K: rows with h = 0 give s_i = -r_i/d, the

@@ -16,14 +16,3 @@ class SingularJacobian(CommdynError):
 class NeutralState(CommdynError):
     """Equilibrium is (numerically) the origin and carries no structure."""
 
-
-class LengthMismatch(CommdynError):
-    """Label vectors of different lengths."""
-
-
-class EmptyInput(CommdynError):
-    """No records to aggregate."""
-
-
-class ZeroGap(CommdynError):
-    """Spectral gap of the expected matrix is zero; perturbation bound undefined."""

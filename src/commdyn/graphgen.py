@@ -27,8 +27,6 @@ class SbmParams:
     def __post_init__(self):
         if self.n1 < 1 or self.n2 < 1:
             raise ValueError("community sizes must be positive")
-        if self.n1 + self.n2 < 2:
-            raise ValueError("need at least two agents")
         for p in (self.l11, self.l12, self.l22):
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"link probability {p} outside [0, 1]")

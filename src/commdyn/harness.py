@@ -14,6 +14,7 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -26,7 +27,7 @@ from .detect import (DetectionMethod, PairSet, accuracy, detect_covariance_basel
                      detect_multi, detect_single)
 from .dynamics import (IntegrationControls, ModelParams, Saturation,
                        equilibria_for_inputs, integrate_to_equilibrium)
-from .errors import DomainError, EmptyInput, NeutralState
+from .errors import DomainError, NeutralState
 from .graphgen import Graph, SbmParams, is_connected, sample_sbm
 from .theory import alignment_check, concentration_ratio, expected_threshold
 
@@ -57,7 +58,7 @@ class ParameterPoint:
         if not 0 < self.u_offset < math.inf:
             raise ValueError("u offset must be positive and finite")
         if self.gamma_sign not in (1, -1):
-            raise ValueError("gamma sign must be +1 or -1")
+            raise ValueError("gamma_sign must be +1 or -1")
 
 
 @dataclass(frozen=True)
@@ -77,8 +78,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("need at least one trial")
-        if not (math.isfinite(self.d) and math.isfinite(self.alpha)):
-            raise ValueError("d and alpha must be finite")
+        if self.is_multi and self.pair_sets < 1:
+            raise ValueError("pair_sets must be at least 1 in a multi-equilibria sweep")
+        if self.is_multi and not self.m_fractions:
+            raise ValueError("m_fractions must not be empty in a multi-equilibria sweep")
         if not self.points:
             raise ValueError("no parameter points")
         if not self.methods:
@@ -146,10 +149,7 @@ def _point_key(point: ParameterPoint):
 
 
 def resolve_m_values(fractions, n: int):
-    values = sorted({max(1, int(round(f * n + 1e-9))) for f in fractions})
-    if not values:
-        raise ValueError("no sample sizes requested")
-    return values
+    return sorted({max(1, int(round(f * n + 1e-9))) for f in fractions})
 
 
 def generate_pair_set(graph: Graph, model: ModelParams, m: int, seed: int,
@@ -350,15 +350,25 @@ def _as_tuple(value):
 
 
 def _whole(key, value) -> int:
-    """value as an int; anything but a whole number raises ValueError
-    instead of being truncated."""
+    """value as an int; anything but a whole number, a bool included,
+    raises ValueError instead of being truncated."""
     try:
-        whole = int(value)
+        whole = None if isinstance(value, bool) else int(value)
     except (TypeError, ValueError, OverflowError):
         whole = None
     if whole is None or whole != value:
         raise ValueError(f"{key} must be a whole number, got {value!r}")
     return whole
+
+
+def _finite(key, value):
+    """value, unconverted, if it is a finite real number and not a bool;
+    anything else raises ValueError. An int stays an int, as the records
+    and the graph seeds hashed from an SbmParams print it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
+            -math.inf < value < math.inf):
+        raise ValueError(f"{key} must be finite and real, got {value!r}")
+    return value
 
 
 def build_config(preset, base_seed: int = 12345, **overrides) -> ExperimentConfig:
@@ -368,8 +378,9 @@ def build_config(preset, base_seed: int = 12345, **overrides) -> ExperimentConfi
     or n_values (SSBM sweep, + ls/ld) picks the shape, else the preset's
     holds. Every sweep reads _COMMON_KEYS; multi-equilibria ones also
     m_fractions and pair_sets. Scalars are accepted where lists are
-    expected. An unknown or unread override, or a key that neither preset
-    nor overrides give, raises ValueError. The controls are the preset's.
+    expected. An unknown or unread override, a key that neither preset
+    nor overrides give, or a value of the wrong kind raises ValueError.
+    The controls are the preset's.
     """
     unknown = sorted(set(overrides) - _OVERRIDE_KEYS)
     if unknown:
@@ -392,27 +403,28 @@ def build_config(preset, base_seed: int = 12345, **overrides) -> ExperimentConfi
         raise ValueError("; ".join(problems))
 
     sizes = [_whole(size_key, value) for value in _as_tuple(settings[size_key])]
+    # the shape's other keys are link probabilities and n2_fraction
+    shape = {key: _finite(key, settings[key]) for key in _SHAPES[size_key][1:]}
     if size_key == "n1_values":
-        fraction = float(settings["n2_fraction"])
-        if not math.isfinite(fraction):
-            raise ValueError(f"n2_fraction must be finite, got {fraction}")
-        sbms = [SbmParams(n1, math.ceil(round(fraction * n1, 9)),
-                          settings["l11"], settings["l12"], settings["l22"]) for n1 in sizes]
+        sbms = [SbmParams(n1, math.ceil(round(float(shape["n2_fraction"]) * n1, 9)),
+                          shape["l11"], shape["l12"], shape["l22"]) for n1 in sizes]
     else:
-        sbms = [SbmParams.ssbm(n, settings["ls"], settings["ld"]) for n in sizes]
+        sbms = [SbmParams.ssbm(n, shape["ls"], shape["ld"]) for n in sizes]
     saturations = tuple(Saturation(s) for s in _as_tuple(settings["saturations"]))
-    gamma_sign = int(settings["gamma_sign"])
-    points = tuple(ParameterPoint(sbm, float(offset), sat, gamma_sign)
+    gamma_sign = _whole("gamma_sign", settings["gamma_sign"])
+    points = tuple(ParameterPoint(sbm, float(_finite("u_offsets", offset)), sat, gamma_sign)
                    for sbm in sbms
                    for offset in _as_tuple(settings["u_offsets"])
                    for sat in saturations)
+    if not isinstance(settings["diagnostics"], bool):
+        raise ValueError(f"diagnostics must be true or false, got {settings['diagnostics']!r}")
     return ExperimentConfig(
         preset=preset, points=points, trials=_whole("trials", settings["trials"]),
-        base_seed=int(base_seed), methods=methods,
-        d=float(settings["d"]), alpha=float(settings["alpha"]),
-        m_fractions=_as_tuple(settings["m_fractions"]),
+        base_seed=_whole("base_seed", base_seed), methods=methods,
+        d=float(_finite("d", settings["d"])), alpha=float(_finite("alpha", settings["alpha"])),
+        m_fractions=tuple(_finite("m_fractions", f) for f in _as_tuple(settings["m_fractions"])),
         pair_sets=_whole("pair_sets", settings["pair_sets"]),
-        diagnostics=bool(settings["diagnostics"]), controls=settings["controls"])
+        diagnostics=settings["diagnostics"], controls=settings["controls"])
 
 
 def load_config_file(path) -> dict:
@@ -519,7 +531,7 @@ def summarize(records):
     method, over the non-failed trials, in stable sorted order."""
     records = list(records)
     if not records:
-        raise EmptyInput("no records to summarize")
+        raise ValueError("no records to summarize")
     groups = {}
     for record in records:
         key = tuple(getattr(record, name) for name in _GROUP_FIELDS)

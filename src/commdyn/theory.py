@@ -10,7 +10,7 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator
 
 from .dynamics import NEUTRAL_TOL, Equilibrium, ModelParams
-from .errors import NeutralState, ZeroGap
+from .errors import NeutralState
 from .graphgen import Graph, SbmParams, max_expected_degree
 from .spectral import extreme_eigpairs
 
@@ -123,7 +123,7 @@ def _expected_top(params: SbmParams):
     rest = [lam_minus] + [-params.l11] * (n1 > 1) + [-params.l22] * (n2 > 1)
     delta = lam_max - max(rest)
     if delta == 0.0:
-        raise ZeroGap("expected matrix has a degenerate top eigenvalue")
+        raise ValueError("expected matrix has a degenerate top eigenvalue")
     return delta, np.repeat([w1, w2], [n1, n2])
 
 

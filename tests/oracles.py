@@ -21,7 +21,6 @@ from scipy import sparse
 from scipy.optimize import brentq
 
 from commdyn.dynamics import Equilibrium, ModelParams, rhs, saturation_eval
-from commdyn.errors import ZeroGap
 from commdyn.graphgen import Graph, SbmParams
 from commdyn.spectral import extreme_eigpairs, sym_eig
 
@@ -60,12 +59,12 @@ def corrected_expected_matrix(params: SbmParams) -> np.ndarray:
 
 def dense_expected_top(params: SbmParams):
     """(delta, w_bar) from a full eigendecomposition of the dense E{A}: the gap
-    below its top eigenvalue and the top eigenvector. Raises ZeroGap when the
+    below its top eigenvalue and the top eigenvector. Raises ValueError when the
     computed gap is exactly 0."""
     values, vectors = sym_eig(expected_adjacency(params))
     delta = float(values[-1] - values[-2])
     if delta == 0.0:
-        raise ZeroGap("expected matrix has a degenerate top eigenvalue")
+        raise ValueError("expected matrix has a degenerate top eigenvalue")
     return delta, vectors[:, -1]
 
 

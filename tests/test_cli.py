@@ -7,10 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from commdyn import harness
 from commdyn.cli import main, read_equilibria_csv, write_equilibria_csv
 from commdyn.dynamics import Equilibrium
 from commdyn.graphgen import SbmParams, read_edge_list
-from commdyn.harness import build_config, derive_seed, read_records_csv
+from commdyn.harness import build_config, derive_seed, read_records_csv, write_records_csv
 
 
 SBM_FLAGS = ["--n1", "10", "--n2", "10", "--l11", "0.6", "--l12", "0.2", "--l22", "0.6"]
@@ -175,21 +176,64 @@ def test_experiment_rejects_non_finite_offset(tmp_path, capsys):
     assert not records_csv.exists()
 
 
-@pytest.mark.parametrize("config", [
-    "preset = unequal-sbm\nn1_values = 20\nn2_fraction = inf\n",
-    "preset = ssbm-positive\nn_values = 20\nls = 0.6\nld = 0.2\ntrials = 2.7\n",
-], ids=["n2-fraction-inf", "trials-2.7"])
-def test_experiment_rejects_bad_counts_and_fractions(config, tmp_path, capsys):
-    """Exit 1 with an error line and no CSV, not a traceback or a truncated
-    sweep."""
+_SSBM_CFG = "preset = ssbm-positive\nn_values = 20\nls = 0.6\nld = 0.2\n"
+_MULTI_CFG = "preset = multi-pairs\nn_values = 20\n"
+BAD_CONFIGS = {
+    "n2-fraction-inf": ("preset = unequal-sbm\nn1_values = 20\nn2_fraction = inf\n",
+                        "n2_fraction"),
+    "trials-2.7": (_SSBM_CFG + "trials = 2.7\n", "trials"),
+    "ls-word": ("preset = ssbm-positive\nn_values = 20\nls = abc\nld = 0.2\n", "ls"),
+    "ls-list": ("preset = ssbm-positive\nn_values = 20\nls = 0.1, 0.2\nld = 0.2\n", "ls"),
+    "l12-nan": ("preset = unequal-sbm\nn1_values = 20\nl12 = nan\n", "l12"),
+    "m-fractions-word": (_MULTI_CFG + "m_fractions = abc\n", "m_fractions"),
+    "m-fractions-inf": (_MULTI_CFG + "m_fractions = 0.5, inf\n", "m_fractions"),
+    "diagnostics-no": (_SSBM_CFG + "diagnostics = no\n", "diagnostics"),
+    "diagnostics-off": (_SSBM_CFG + "diagnostics = off\n", "diagnostics"),
+    "gamma-sign-fraction": (_SSBM_CFG + "gamma_sign = -1.5\n", "gamma_sign"),
+    "base-seed-fraction": (_SSBM_CFG + "base_seed = 7.9\n", "base_seed"),
+    "trials-true": (_SSBM_CFG + "trials = true\n", "trials"),
+    "pair-sets-0": (_MULTI_CFG + "pair_sets = 0\n", "pair_sets"),
+}
+
+
+@pytest.mark.parametrize("config, key", BAD_CONFIGS.values(), ids=BAD_CONFIGS.keys())
+def test_experiment_rejects_bad_counts_and_fractions(config, key, tmp_path, monkeypatch,
+                                                     capsys):
+    """A config value of the wrong kind exits 1 with one error line naming
+    its key, before any trial runs: no traceback, no misread value and no
+    CSV."""
+    monkeypatch.setattr(harness, "_run_task", lambda job: pytest.fail("a trial ran"))
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(config)
     records_csv = tmp_path / "records.csv"
     code = main(["experiment", "--config", str(cfg), "--workers", "1",
                  "--out", str(records_csv)])
     assert code == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert key in err
     assert not records_csv.exists()
+
+
+def test_experiment_preset_flag_overrides_the_file_preset(tmp_path, capsys):
+    """--preset wins over a config file's preset key; a file-only preset
+    still runs."""
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("preset = ssbm-negative\nn_values = 20\nls = 0.6\nld = 0.2\n"
+                   "u_offsets = 0.05\ntrials = 1\n")
+    records_csv = tmp_path / "records.csv"
+    for flags, preset in ((["--preset", "ssbm-positive"], "ssbm-positive"),
+                          ([], "ssbm-negative")):
+        assert main(["experiment", *flags, "--config", str(cfg), "--workers", "1",
+                     "--out", str(records_csv)]) == 0
+        assert [r.preset for r in read_records_csv(records_csv)] == [preset]
+
+
+def test_summarize_without_records_is_an_error_line(tmp_path, capsys):
+    records_csv = tmp_path / "records.csv"
+    write_records_csv(records_csv, [])
+    assert main(["summarize", "--records", str(records_csv)]) == 1
+    assert capsys.readouterr().err == "error: no records to summarize\n"
 
 
 def test_simulate_rejects_nan_attention(tmp_path, capsys):

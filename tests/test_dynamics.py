@@ -511,29 +511,6 @@ def test_newton_rescales_only_after_a_whole_step(krylov_graph, monkeypatch):
     assert not all(whole)  # the line search damped at least one step here
 
 
-@pytest.mark.parametrize("point", ["seed", "far"])
-@pytest.mark.parametrize("sign", [1, -1])
-def test_refinement_trigger_needs_no_k_norm_matvec_to_decide(krylov_graph, sign, point,
-                                                             monkeypatch):
-    """K's diagonal bounds ||K||_inf from below, so the refinement trigger
-    decides as the full ||K||_inf would: the steps are bit-identical."""
-    p, g = krylov_graph
-    m = _model_above_threshold(p, g, sign, Saturation.TANH, 0.5)
-    if point == "seed":
-        c, w = dynamics._branch_seed(m, g)
-        x = c * w
-    else:
-        x = np.random.Generator(np.random.Philox(33)).uniform(-3.0, 3.0, g.n)
-    r, jac = rhs(x, m, g), jacobian(x, m, g)
-    assert jac._k_norm(off_diagonal=False) <= jac._k_norm()
-    steps = [jac.solve(r, rtol) for rtol in (1e-12, 1e-3, 0.1)]
-    k_norm = dynamics.Jacobian._k_norm
-    monkeypatch.setattr(dynamics.Jacobian, "_k_norm",
-                        lambda self, off_diagonal=True: k_norm(self))
-    for rtol, step in zip((1e-12, 1e-3, 0.1), steps):
-        assert np.array_equal(jac.solve(r, rtol), step)
-
-
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("graph_fixture", ["small_graph", "krylov_graph"])
 def test_newton_non_finite_step_raises(graph_fixture, request):

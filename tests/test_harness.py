@@ -9,7 +9,6 @@ import pytest
 from commdyn import dynamics
 from commdyn.detect import DetectionMethod
 from commdyn.dynamics import NEUTRAL_TOL, IntegrationControls, ModelParams, Saturation
-from commdyn.errors import EmptyInput
 from commdyn.harness import (Preset, TrialRecord, build_config, derive_seed,
                              load_config_file, read_records_csv, resolve_m_values,
                              run_experiment, summarize, write_records_csv,
@@ -95,6 +94,46 @@ def test_build_config_rejects_non_integral_counts(preset, overrides, key):
         build_config(preset, **overrides)
     config = build_config(Preset.SSBM_POSITIVE, n_values=[20.0], trials=4.0)
     assert config.trials == 4 and config.sbms[0].n1 == 10
+
+
+@pytest.mark.parametrize("preset, overrides, key", [
+    (Preset.SSBM_POSITIVE, dict(ls="abc"), "ls"),
+    (Preset.SSBM_POSITIVE, dict(ls=[0.1, 0.2]), "ls"),
+    (Preset.SSBM_POSITIVE, dict(ld=math.inf), "ld"),
+    (Preset.UNEQUAL_SBM, dict(l12=math.nan), "l12"),
+    (Preset.UNEQUAL_SBM, dict(l22=True), "l22"),
+    (Preset.MULTI_PAIRS, dict(m_fractions="abc"), "m_fractions"),
+    (Preset.MULTI_PAIRS, dict(m_fractions=[0.5, math.inf]), "m_fractions"),
+    (Preset.MULTI_PAIRS, dict(m_fractions=[]), "m_fractions"),
+    (Preset.MULTI_PAIRS, dict(pair_sets=0), "pair_sets"),
+    (Preset.SSBM_POSITIVE, dict(diagnostics="no"), "diagnostics"),
+    (Preset.SSBM_POSITIVE, dict(diagnostics=1), "diagnostics"),
+    (Preset.SSBM_POSITIVE, dict(gamma_sign=-1.5), "gamma_sign"),
+    (Preset.SSBM_POSITIVE, dict(gamma_sign=2), "gamma_sign"),
+    (Preset.SSBM_POSITIVE, dict(base_seed=7.9), "base_seed"),
+    (Preset.SSBM_POSITIVE, dict(trials=True), "trials"),
+    (Preset.SSBM_POSITIVE, dict(d="abc"), "d"),
+], ids=["ls-word", "ls-list", "ld-inf", "l12-nan", "l22-bool", "m-fractions-word",
+        "m-fractions-inf", "m-fractions-empty", "pair-sets-0", "diagnostics-word",
+        "diagnostics-int", "gamma-sign-fraction", "gamma-sign-2", "base-seed-fraction",
+        "trials-bool", "d-word"])
+def test_build_config_rejects_values_of_the_wrong_kind(preset, overrides, key):
+    """A value that is not what its key takes raises ValueError naming the
+    key instead of a TypeError in SbmParams, an error mid-sweep or a silent
+    misread (bool("no"), int(-1.5), int(True))."""
+    with pytest.raises(ValueError, match=rf"\b{key}\b"):
+        build_config(preset, **overrides)
+
+
+def test_build_config_keeps_valid_values_as_given():
+    """Checked values reach the SBMs and the config unconverted, so a record
+    (and the graph seed hashed from the SBM) is the same as before the
+    checks."""
+    config = build_config(Preset.UNEQUAL_SBM, n1_values=[20], l11=1, l12=0, base_seed=7.0)
+    assert (config.sbms[0].l11, config.sbms[0].l12) == (1, 0)
+    assert type(config.sbms[0].l12) is int and type(config.base_seed) is int
+    multi = build_config(Preset.MULTI_PAIRS, m_fractions=0.5, diagnostics=True)
+    assert multi.m_fractions == (0.5,) and multi.diagnostics is True
 
 
 def test_build_config_custom_requires_shape():
@@ -393,7 +432,7 @@ def test_summary_rows_follow_record_order():
 
 
 def test_summarize_empty():
-    with pytest.raises(EmptyInput):
+    with pytest.raises(ValueError, match="no records to summarize"):
         summarize([])
 
 

@@ -41,3 +41,22 @@ def test_every_public_name_is_used_by_the_program():
                 for path, text in lines.items() for number, line in enumerate(text, 1)):
             unused.append(f"{where.name}:{lineno} {name}")
     assert not unused, f"public names no program path uses: {unused}"
+
+
+def _caught_names(tree):
+    """Names of the exception types in the `except` clauses of a module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            for expr in caught:
+                yield expr.attr if isinstance(expr, ast.Attribute) else getattr(expr, "id", None)
+
+
+def test_every_error_type_is_caught_by_the_program():
+    """An exception type that no handler names is a ValueError with a
+    message; errors.py holds only the types some `except` clause acts on."""
+    errors = ast.parse((ROOT / "src" / "commdyn" / "errors.py").read_text(encoding="utf-8"))
+    defined = {node.name for node in errors.body if isinstance(node, ast.ClassDef)}
+    caught = {name for path in PROGRAM
+              for name in _caught_names(ast.parse(path.read_text(encoding="utf-8")))}
+    assert not defined - caught, f"error types no handler catches: {sorted(defined - caught)}"
