@@ -2,6 +2,7 @@
 degree, connectivity and assumption checks, edge-list IO."""
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,16 +81,19 @@ class Graph:
             raise ValueError("adjacency must be square")
         a.sum_duplicates()
         a.eliminate_zeros()
-        # canonical CSR is unique, and A's CSC arrays (sorted by conversion) are
-        # A^T's CSR arrays, so A = A^T exactly when the two sets of arrays match
-        t = a.tocsc()
-        if not (np.array_equal(a.indptr, t.indptr) and np.array_equal(a.indices, t.indices)
-                and np.array_equal(a.data, t.data)):
+        if not np.all(a.data == 1.0):
+            raise ValueError("adjacency must be binary")
+        # canonical CSR is unique, and a CSC's arrays (sorted by conversion) are
+        # its transpose's CSR arrays; A being binary, A = A^T exactly when its
+        # pattern matches the pattern's transpose, which an int8 copy sharing
+        # A's index arrays gives at 10 bytes per stored entry
+        pattern = sparse.csr_array((np.ones(a.nnz, dtype=np.int8), a.indices, a.indptr),
+                                   shape=a.shape).tocsc()
+        if not (np.array_equal(a.indptr, pattern.indptr)
+                and np.array_equal(a.indices, pattern.indices)):
             raise ValueError("adjacency must be symmetric")
         if np.any(a.diagonal() != 0.0):
             raise ValueError("no self-loops allowed")
-        if not np.all(a.data == 1.0):
-            raise ValueError("adjacency must be binary")
         self.adjacency = a
         self.labels = np.asarray(self.labels, dtype=int)
         if self.labels.shape != (a.shape[0],):
@@ -119,18 +123,23 @@ class Graph:
         return pair
 
 
-def _from_upper(n, rows, cols, labels) -> Graph:
-    """Graph from the int32 upper-triangle edges (rows[k] < cols[k]).
+def _from_upper(n, blocks, labels) -> Graph:
+    """Graph from a list of int32 upper-triangle edge blocks (rows, cols),
+    rows[k] < cols[k]. The list is emptied once the mirrored index arrays
+    exist, so the caller's upper copy is not alive through the CSR build.
 
     The mirrored entries go first. COO to CSR is a stable sort by row, so
     when each row's upper edges and each column's upper edges come in
     increasing order (as from a lexicographic edge list), every CSR row comes
     out sorted and scipy skips its own sort. Given int32 indices, scipy keeps
-    int32 `indices` and `indptr` unless nnz or n needs int64.
+    int32 `indices` and `indptr` unless nnz or n needs int64. The ones are
+    int8; Graph makes the float64 data once.
     """
-    adjacency = CsrAdjacency((np.ones(2 * len(rows)), (np.concatenate([cols, rows]),
-                                                       np.concatenate([rows, cols]))),
-                             shape=(n, n))
+    rows = np.concatenate([c for _, c in blocks] + [r for r, _ in blocks])
+    cols = np.concatenate([r for r, _ in blocks] + [c for _, c in blocks])
+    blocks.clear()
+    adjacency = CsrAdjacency((np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(n, n))
+    del rows, cols  # the CSR has its own index arrays
     return Graph(adjacency, labels)
 
 
@@ -192,9 +201,7 @@ def sample_sbm(params: SbmParams, seed: int) -> Graph:
     n1, n2 = params.n1, params.n2
     blocks = [_triangle_pairs(rng, n1, params.l11, 0), _cross_pairs(rng, n1, n2, params.l12),
               _triangle_pairs(rng, n2, params.l22, n1)]
-    rows, cols = (np.concatenate(side) for side in zip(*blocks))
-    del blocks  # 8 bytes per edge that would stay alive through the CSR build
-    return _from_upper(params.n, rows, cols, params.labels())
+    return _from_upper(params.n, blocks, params.labels())
 
 
 def max_expected_degree(params: SbmParams) -> float:
@@ -241,15 +248,34 @@ def write_edge_list(graph: Graph, path) -> None:
     """Write `# n=<n> n1=<n1>` then one `i j` line per edge, 0-indexed, i < j."""
     rows, cols = graph.adjacency.nonzero()
     upper = rows < cols
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# n={graph.n} n1={graph.n1}\n")
-        for i, j in zip(rows[upper], cols[upper]):
-            fh.write(f"{i} {j}\n")
+    with open(path, "wb") as fh:
+        fh.write(f"# n={graph.n} n1={graph.n1}\n".encode())
+        fh.write(_edge_lines(rows[upper], cols[upper]))
+
+
+def _edge_lines(rows, cols):
+    """The ASCII lines `i j` of the edges as one uint8 array, formatted by
+    array operations: each index right-aligned in a fixed-width grid, its
+    unused leading places left 0 and dropped at the end."""
+    values = np.column_stack([rows, cols])
+    width = len(str(values.max(initial=0)))
+    grid = np.zeros(values.shape + (width + 1,), dtype=np.uint8)
+    grid[:, :, width] = (ord(" "), ord("\n"))
+    for place in range(width):
+        power = 10 ** place
+        # a place is shown from the value's first digit on; 0 shows its ones
+        shown = (values >= power) | (place == 0)
+        grid[:, :, width - 1 - place] = np.where(shown, values // power % 10 + ord("0"), 0)
+    return grid[grid != 0]
 
 
 def read_edge_list(path) -> Graph:
-    """Read write_edge_list's format. A malformed line is a ValueError naming
-    `path:line` and, in the header, the field."""
+    """Read write_edge_list's format. Blank lines are skipped, `#` starts a
+    comment and a repeated edge counts once. A malformed line is a
+    ValueError naming `path:line` and, in the header, the field.
+
+    numpy parses the edges in bulk; only when that fails or an edge is out
+    of range does a line-by-line scan run, to name the line."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if not header.startswith("# n=") or " n1=" not in header:
@@ -263,18 +289,48 @@ def read_edge_list(path) -> Graph:
                 raise ValueError(f"{path}:1: header field {part!r} is not key=<integer>") from None
         n = fields["n"]
         labels = block_labels(n, fields["n1"])
-        edges = set()
-        for lineno, line in enumerate(fh, 2):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                i, j = map(int, line.split())
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: {line!r} is not an edge 'i j'") from None
-            if not 0 <= i < j < n:
-                raise ValueError(f"{path}:{lineno}: bad edge {i} {j}")
-            edges.add((i, j))
-    # a set, not a list: COO assembly would sum a repeated line to weight 2
-    pairs = np.array(sorted(edges), dtype=np.int32).reshape(-1, 2)
-    return _from_upper(n, pairs[:, 0], pairs[:, 1], labels)
+        try:
+            with warnings.catch_warnings():
+                # an edgeless file warns, and numpy < 2 reads '1.0' as an int
+                # with a DeprecationWarning: both go to the scan
+                warnings.simplefilter("error")
+                pairs = np.loadtxt(fh, dtype=np.int64, comments="#", ndmin=2)
+        except (ValueError, OverflowError, Warning):
+            pairs = None
+        if pairs is None or pairs.shape[1] != 2 or not np.all(
+                (0 <= pairs[:, 0]) & (pairs[:, 0] < pairs[:, 1]) & (pairs[:, 1] < n)):
+            fh.seek(0)
+            fh.readline()
+            pairs = _scan_edges(fh, n, path)
+    # sorted unique keys i*n + j: COO assembly would sum a repeated line to
+    # weight 2. A sort, as np.unique's hash table (numpy 2.4) took 0.88 s
+    # on 875,000 keys that this sorts and masks in 0.01 s.
+    keys = pairs[:, 0] * n
+    keys += pairs[:, 1]
+    del pairs
+    keys.sort()
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    keys = keys[first]
+    upper = [((keys // n).astype(np.int32), (keys % n).astype(np.int32))]
+    del keys
+    return _from_upper(n, upper, labels)
+
+
+def _scan_edges(fh, n, path):
+    """The edges of the lines left in `fh` (line 2 on) as int64 (i, j) rows,
+    read one line at a time; a malformed or out-of-range edge is a
+    ValueError naming its line."""
+    edges = []
+    for lineno, line in enumerate(fh, 2):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        try:
+            i, j = map(int, line.split())
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: {line!r} is not an edge 'i j'") from None
+        if not 0 <= i < j < n:
+            raise ValueError(f"{path}:{lineno}: bad edge {i} {j}")
+        edges.append((i, j))
+    return np.array(edges, dtype=np.int64).reshape(-1, 2)

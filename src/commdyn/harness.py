@@ -371,6 +371,14 @@ def _finite(key, value):
     return value
 
 
+def _fraction(key, value):
+    """value, unconverted, if it is a real number in (0, 1]; anything else
+    raises ValueError."""
+    if not 0 < _finite(key, value) <= 1:
+        raise ValueError(f"{key} entries must lie in (0, 1], got {value!r}")
+    return value
+
+
 def build_config(preset, base_seed: int = 12345, **overrides) -> ExperimentConfig:
     """Assemble an ExperimentConfig from a preset plus overrides.
 
@@ -422,7 +430,8 @@ def build_config(preset, base_seed: int = 12345, **overrides) -> ExperimentConfi
         preset=preset, points=points, trials=_whole("trials", settings["trials"]),
         base_seed=_whole("base_seed", base_seed), methods=methods,
         d=float(_finite("d", settings["d"])), alpha=float(_finite("alpha", settings["alpha"])),
-        m_fractions=tuple(_finite("m_fractions", f) for f in _as_tuple(settings["m_fractions"])),
+        m_fractions=tuple(_fraction("m_fractions", f)
+                          for f in _as_tuple(settings["m_fractions"])),
         pair_sets=_whole("pair_sets", settings["pair_sets"]),
         diagnostics=settings["diagnostics"], controls=settings["controls"])
 

@@ -187,6 +187,8 @@ BAD_CONFIGS = {
     "l12-nan": ("preset = unequal-sbm\nn1_values = 20\nl12 = nan\n", "l12"),
     "m-fractions-word": (_MULTI_CFG + "m_fractions = abc\n", "m_fractions"),
     "m-fractions-inf": (_MULTI_CFG + "m_fractions = 0.5, inf\n", "m_fractions"),
+    "m-fractions-5": (_MULTI_CFG + "m_fractions = 5\n", "m_fractions"),
+    "m-fractions-0": (_MULTI_CFG + "m_fractions = 0, 0.5\n", "m_fractions"),
     "diagnostics-no": (_SSBM_CFG + "diagnostics = no\n", "diagnostics"),
     "diagnostics-off": (_SSBM_CFG + "diagnostics = off\n", "diagnostics"),
     "gamma-sign-fraction": (_SSBM_CFG + "gamma_sign = -1.5\n", "gamma_sign"),

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
 from commdyn import graphgen
@@ -195,6 +196,29 @@ def test_graph_validation():
         Graph(np.eye(2), np.array([1, 2]))
     with pytest.raises(ValueError):
         Graph(np.array([[0.0, 0.5], [0.5, 0.0]]), np.array([1, 2]))
+    # each check names what it found; the binary check runs first, so the
+    # structure-only symmetry check never meets a symmetric pattern with
+    # unequal values
+    with pytest.raises(ValueError, match="must be binary"):
+        Graph(np.array([[0.0, 1.0], [2.0, 0.0]]), np.array([1, 2]))
+    with pytest.raises(ValueError, match="must be binary"):
+        Graph(np.array([[0.0, 0.5], [0.5, 0.0]]), np.array([1, 2]))
+    with pytest.raises(ValueError, match="must be symmetric"):
+        Graph(np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([1, 2]))
+    # a directed 3-cycle: every row and column holds one entry, so only the
+    # column indices tell it from its transpose
+    cycle = np.roll(np.eye(3), 1, axis=1)
+    with pytest.raises(ValueError, match="must be symmetric"):
+        Graph(cycle, np.array([1, 1, 2]))
+    with pytest.raises(ValueError, match="no self-loops"):
+        Graph(np.eye(2), np.array([1, 2]))
+    with pytest.raises(ValueError, match="must be square"):
+        Graph(np.zeros((2, 3)), np.array([1, 2]))
+    with pytest.raises(ValueError, match="labels length"):
+        Graph(np.zeros((2, 2)), np.array([1, 2, 2]))
+    # explicit zeros and duplicate entries are resolved before the checks
+    coo = sparse.coo_array(([1.0, 0.0, 0.5, 0.5], ([0, 0, 1, 1], [1, 0, 0, 0])), shape=(2, 2))
+    assert np.array_equal(Graph(coo, np.array([1, 2])).adjacency.toarray(), [[0, 1], [1, 0]])
 
 
 def test_edge_list_round_trip(tmp_path):
@@ -238,6 +262,89 @@ def test_sampler_golden_edge_lists(tmp_path, params, seed, digest):
 ])
 def test_sample_sbm_golden_edge_lists(tmp_path, params, seed, digest):
     assert _edge_list_digest(sample_sbm(params, seed), tmp_path) == digest
+
+
+@pytest.mark.parametrize("n", [2000, 10_000])
+def test_sample_sbm_peak_memory_per_edge(n):
+    """Sampling peaks at no more than 44 traced bytes per edge next to the
+    24-byte CSR it returns: int8 COO ones, a structure-only symmetry check
+    and no upper-edge copy alive through the CSR build (the float64 ones, a
+    float64 CSC and the caller's upper copy took 64)."""
+    params = SbmParams.ssbm(n, 0.005, 0.03)
+    tracemalloc.start()
+    try:
+        g = sample_sbm(params, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 44 * (g.adjacency.nnz // 2), peak / (g.adjacency.nnz // 2)
+
+
+def test_edge_list_read_back_is_the_sampled_csr_and_small(tmp_path):
+    """A written and read-back graph has the sampled graph's CSR arrays,
+    and reading it peaks at no more than 48 traced bytes per edge (a set of
+    tuples took about 213)."""
+    g = sample_sbm(SbmParams.ssbm(10_000, 0.005, 0.03), 5)
+    path = tmp_path / "graph.txt"
+    write_edge_list(g, path)
+    tracemalloc.start()
+    try:
+        back = read_edge_list(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48 * (g.adjacency.nnz // 2), peak / (g.adjacency.nnz // 2)
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(back.adjacency, name), getattr(g.adjacency, name)), name
+        assert getattr(back.adjacency, name).dtype == getattr(g.adjacency, name).dtype, name
+    assert np.array_equal(back.labels, g.labels)
+
+
+def test_read_edge_list_skips_comments_and_blank_lines(tmp_path):
+    path = tmp_path / "graph.txt"
+    path.write_text("# n=4 n1=2\n# a comment line\n0 1\n\n  \n2 3  # a trailing comment\n"
+                    "1 2\n0 1\n")
+    g = read_edge_list(path)
+    expected = np.zeros((4, 4))
+    for i, j in ((0, 1), (1, 2), (2, 3)):
+        expected[i, j] = expected[j, i] = 1.0
+    assert np.array_equal(g.adjacency.toarray(), expected)
+    assert np.array_equal(g.labels, [1, 1, 2, 2])
+
+
+BAD_EDGE_LINES = {
+    "three-agents": ("0 1 2", "'0 1 2' is not an edge"),
+    "word": ("0 x", "'0 x' is not an edge"),
+    "float": ("0 1.0", "'0 1.0' is not an edge"),
+    "one-agent": ("1", "'1' is not an edge"),
+    "past-n": ("0 4", "bad edge 0 4"),
+    "self-loop": ("1 1", "bad edge 1 1"),
+    "lower-first": ("2 1", "bad edge 2 1"),
+    "negative": ("-1 1", "bad edge -1 1"),
+}
+
+
+@pytest.mark.parametrize("line, message", BAD_EDGE_LINES.values(), ids=BAD_EDGE_LINES.keys())
+def test_read_edge_list_names_the_first_bad_line(line, message, tmp_path):
+    """Whatever stops the bulk parse, the error names the first bad edge
+    line (line 4, after a good line and a blank one, before another bad
+    one) with the line-by-line scan's message."""
+    path = tmp_path / "graph.txt"
+    path.write_text(f"# n=4 n1=2\n2 3\n\n{line}\n0 a\n")
+    with pytest.raises(ValueError, match=f"graph.txt:4: {message}"):
+        read_edge_list(path)
+
+
+def test_write_edge_list_formats_every_digit_count(tmp_path):
+    """Indices of one to four digits, 0 and powers of ten among them, are
+    written as `i j` lines in CSR order."""
+    edges = [(0, 1), (0, 10), (9, 100), (10, 1000), (99, 100), (999, 1000)]
+    a = np.zeros((1001, 1001))
+    for i, j in edges:
+        a[i, j] = a[j, i] = 1.0
+    path = tmp_path / "graph.txt"
+    write_edge_list(Graph(a, np.ones(1001, dtype=int)), path)
+    assert path.read_text() == "# n=1001 n1=1001\n" + "".join(f"{i} {j}\n" for i, j in edges)
 
 
 def test_read_edge_list_ignores_repeated_edge(tmp_path):

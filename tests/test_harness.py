@@ -125,6 +125,19 @@ def test_build_config_rejects_values_of_the_wrong_kind(preset, overrides, key):
         build_config(preset, **overrides)
 
 
+@pytest.mark.parametrize("fractions", [0, -1, 5, [0.5, 1.5], [-1, 5, 0]])
+def test_build_config_rejects_m_fractions_outside_unit_interval(fractions):
+    """m = fraction * n pairs: resolve_m_values would turn 0 and -1 into one
+    pair and 5 into 5n pairs without a word, so build_config names the key."""
+    with pytest.raises(ValueError, match=r"\bm_fractions\b.*\(0, 1\]"):
+        build_config(Preset.MULTI_PAIRS, m_fractions=fractions)
+
+
+def test_build_config_accepts_m_fraction_one():
+    assert build_config(Preset.MULTI_PAIRS, m_fractions=1.0).m_fractions == (1.0,)
+    assert build_config(Preset.MULTI_PAIRS, m_fractions=[0.05, 1]).m_fractions == (0.05, 1)
+
+
 def test_build_config_keeps_valid_values_as_given():
     """Checked values reach the SBMs and the config unconverted, so a record
     (and the graph seed hashed from the SBM) is the same as before the
