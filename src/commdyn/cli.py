@@ -1,7 +1,6 @@
 """Command line interface: graph sampling, simulation, detection, experiments."""
 
 import argparse
-import csv
 import os
 import sys
 
@@ -70,6 +69,8 @@ def _resolve_model(args, params):
 
 
 def _cmd_simulate(args):
+    if args.pairs is not None and args.pairs < 1:
+        raise CommdynError(f"--pairs must be at least 1, got {args.pairs}")
     if args.graph:
         graph = graphgen.read_edge_list(args.graph)
         params = None
@@ -85,7 +86,8 @@ def _cmd_simulate(args):
         pairs, eqs = harness.generate_pair_set(graph, model, args.pairs, args.pair_seed)
         write_equilibria_csv(args.out, eqs)
         if args.inputs_out:
-            _write_inputs_csv(args.inputs_out, pairs.B)
+            # one row per pair (column of B): its n entries, no header
+            harness.write_rows(args.inputs_out, pairs.B.T.tolist())
         print(f"wrote {args.pairs} input-driven equilibria to {args.out}")
     else:
         rng = np.random.Generator(np.random.Philox(args.ic_seed))
@@ -99,49 +101,23 @@ def _cmd_simulate(args):
 
 def write_equilibria_csv(path, equilibria) -> None:
     """Rows: trial id, convergence flag, residual, then the n state entries."""
-    equilibria = list(equilibria)
-    if not equilibria:
+    rows = [[t, bool(eq.converged), float(eq.residual_inf), *eq.state.tolist()]
+            for t, eq in enumerate(equilibria)]
+    if not rows:
         raise ValueError("nothing to write")
-    n = equilibria[0].state.size
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["trial", "converged", "residual"] + [f"x{i}" for i in range(n)])
-        for t, eq in enumerate(equilibria):
-            writer.writerow([t, "true" if eq.converged else "false", repr(eq.residual_inf)]
-                            + [repr(float(v)) for v in eq.state])
+    header = ["trial", "converged", "residual"] + [f"x{i}" for i in range(len(rows[0]) - 3)]
+    harness.write_rows(path, [header, *rows])
 
 
 def read_equilibria_csv(path) -> list:
-    out = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])  # an empty file has no header either
-        if header[:3] != ["trial", "converged", "residual"]:
-            raise ValueError("not an equilibrium CSV")
-        for row in reader:
-            state = np.array([float(v) for v in row[3:]])
-            out.append(dynamics.Equilibrium(state, float(row[2]), row[1] == "true", 0.0))
-    return out
-
-
-def _write_inputs_csv(path, inputs):
-    """One row per pair (column of the n x m `inputs`): its n entries."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh).writerows([repr(float(v)) for v in column] for column in inputs.T)
-
-
-def _read_inputs_csv(path) -> np.ndarray:
-    """The n x m inputs matrix written by _write_inputs_csv."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        return np.array([[float(v) for v in row] for row in csv.reader(fh)], ndmin=2).T
+    rows = harness.read_rows(path, {"trial": int, "converged": bool, "residual": float},
+                             rest=float)
+    return [dynamics.Equilibrium(np.array(row[3:], dtype=float), row[2], row[1], 0.0)
+            for row in rows]
 
 
 def _write_estimate(path, estimate, acc):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["agent", "label"])
-        for i, label in enumerate(estimate.labels):
-            writer.writerow([i, int(label)])
+    harness.write_rows(path, [("agent", "label"), *enumerate(estimate.labels.tolist())])
     extras = " ".join(f"{k}={v}" for k, v in estimate.diagnostics.items())
     acc_text = f" accuracy={acc!r}" if acc is not None else ""
     print(f"method={estimate.method.value}{acc_text} degenerate={estimate.degenerate} {extras}")
@@ -164,7 +140,7 @@ def _cmd_detect_single(args):
 
 def _cmd_detect_multi(args):
     states = read_equilibria_csv(args.states)
-    B = _read_inputs_csv(args.inputs)
+    B = np.array(harness.read_rows(args.inputs, {}, rest=float), ndmin=2).T
     if len(states) != B.shape[1]:
         raise CommdynError("states and inputs must pair up")
     X = np.column_stack([eq.state for eq in states])
@@ -176,6 +152,8 @@ def _cmd_detect_multi(args):
 
 
 def _cmd_experiment(args):
+    if args.workers is not None and args.workers < 1:
+        raise CommdynError(f"--workers must be at least 1, got {args.workers}")
     overrides = harness.load_config_file(args.config) if args.config else {}
     for key in ("trials", "base_seed", "pair_sets", "gamma_sign"):
         value = getattr(args, key)
@@ -203,11 +181,9 @@ def _cmd_experiment(args):
 def _cmd_summarize(args):
     records = harness.read_records_csv(args.records)
     rows = harness.summarize(records)
+    harness.write_summary_csv(args.out or sys.stdout, rows)
     if args.out:
-        harness.write_summary_csv(args.out, rows)
         print(f"wrote {len(rows)} summary rows to {args.out}")
-    else:
-        harness._write_rows(sys.stdout, harness.SUMMARY_FIELDS, rows)
     return 0
 
 

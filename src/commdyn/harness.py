@@ -20,6 +20,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
+from operator import attrgetter
 
 import numpy as np
 
@@ -86,6 +87,8 @@ class ExperimentConfig:
             raise ValueError("no parameter points")
         if not self.methods:
             raise ValueError("no detection methods")
+        if not (self.d > 0 and self.alpha >= 0):
+            raise ValueError(f"need d > 0 and alpha >= 0, got d={self.d!r}, alpha={self.alpha!r}")
         kinds = set(self.methods)
         if kinds & _MULTI_METHODS and kinds - _MULTI_METHODS:
             raise ValueError("single- and multi-equilibria methods cannot share a run")
@@ -478,9 +481,54 @@ def _format_cell(value):
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return str(value)  # a float's str is its shortest round-trip repr
+
+
+def write_rows(out, rows) -> None:
+    """Write `rows` (a header is one more row) as CSV to the path or text
+    stream `out`, each cell as _format_cell prints it."""
+    if isinstance(out, (str, os.PathLike)):
+        with open(out, "w", encoding="utf-8", newline="") as fh:
+            return write_rows(fh, rows)
+    csv.writer(out).writerows([_format_cell(cell) for cell in row] for row in rows)
+
+
+def _parse_cell(kind, cell):
+    """Inverse of _format_cell for a column of `kind`: empty means missing
+    (None), or "" in a text column; a bool cell is true, false or empty."""
+    if kind is str:
+        return cell
+    if cell == "":
+        return None
+    if kind is bool and cell not in ("true", "false"):
+        raise ValueError(f"expected true, false or empty, got {cell!r}")
+    return cell == "true" if kind is bool else kind(cell)
+
+
+def read_rows(path, columns, rest=None) -> list:
+    """The rows of a CSV, each cell parsed by its column's kind, skipping
+    blank and `#` lines. The header must start with the names of the
+    {name: kind} dict `columns` (no header if empty); `rest` is the kind of
+    any further column. A header mismatch, a row whose cell count differs
+    from the first line's or a cell of the wrong kind raises ValueError
+    naming <path>:<line>."""
+    names = list(columns)
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        lines = [(reader.line_num, row) for row in reader if row and not row[0].startswith("#")]
+    line, first = lines[0] if lines else (1, [])
+    if first[:len(names)] != names or (rest is None and len(first) != len(names)):
+        raise ValueError(f"{path}:{line}: expected the header {','.join(names)}")
+    kinds = list(columns.values()) + [rest] * (len(first) - len(names))
+    rows = []
+    for line, row in lines[1:] if names else lines:
+        if len(row) != len(kinds):
+            raise ValueError(f"{path}:{line}: expected {len(kinds)} cells, got {len(row)}")
+        try:
+            rows.append(list(map(_parse_cell, kinds, row)))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{line}: {exc}") from None
+    return rows
 
 
 def write_records_csv(path, records) -> None:
@@ -489,37 +537,12 @@ def write_records_csv(path, records) -> None:
     reproducibility is defined modulo that line."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# generated {datetime.now(timezone.utc).isoformat()}\r\n")
-        _write_rows(fh, RECORD_FIELDS, records)
-
-
-def _write_rows(fh, fields, rows) -> None:
-    """CSV header `fields`, then one line per row of those attributes."""
-    writer = csv.writer(fh)
-    writer.writerow(fields)
-    for row in rows:
-        writer.writerow([_format_cell(getattr(row, name)) for name in fields])
-
-
-def _parse_cell(kind, cell):
-    """Inverse of _format_cell for a field annotated `kind`: empty means
-    missing (None) in numeric and bool columns, "" in text ones."""
-    if kind is str:
-        return cell
-    if cell == "":
-        return None
-    if kind is bool:
-        return cell == "true"
-    return kind(cell)
+        write_rows(fh, [RECORD_FIELDS, *map(attrgetter(*RECORD_FIELDS), records)])
 
 
 def read_records_csv(path):
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row and not row[0].startswith("#")]
-    if not rows or rows[0] != RECORD_FIELDS:
-        raise ValueError("not a trial-record CSV")
-    fields = dataclasses.fields(TrialRecord)
-    return [TrialRecord(**{f.name: _parse_cell(f.type, cell) for f, cell in zip(fields, row)})
-            for row in rows[1:]]
+    return [TrialRecord(**dict(zip(RECORD_FIELDS, row)))
+            for row in read_rows(path, TrialRecord.__annotations__)]
 
 
 # ---------------------------------------------------------------------------
@@ -560,6 +583,6 @@ def summarize(records):
     return out
 
 
-def write_summary_csv(path, summary_rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        _write_rows(fh, SUMMARY_FIELDS, summary_rows)
+def write_summary_csv(out, summary_rows) -> None:
+    """The summary rows under their header, to a path or a text stream."""
+    write_rows(out, [SUMMARY_FIELDS, *map(attrgetter(*SUMMARY_FIELDS), summary_rows)])

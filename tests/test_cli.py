@@ -1,4 +1,6 @@
 import csv
+import hashlib
+import io
 import os
 import subprocess
 import sys
@@ -121,6 +123,74 @@ def test_experiment_and_summarize(tmp_path, capsys):
     assert len(rows) == 2
 
 
+# sha256 of each file one small fixed CLI run writes; equilibria are hashed
+# with the residual blanked and each state rounded to 9 significant digits,
+# since the LAPACK solve of the Newton polish may differ in the last bits
+# between numpy/scipy builds
+_GOLDEN_CLI_FILES = {
+    "graph.txt":
+        "d79c8cbdbb87b061f21289b99c844b1125eece12853a599d5b1f920b70540afa",
+    "eq.csv":
+        "9a553b3eec896d734c793bf28878941a38c4683378c129cbcfbe1c2cc2c3fc52",
+    "pairs.csv":
+        "ff285bcbfd0a63e2e5f4b8bece86ede4253e11b2e46df7480491fb820bc272a6",
+    "inputs.csv":
+        "41f80aa7d25c1de124cc95415d077de98ddce6890afb0552bbb812b8d82cc24b",
+    "labels.csv":
+        "684cc998a0d74450e0ce487de34b14b38f63eb912c15aec919632b55de347159",
+    "labels_multi.csv":
+        "df63b116be505db1a42311ff16423a16e35a363b72003a06c43d30da212f542d",
+    "summary.csv":
+        "028d18aec163c7489d6eda207ae007dfe06e5ca8e6069f538f5d61d23a46381f",
+    "summary-stdout":
+        "028d18aec163c7489d6eda207ae007dfe06e5ca8e6069f538f5d61d23a46381f",
+}
+
+
+def _equilibria_digest(text):
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    for row in rows[1:]:
+        row[2:] = [""] + [format(float(cell), ".9g") for cell in row[3:]]
+    out = io.StringIO()
+    csv.writer(out).writerows(rows)
+    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+
+def test_cli_written_files_golden(tmp_path, monkeypatch, capsys):
+    """The edge list, equilibria, inputs, labels and summary (file and
+    stdout) that the CLI writes on one small fixed run are pinned across
+    commits."""
+    monkeypatch.chdir(tmp_path)
+    Path("exp.cfg").write_text("preset = ssbm-positive\nn_values = 20\nls = 0.6\nld = 0.2\n"
+                               "u_offsets = 0.05, 0.1\ntrials = 3\nbase_seed = 99\n")
+    assert main(["sample-graph", *SBM_FLAGS, "--seed", "4", "--out", "graph.txt"]) == 0
+    assert main(["simulate", *SBM_FLAGS, "--graph-seed", "4", "--u-offset", "0.05",
+                 "--ic-seed", "3", "--out", "eq.csv"]) == 0
+    assert main(["simulate", *SBM_FLAGS, "--graph-seed", "4", "--u-offset", "0.05",
+                 "--pairs", "20", "--pair-seed", "8", "--out", "pairs.csv",
+                 "--inputs-out", "inputs.csv"]) == 0
+    model_line = next(line for line in capsys.readouterr().out.splitlines()
+                      if line.startswith("model:"))
+    fields = dict(tok.split("=") for tok in model_line.split()[1:])
+    assert main(["detect-single", "--states", "eq.csv", "--n1", "10",
+                 "--out", "labels.csv"]) == 0
+    assert main(["detect-multi", "--states", "pairs.csv", "--inputs", "inputs.csv",
+                 "--u", fields["u"], "--gamma", fields["gamma"], "--n1", "10",
+                 "--out", "labels_multi.csv"]) == 0
+    assert main(["experiment", "--config", "exp.cfg", "--workers", "1",
+                 "--out", "records.csv"]) == 0
+    assert main(["summarize", "--records", "records.csv", "--out", "summary.csv"]) == 0
+    capsys.readouterr()
+    assert main(["summarize", "--records", "records.csv"]) == 0
+    digests = {"summary-stdout": hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()}
+    for name in _GOLDEN_CLI_FILES:
+        if name in ("eq.csv", "pairs.csv"):
+            digests[name] = _equilibria_digest(Path(name).read_bytes().decode())
+        elif name != "summary-stdout":
+            digests[name] = hashlib.sha256(Path(name).read_bytes()).hexdigest()
+    assert digests == _GOLDEN_CLI_FILES
+
+
 def test_experiment_preset_flag_overrides(tmp_path, capsys):
     records_csv = tmp_path / "records.csv"
     code = main(["experiment", "--preset", "ssbm-positive", "--trials", "1",
@@ -195,6 +265,10 @@ BAD_CONFIGS = {
     "base-seed-fraction": (_SSBM_CFG + "base_seed = 7.9\n", "base_seed"),
     "trials-true": (_SSBM_CFG + "trials = true\n", "trials"),
     "pair-sets-0": (_MULTI_CFG + "pair_sets = 0\n", "pair_sets"),
+    "d-0": (_SSBM_CFG + "d = 0\n", "d"),
+    "d-negative": (_SSBM_CFG + "d = -1\n", "d"),
+    "alpha-negative": (_SSBM_CFG + "alpha = -0.5\n", "alpha"),
+    "alpha-minus-5": (_SSBM_CFG + "alpha = -5\n", "alpha"),
 }
 
 
@@ -246,26 +320,58 @@ def test_simulate_rejects_nan_attention(tmp_path, capsys):
     assert not eq_csv.exists()
 
 
+# argv, and the `<file>:<line>` or flag the error line must name ("" for none)
+_MULTI_ARGS = ["--u", "0.5", "--gamma", "0.1", "--out", "est.csv"]
 BAD_INPUT_CASES = {
-    "detect-multi-n-mismatch": ["detect-multi", "--states", "states.csv", "--inputs",
-                                "inputs.csv", "--u", "0.5", "--gamma", "0.1", "--out", "est.csv"],
-    "summarize-not-records": ["summarize", "--records", "states.csv"],
-    "detect-single-unconverged": ["detect-single", "--states", "unconverged.csv",
-                                  "--out", "est.csv"],
-    "simulate-graph-no-header": ["simulate", "--graph", "graph.txt", "--gamma", "0.1",
-                                 "--u", "0.5", "--out", "eq.csv"],
-    "missing-file": ["summarize", "--records", "missing.csv"],
-    "simulate-graph-no-n1": ["simulate", "--graph", "graph_n.txt", "--gamma", "0.1",
-                             "--u", "0.5", "--out", "eq.csv"],
-    "detect-single-empty-file": ["detect-single", "--states", "empty.csv", "--out", "est.csv"],
-    "experiment-custom-missing-keys": ["experiment", "--preset", "custom", "--config", "c.cfg",
-                                       "--workers", "1", "--out", "records.csv"],
+    "detect-multi-n-mismatch": (["detect-multi", "--states", "states.csv", "--inputs",
+                                 "inputs.csv", *_MULTI_ARGS], ""),
+    "summarize-not-records": (["summarize", "--records", "states.csv"], ""),
+    "detect-single-unconverged": (["detect-single", "--states", "unconverged.csv",
+                                   "--out", "est.csv"], ""),
+    "simulate-graph-no-header": (["simulate", "--graph", "graph.txt", "--gamma", "0.1",
+                                  "--u", "0.5", "--out", "eq.csv"], ""),
+    "missing-file": (["summarize", "--records", "missing.csv"], ""),
+    "simulate-graph-no-n1": (["simulate", "--graph", "graph_n.txt", "--gamma", "0.1",
+                              "--u", "0.5", "--out", "eq.csv"], ""),
+    "detect-single-empty-file": (["detect-single", "--states", "empty.csv", "--out", "est.csv"],
+                                 ""),
+    "experiment-custom-missing-keys": (["experiment", "--preset", "custom", "--config", "c.cfg",
+                                        "--workers", "1", "--out", "records.csv"], ""),
+    "records-short-row": (["summarize", "--records", "short.csv", "--out", "summary.csv"],
+                          "short.csv:3:"),
+    "records-extra-cell": (["summarize", "--records", "extra.csv", "--out", "summary.csv"],
+                           "extra.csv:4:"),
+    "records-converged-yes": (["summarize", "--records", "yes.csv", "--out", "summary.csv"],
+                              "yes.csv:3:"),
+    "equilibria-short-row": (["detect-single", "--states", "eq_short.csv", "--out", "est.csv"],
+                             "eq_short.csv:3:"),
+    "inputs-ragged": (["detect-multi", "--states", "states.csv", "--inputs", "ragged.csv",
+                       *_MULTI_ARGS], "ragged.csv:2:"),
+    "simulate-pairs-0": (["simulate", *SBM_FLAGS, "--u-offset", "0.05", "--pairs", "0",
+                          "--out", "eq.csv"], "--pairs"),
+    "simulate-pairs-negative": (["simulate", *SBM_FLAGS, "--u-offset", "0.05", "--pairs", "-1",
+                                 "--out", "eq.csv"], "--pairs"),
+    "experiment-workers-0": (["experiment", "--preset", "ssbm-positive", "--trials", "1",
+                              "--workers", "0", "--out", "records.csv"], "--workers"),
+    "experiment-workers-negative": (["experiment", "--preset", "ssbm-positive", "--trials", "1",
+                                     "--workers", "-2", "--out", "records.csv"], "--workers"),
 }
 
 
-@pytest.mark.parametrize("argv", BAD_INPUT_CASES.values(), ids=BAD_INPUT_CASES.keys())
-def test_bad_input_file_is_an_error_not_a_traceback(argv, tmp_path, monkeypatch, capsys):
+def _trial_record(trial):
+    return harness.TrialRecord(
+        preset="ssbm-positive", method="single-equilibrium", seed=7, trial=trial,
+        pair_set=None, n=4, n1=2, n2=2, l11=0.6, l12=0.2, l22=0.6, gamma_sign=1, delta=0.1,
+        u_offset=0.05, u=0.5, saturation="tanh", accuracy=1.0, connected=True,
+        converged=True, residual=1e-13)
+
+
+@pytest.mark.parametrize("argv, where", BAD_INPUT_CASES.values(), ids=BAD_INPUT_CASES.keys())
+def test_bad_input_file_is_an_error_not_a_traceback(argv, where, tmp_path, monkeypatch, capsys):
+    """A bad input file or count exits 1 with one error line, naming the
+    malformed file's line or the flag, and writes no output file."""
     monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(harness, "_run_task", lambda job: pytest.fail("a trial ran"))
     states = [Equilibrium(np.array([0.1, -0.2, 0.3]), 1e-13, True, 1.0),
               Equilibrium(np.array([0.2, -0.1, 0.3]), 1e-13, True, 1.0)]
     write_equilibria_csv("states.csv", states)
@@ -276,9 +382,23 @@ def test_bad_input_file_is_an_error_not_a_traceback(argv, tmp_path, monkeypatch,
     (tmp_path / "graph_n.txt").write_text("# n=3\n0 1\n1 2\n")
     (tmp_path / "empty.csv").write_text("")
     (tmp_path / "c.cfg").write_text("n_values = 20\nls = 0.6\nld = 0.2\n")
+    write_records_csv("records_ok.csv", [_trial_record(0), _trial_record(1)])
+    stamp, header, first, second, _ = Path("records_ok.csv").read_bytes().decode().split("\r\n")
+    yes = first.split(",")
+    yes[harness.RECORD_FIELDS.index("converged")] = "yes"
+    for name, rows in (("short.csv", [first.rsplit(",", 1)[0], second]),
+                       ("extra.csv", [first, second + ",1"]),
+                       ("yes.csv", [",".join(yes), second])):
+        Path(name).write_bytes("\r\n".join([stamp, header, *rows, ""]).encode())
+    (tmp_path / "eq_short.csv").write_text("trial,converged,residual,x0,x1,x2\n"
+                                           "0,true,1e-13,0.1,-0.2,0.3\n1,true,1e-13,0.2,-0.1\n")
+    (tmp_path / "ragged.csv").write_text("0.5,-0.5,0.1\n1.0,2.0\n")
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    assert len(err.splitlines()) == 1 and where in err
+    assert not any(Path(out).exists() for out in ("est.csv", "eq.csv", "records.csv",
+                                                  "summary.csv"))
 
 
 N1_OUT_OF_RANGE_CASES = {
