@@ -11,6 +11,13 @@ from scipy.sparse.csgraph import breadth_first_order
 
 from .spectral import extreme_eigpairs
 
+# ARPACK's relative tolerance for Graph.extreme_eigenpair, set at the
+# accuracy its consumers need: the branch seed (whose Newton polish corrects
+# it), alignment_check and davis_kahan_check. Against tol = 0 it saves up to
+# one restart cycle (10 Lanczos steps) per graph and side.
+_EIGENPAIR_TOL = 1e-12
+
+
 @dataclass(frozen=True)
 class SbmParams:
     """Community sizes and link probabilities of a two-community SBM.
@@ -112,12 +119,13 @@ class Graph:
         `which` side ("LA" largest, "SA" smallest, "LM" largest magnitude).
 
         The first call for a `which` runs spectral.extreme_eigpairs on the
-        CSR adjacency (checked symmetric on construction); later calls return
-        the same pair. The vector is read-only, as every caller shares it.
+        CSR adjacency (checked symmetric on construction) at ARPACK tol
+        _EIGENPAIR_TOL; later calls return the same pair. The vector is
+        read-only, as every caller shares it.
         """
         pair = self._eigenpairs.get(which)
         if pair is None:
-            value, vector = extreme_eigpairs(self.adjacency, which)
+            value, vector = extreme_eigpairs(self.adjacency, which, tol=_EIGENPAIR_TOL)
             vector.flags.writeable = False
             pair = self._eigenpairs[which] = (value, vector)
         return pair

@@ -7,16 +7,21 @@ inputs' of (parameter point, trial index[, pair set]); adding points or
 re-running in parallel never reshuffles existing trials. The attention
 parameter is always specified as an offset from the expected-spectrum
 threshold.
+
+The process pool class ProcessPoolExecutor is loaded from
+concurrent.futures on the first pooled run (see __getattr__), so a serial
+run never imports multiprocessing.
 """
 
 import csv
 import dataclasses
 import hashlib
 import itertools
+import logging
 import math
 import numbers
 import os
-from concurrent.futures import ProcessPoolExecutor
+import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
@@ -33,6 +38,8 @@ from .graphgen import Graph, SbmParams, is_connected, sample_sbm
 from .theory import alignment_check, concentration_ratio, expected_threshold
 
 _ALL_SATURATIONS = (Saturation.TANH, Saturation.ALG_ABS, Saturation.ALG_SQRT, Saturation.ERF)
+
+_log = logging.getLogger(__name__)
 
 # Methods that detect from input-equilibrium pairs
 _MULTI_METHODS = frozenset({DetectionMethod.MULTI_EQUILIBRIA,
@@ -191,14 +198,32 @@ def _run_task(args):
             n=sbm.n, **dataclasses.asdict(sbm), gamma_sign=point.gamma_sign, delta=delta,
             u_offset=point.u_offset, saturation=point.saturation.value, connected=connected)
         if u_bar is None:
-            rows += [dataclasses.replace(base, method=method.value, m=m, failure="invalid-regime")
-                     for m in m_values for method in config.methods]
+            rows += _coded_rows(config, base, m_values, "invalid-regime")
             continue
         model = ModelParams(config.d, u_bar + point.u_offset, config.alpha, gamma,
                             point.saturation)
         base.u, base.concentration_ratio = model.u, ratio
-        rows += step(config, base, _point_key(point), graph, model, m_values)
+        try:  # on a copy: a point whose equilibria raise gets rows with empty outcomes
+            rows += step(config, dataclasses.replace(base), _point_key(point), graph, model,
+                         m_values)
+        except Exception as exc:
+            rows += _coded_rows(config, base, m_values, _error_code(exc))
     return rows
+
+
+def _coded_rows(config, base, m_values, failure):
+    """A row per (m, method) of the point `base` describes, with the failure
+    code `failure` and empty outcomes."""
+    return [dataclasses.replace(base, method=method.value, m=m, failure=failure)
+            for m in m_values for method in config.methods]
+
+
+def _error_code(exc):
+    """The failure code of a trial that `exc` stopped; the traceback goes to
+    the log, so the sweep goes on and the row says why it failed."""
+    code = f"error:{type(exc).__name__}"
+    _log.warning("trial failed with %s", code, exc_info=exc)
+    return code
 
 
 def _single_rows(config, row, key, graph, model, _m_values):
@@ -255,6 +280,9 @@ def _score(row, graph, detect):
     except DomainError:
         row.failure = "domain-error"
         return row
+    except Exception as exc:
+        row.failure = _error_code(exc)
+        return row
     row.accuracy = accuracy(graph.labels, estimate.labels)
     row.eigen_gap = estimate.diagnostics.get("eigen_gap")
     row.sigma_min_x = estimate.diagnostics.get("sigma_min_x")
@@ -287,7 +315,10 @@ def run_experiment(config: ExperimentConfig, workers: int = None):
     if workers is None:
         workers = os.cpu_count() or 1
     if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # read through the module, so the class is imported on first use
+        # (see __getattr__) and a class set on the module in its place is used
+        pool_class = sys.modules[__name__].ProcessPoolExecutor
+        with pool_class(max_workers=workers) as pool:
             chunks = list(pool.map(_run_task, jobs))
     else:
         chunks = [_run_task(job) for job in jobs]
@@ -586,3 +617,13 @@ def summarize(records):
 def write_summary_csv(out, summary_rows) -> None:
     """The summary rows under their header, to a path or a text stream."""
     write_rows(out, [SUMMARY_FIELDS, *map(attrgetter(*SUMMARY_FIELDS), summary_rows)])
+
+
+def __getattr__(name):
+    """ProcessPoolExecutor, imported from concurrent.futures on the first
+    read (PEP 562) and kept as the module attribute from then on."""
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+        globals()[name] = ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

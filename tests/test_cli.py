@@ -499,6 +499,17 @@ def test_cli_import_leaves_the_ode_solver_for_the_first_ode_solve():
     assert done.returncode == 0, done.stderr
 
 
+def test_cli_import_leaves_the_process_pool_for_the_first_pooled_run():
+    """`import commdyn.cli` loads neither multiprocessing nor
+    concurrent.futures.process; only a pooled run imports the pool class."""
+    probe = (
+        "import sys, commdyn.cli\n"
+        "bad = {'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)\n"
+        "assert not bad, f'loaded at import: {sorted(bad)}'\n")
+    done = _run_fresh(probe)
+    assert done.returncode == 0, done.stderr
+
+
 def test_first_erf_call_loads_scipy_special():
     """The erf saturation imports scipy.special on its first call, and its S,
     S' and S^-1 are bit for bit erf(sqrt(pi)*z/2), exp(-pi*z^2/4) and

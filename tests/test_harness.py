@@ -1,4 +1,6 @@
+import concurrent.futures
 import csv
+import dataclasses
 import hashlib
 import io
 import math
@@ -6,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from commdyn import dynamics
+from commdyn import dynamics, harness
 from commdyn.detect import DetectionMethod
 from commdyn.dynamics import NEUTRAL_TOL, IntegrationControls, ModelParams, Saturation
 from commdyn.harness import (Preset, TrialRecord, build_config, derive_seed,
@@ -260,6 +262,108 @@ def test_parallel_matches_serial():
         serial = run_experiment(make_config(), workers=1)
         parallel = run_experiment(make_config(), workers=2)
         assert serial == parallel
+
+
+def test_pooled_run_enters_the_module_pool_class(monkeypatch):
+    """run_experiment reads its pool class as harness.ProcessPoolExecutor,
+    concurrent.futures' own until a class is set there in its place."""
+    assert harness.ProcessPoolExecutor is concurrent.futures.ProcessPoolExecutor
+    entered = []
+
+    class Pool(concurrent.futures.ProcessPoolExecutor):
+        def __enter__(self):
+            entered.append(self)
+            return super().__enter__()
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
+    serial = run_experiment(tiny_shared_graph_config(), workers=1)
+    assert not entered
+    assert run_experiment(tiny_shared_graph_config(), workers=2) == serial
+    assert len(entered) == 1
+
+
+def _same_rows(records):
+    """The records as comparable text: an eigen_gap of nan (fewer than three
+    agents) makes a record unequal to itself."""
+    return [repr(r) for r in records]
+
+
+def _raise_for(predicate, function):
+    """`function`, except that it raises LinAlgError on arguments that
+    `predicate` accepts."""
+    def patched(*args):
+        if predicate(*args):
+            raise np.linalg.LinAlgError("injected")
+        return function(*args)
+    return patched
+
+
+def test_an_exception_in_a_task_ends_as_coded_rows(monkeypatch):
+    """An unexpected exception in a point's equilibria codes that point's
+    rows, and one in a detection codes that row, as error:<type> with empty
+    outcomes; every other row is the unpatched run's, serial or pooled."""
+    single = tiny_single_config(u_offsets=[0.05, 0.09])
+    multi = tiny_multi_config()
+    clean_single = run_experiment(single, workers=1)
+    clean_multi = run_experiment(multi, workers=1)
+    failed_u = {r.u for r in clean_single if r.u_offset == 0.09}
+    monkeypatch.setattr(harness, "integrate_to_equilibrium", _raise_for(
+        lambda x0, model, graph, controls: model.u in failed_u,
+        harness.integrate_to_equilibrium))
+    monkeypatch.setattr(harness, "detect_multi", _raise_for(
+        lambda pairs: pairs.X.shape[1] == 4, harness.detect_multi))
+    coded = dict(failure="error:LinAlgError", accuracy=None, eigen_gap=None, sigma_min_x=None)
+    expected_single = [dataclasses.replace(r, converged=None, residual=None, **coded)
+                       if r.u_offset == 0.09 else r for r in clean_single]
+    expected_multi = [dataclasses.replace(r, **coded)
+                      if r.method == "multi-equilibria" and r.m == 4 else r for r in clean_multi]
+    for workers in (1, 2):
+        assert run_experiment(single, workers=workers) == expected_single
+        assert _same_rows(run_experiment(multi, workers=workers)) == _same_rows(expected_multi)
+    assert sum(r.u_offset == 0.09 for r in clean_single) == 3
+    assert sum(r.method == "multi-equilibria" and r.m == 4 for r in clean_multi) == 4
+
+
+EDGE_CASE_SWEEPS = {
+    "decoupled-blocks-positive": (Preset.SSBM_POSITIVE, dict(
+        n_values=[40], ls=0.5, ld=0.0, u_offsets=[0.05], trials=2, gamma_sign=1)),
+    "decoupled-blocks-negative": (Preset.SSBM_NEGATIVE, dict(
+        n_values=[40], ls=0.5, ld=0.0, u_offsets=[0.05], trials=2, gamma_sign=-1)),
+    "n1-1": (Preset.UNEQUAL_SBM, dict(n1_values=[1], u_offsets=[0.01, 0.04], trials=3)),
+    "complete-graph": (Preset.SSBM_POSITIVE, dict(
+        n_values=[24], ls=1.0, ld=1.0, u_offsets=[0.05], trials=2)),
+    "ssbm-n2": (Preset.SSBM_POSITIVE, dict(n_values=[2], u_offsets=[0.05], trials=2)),
+    "multi-pairs-n2": (Preset.MULTI_PAIRS, dict(n_values=[2], trials=2, pair_sets=1)),
+}
+
+
+@pytest.mark.parametrize("case", EDGE_CASE_SWEEPS)
+def test_edge_case_sweeps_end_as_rows(case):
+    """Decoupled blocks, n1 = 1, a complete graph and two-agent graphs run
+    through the harness to rows with the failure codes these graphs call
+    for, the same serial and pooled. At n1 = 1 the two agents agree when
+    linked (degenerate labels) and stay neutral when not."""
+    preset, overrides = EDGE_CASE_SWEEPS[case]
+    config = build_config(preset, base_seed=777, **overrides)
+    records = run_experiment(config, workers=1)
+    assert _same_rows(run_experiment(config, workers=2)) == _same_rows(records)
+    failures = [r.failure for r in records]
+    if case == "n1-1":
+        assert len(records) == 6
+        assert failures == ["degenerate" if r.connected else "neutral-state" for r in records]
+        assert set(failures) == {"degenerate", "neutral-state"}
+    elif case == "ssbm-n2":
+        assert failures == ["neutral-state"] * 2
+    elif case == "multi-pairs-n2":
+        # m in {1, 2}, two methods, two trials: the covariance baseline needs
+        # two samples
+        assert len(records) == 8
+        assert [(r.m, r.method) for r in records if r.failure] == [
+            (1, "covariance-spectral")] * 2
+        assert set(failures) == {"", "too-few-samples"}
+    else:
+        assert failures == [""] * 2
+        assert all(0.5 <= r.accuracy <= 1.0 for r in records)
 
 
 def test_points_on_one_sbm_share_their_graph():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import aslinearoperator
 
-from commdyn import dynamics, spectral, theory
+from commdyn import dynamics, graphgen, spectral, theory
 from commdyn.dynamics import Equilibrium, ModelParams, integrate_to_equilibrium
 from commdyn.errors import NeutralState
 from commdyn.graphgen import Graph, SbmParams, is_connected, max_expected_degree, sample_sbm
@@ -215,11 +215,13 @@ def test_alignment_check_copies_no_adjacency():
 
 def test_spectral_callers_share_one_eigensolve_per_which(monkeypatch):
     """_branch_seed, alignment_check, c_of_u and davis_kahan_check get the
-    bits of a direct extreme_eigpairs call on A, and ARPACK runs once per
-    graph and `which` (plus once on A - E{A} in davis_kahan_check)."""
+    bits of a direct extreme_eigpairs call on A at the graph's tolerance,
+    and ARPACK runs once per graph and `which` (plus once on A - E{A} in
+    davis_kahan_check)."""
     p = SbmParams.ssbm(200, 0.1, 0.03)
     g = sample_sbm(p, seed=4)
-    direct = {which: extreme_eigpairs(aslinearoperator(g.adjacency), which)
+    direct = {which: extreme_eigpairs(aslinearoperator(g.adjacency), which,
+                                      tol=graphgen._EIGENPAIR_TOL)
               for which in ("LA", "SA")}
     solves = []
     arpack = spectral.eigsh
@@ -264,12 +266,15 @@ def test_concentration_ratio_median_calibration():
     assert np.median(ratios) <= 3.0
 
 
-@pytest.mark.parametrize("p", [
-    SbmParams.ssbm(600, 0.005, 0.03),
-    SbmParams.ssbm(400, 0.3, 0.05),
-    SbmParams(500, 25, 0.05, 0.1, 0.5),
-    SbmParams(300, 200, 0.02, 0.005, 0.04),
-], ids=["ssbm-sparse", "ssbm-dense", "unequal-leader", "unequal"])
+GRAPH_FAMILIES = {
+    "ssbm-sparse": SbmParams.ssbm(600, 0.005, 0.03),
+    "ssbm-dense": SbmParams.ssbm(400, 0.3, 0.05),
+    "unequal-leader": SbmParams(500, 25, 0.05, 0.1, 0.5),
+    "unequal": SbmParams(300, 200, 0.02, 0.005, 0.04),
+}
+
+
+@pytest.mark.parametrize("p", GRAPH_FAMILIES.values(), ids=GRAPH_FAMILIES.keys())
 @pytest.mark.parametrize("seed", [3, 4])
 def test_concentration_ratio_matches_dense_oracle(p, seed, monkeypatch):
     """concentration_ratio stops its Lanczos solve at a loose ARPACK tol and
@@ -288,6 +293,25 @@ def test_concentration_ratio_matches_dense_oracle(p, seed, monkeypatch):
     (tol, (theta, v)), = solves
     assert tol == theory._DEVIATION_EIG_TOL > 0.0
     assert np.linalg.norm(deviation @ v - theta * v) <= tol * abs(theta)
+
+
+@pytest.mark.parametrize("p", [*GRAPH_FAMILIES.values(), SbmParams.ssbm(22, 0.5, 0.2)],
+                         ids=[*GRAPH_FAMILIES.keys(), "ssbm-22"])
+@pytest.mark.parametrize("which", ["LA", "SA"])
+def test_graph_eigenpair_at_its_tolerance_matches_dense_oracle(p, which):
+    """Graph.extreme_eigenpair stops ARPACK at _EIGENPAIR_TOL, not machine
+    precision, and still gives dense eigh's extreme value to 1e-12 relative;
+    its pair (lam, w) meets ARPACK's criterion ||A w - lam w|| <= tol |lam|.
+    The 22-agent SSBM is the smallest that runs ARPACK (n > 20), not the
+    dense path."""
+    g = sample_sbm(p, seed=3)
+    value, w = g.extreme_eigenpair(which)
+    a = g.adjacency.toarray()
+    values = np.linalg.eigvalsh(a)
+    assert value == pytest.approx(values[-1 if which == "LA" else 0], rel=1e-12, abs=0)
+    tol = graphgen._EIGENPAIR_TOL
+    assert 0.0 < tol <= 1e-12
+    assert np.linalg.norm(a @ w - value * w) <= tol * abs(value)
 
 
 # ---------------------------------------------------------------------------
