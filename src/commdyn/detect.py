@@ -88,11 +88,9 @@ def _cluster_second_eigenvector(matrix, method: DetectionMethod) -> CommunityEst
     values, vectors = sym_eig(matrix)
     km = kmeans_two_1d(vectors[:, -2])
     top3 = [float(x) for x in values[::-1][:3]]
-    diagnostics = {
-        "centers": km.centers,
-        "top_eigenvalues": top3,
-        "eigen_gap": float(values[-2] - values[-3]) if values.size >= 3 else float("nan"),
-    }
+    diagnostics = {"centers": km.centers, "top_eigenvalues": top3}
+    if values.size >= 3:  # below three agents there is no gap to report
+        diagnostics["eigen_gap"] = float(values[-2] - values[-3])
     return CommunityEstimate(km.labels, method, diagnostics, degenerate=km.degenerate)
 
 

@@ -53,13 +53,17 @@ _SEED_XTOL = 2e-12
 _SEED_RTOL = 4.0 * np.finfo(float).eps
 
 # Every equilibrium solve runs RK45 over at most [0, T_MAX] model time from a
-# first step of FIRST_STEP, at absolute tolerance ATOL. The integrator cannot
-# push the residual much below rtol * ||x||, so once it drops under
-# POLISH_TRIGGER a guarded Newton polish takes over: to a sup-norm residual of
-# NEWTON_TOL in at most NEWTON_MAX_ITER iterations.
+# first step of FIRST_STEP, at relative tolerance RTOL and absolute tolerance
+# ATOL. A state is an equilibrium once its sup-norm residual is at most
+# STEADY_TOL. The integrator cannot push the residual much below
+# RTOL * ||x||, so once it drops under POLISH_TRIGGER a guarded Newton polish
+# takes over: to a sup-norm residual of NEWTON_TOL in at most NEWTON_MAX_ITER
+# iterations. The solvers read these names from the module at call time.
 T_MAX = 1e5
 FIRST_STEP = 1e-3
+RTOL = 1e-7
 ATOL = 1e-9
+STEADY_TOL = 1e-10
 POLISH_TRIGGER = 1e-5
 NEWTON_TOL = 1e-12
 NEWTON_MAX_ITER = 25
@@ -157,24 +161,6 @@ class Equilibrium:
     residual_inf: float
     converged: bool
     elapsed_model_time: float
-
-
-@dataclass(frozen=True)
-class IntegrationControls:
-    """The adaptive integrator's relative tolerance (rtol) and the residual
-    at which a state counts as an equilibrium (steady_tol).
-
-    The horizon, the first step, the absolute tolerance and the Newton polish
-    settings are module constants: T_MAX, FIRST_STEP, ATOL, POLISH_TRIGGER,
-    NEWTON_TOL, NEWTON_MAX_ITER.
-    """
-
-    rtol: float = 1e-9
-    steady_tol: float = 1e-10
-
-    def __post_init__(self):
-        if not (0 < self.rtol < np.inf and 0 < self.steady_tol < np.inf):
-            raise ValueError("integration controls must be positive and finite")
 
 
 def rhs(x, params: ModelParams, graph: Graph, b=None):
@@ -405,7 +391,7 @@ def _is_stable(x, params: ModelParams, graph: Graph) -> bool:
     return bool(extreme_eigpairs(operator, "LA")[0] < 0.0)
 
 
-def _guarded_polish(x, params, graph, b, controls):
+def _guarded_polish(x, params, graph, b):
     """Newton-polish x and accept only a root the trajectory point belongs to:
     either the step stayed small relative to x, or both points are
     numerically neutral and the stability certificate holds at the root (a
@@ -415,7 +401,7 @@ def _guarded_polish(x, params, graph, b, controls):
         refined = newton_refine(x, params, graph, b)
     except SingularJacobian:
         return None
-    if refined.residual_inf > controls.steady_tol:
+    if refined.residual_inf > STEADY_TOL:
         return None
     x_norm = float(np.abs(x).max())
     moved = float(np.abs(refined.state - x).max())
@@ -428,25 +414,24 @@ def _guarded_polish(x, params, graph, b, controls):
     return None
 
 
-def _stacked_equilibria(x0, params: ModelParams, graph: Graph, b,
-                        controls: IntegrationControls) -> list:
+def _stacked_equilibria(x0, params: ModelParams, graph: Graph, b) -> list:
     """One Equilibrium per column of the (n, m) start block x0, column k
     driven by b[:, k] (no input when b is None), integrated as one matrix ODE
     so the network matvec runs once per stage for all columns. The early
-    polish is all-or-nothing over the columns above steady_tol; a column
+    polish is all-or-nothing over the columns above STEADY_TOL; a column
     still above it at the end gets one last guarded polish."""
     n, m = x0.shape
-    tol = controls.steady_tol
+    tol = STEADY_TOL
 
     def polish(states, k):
         return _guarded_polish(states[:, k], params, graph,
-                               None if b is None else b[:, k], controls)
+                               None if b is None else b[:, k])
 
     # read from the module per call: the first read imports scipy.integrate
     # (see __getattr__), and a class set on the module in its place is used
     rk45 = sys.modules[__name__].RK45
     solver = rk45(lambda _t, y: rhs(y.reshape(n, m), params, graph, b).ravel(), 0.0,
-                  x0.ravel(), t_bound=T_MAX, rtol=controls.rtol,
+                  x0.ravel(), t_bound=T_MAX, rtol=RTOL,
                   atol=ATOL, first_step=FIRST_STEP)
     # RK45 keeps the field at solver.y in solver.f: the residuals cost no rhs call
     states, res = x0, np.abs(solver.f.reshape(n, m)).max(axis=0)
@@ -469,7 +454,7 @@ def _stacked_equilibria(x0, params: ModelParams, graph: Graph, b,
     for k in range(m):
         x, rk = states[:, k], float(res[k])
         if rk > tol:
-            x, rk = polish(states, k) or (x, rk)  # accepted only at <= steady_tol
+            x, rk = polish(states, k) or (x, rk)  # accepted only at <= STEADY_TOL
         out.append(Equilibrium(x, rk, rk <= tol, float(solver.t)))
     return out
 
@@ -511,8 +496,7 @@ def _branch_seed(params: ModelParams, graph: Graph):
     return c, w
 
 
-def _seeded_equilibrium(x0, params: ModelParams, graph: Graph,
-                        controls: IntegrationControls):
+def _seeded_equilibrium(x0, params: ModelParams, graph: Graph):
     """Newton from the branch seed +-c*w, the sign taken from x0.w, or None
     when the root is not the equilibrium the trajectory from x0 would reach:
     unconverged, neutral, on the other side of the origin, not certified by
@@ -528,7 +512,7 @@ def _seeded_equilibrium(x0, params: ModelParams, graph: Graph,
     except SingularJacobian:
         return None
     root_norm = float(np.abs(root.state).max())
-    if (root.residual_inf <= controls.steady_tol and root_norm > NEUTRAL_TOL
+    if (root.residual_inf <= STEADY_TOL and root_norm > NEUTRAL_TOL
             and sign * float(root.state @ w) > 0.0
             and float(np.abs(x0).max()) <= 0.1 * root_norm
             and _is_stable(root.state, params, graph)):
@@ -536,14 +520,13 @@ def _seeded_equilibrium(x0, params: ModelParams, graph: Graph,
     return None
 
 
-def integrate_to_equilibrium(x0, params: ModelParams, graph: Graph,
-                             controls: IntegrationControls = IntegrationControls()) -> Equilibrium:
+def integrate_to_equilibrium(x0, params: ModelParams, graph: Graph) -> Equilibrium:
     """Adaptive Runge-Kutta 4(5) to steady state, then a Newton polish.
 
-    Stepping stops once the residual reaches steady_tol, once a guarded
+    Stepping stops once the residual reaches STEADY_TOL, once a guarded
     Newton polish from the current point succeeds (the integrator alone
-    cannot push the residual below its rtol * ||x|| error floor), or at
-    T_MAX. `converged` reflects the final residual against steady_tol, so a
+    cannot push the residual below its RTOL * ||x|| error floor), or at
+    T_MAX. `converged` reflects the final residual against STEADY_TOL, so a
     T_MAX exit with a large residual is reported rather than raised.
 
     A start that is not yet an equilibrium first tries the seeded start:
@@ -553,15 +536,14 @@ def integrate_to_equilibrium(x0, params: ModelParams, graph: Graph,
     path from x0.
     """
     x0 = np.array(x0, dtype=float).reshape(-1, 1)
-    if float(np.abs(rhs(x0[:, 0], params, graph)).max()) > controls.steady_tol:
-        seeded = _seeded_equilibrium(x0[:, 0], params, graph, controls)
+    if float(np.abs(rhs(x0[:, 0], params, graph)).max()) > STEADY_TOL:
+        seeded = _seeded_equilibrium(x0[:, 0], params, graph)
         if seeded is not None:
             return seeded
-    return _stacked_equilibria(x0, params, graph, None, controls)[0]
+    return _stacked_equilibria(x0, params, graph, None)[0]
 
 
-def equilibria_for_inputs(graph: Graph, params: ModelParams, inputs,
-                          controls: IntegrationControls = IntegrationControls()) -> list:
+def equilibria_for_inputs(graph: Graph, params: ModelParams, inputs) -> list:
     """One equilibrium per input column, each integrated from the origin.
 
     The independent trajectories are stacked into a single matrix ODE so the
@@ -572,7 +554,7 @@ def equilibria_for_inputs(graph: Graph, params: ModelParams, inputs,
     inputs = np.asarray(inputs, dtype=float)
     if inputs.ndim != 2 or inputs.shape[0] != graph.n:
         raise ValueError("inputs must be an (n, m) matrix")
-    return _stacked_equilibria(np.zeros(inputs.shape), params, graph, inputs, controls)
+    return _stacked_equilibria(np.zeros(inputs.shape), params, graph, inputs)
 
 
 def __getattr__(name):

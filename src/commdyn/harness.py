@@ -31,8 +31,8 @@ import numpy as np
 
 from .detect import (DetectionMethod, PairSet, accuracy, detect_covariance_baseline,
                      detect_multi, detect_single)
-from .dynamics import (IntegrationControls, ModelParams, Saturation,
-                       equilibria_for_inputs, integrate_to_equilibrium)
+from .dynamics import (ModelParams, Saturation, equilibria_for_inputs,
+                       integrate_to_equilibrium)
 from .errors import DomainError, NeutralState
 from .graphgen import Graph, SbmParams, is_connected, sample_sbm
 from .theory import alignment_check, concentration_ratio, expected_threshold
@@ -81,7 +81,6 @@ class ExperimentConfig:
     m_fractions: tuple = ()
     pair_sets: int = 10
     diagnostics: bool = False
-    controls: IntegrationControls = IntegrationControls()
 
     def __post_init__(self):
         if self.trials < 1:
@@ -162,13 +161,12 @@ def resolve_m_values(fractions, n: int):
     return sorted({max(1, int(round(f * n + 1e-9))) for f in fractions})
 
 
-def generate_pair_set(graph: Graph, model: ModelParams, m: int, seed: int,
-                      controls: IntegrationControls = IntegrationControls()):
+def generate_pair_set(graph: Graph, model: ModelParams, m: int, seed: int):
     """Standard-Gaussian inputs, equilibria integrated from the origin and
     Newton-polished. Returns (PairSet, equilibria)."""
     rng = np.random.Generator(np.random.Philox(seed))
     inputs = rng.standard_normal((graph.n, m))
-    eqs = equilibria_for_inputs(graph, model, inputs, controls)
+    eqs = equilibria_for_inputs(graph, model, inputs)
     states = np.column_stack([eq.state for eq in eqs])
     return PairSet(states, inputs, model), eqs
 
@@ -177,13 +175,20 @@ def _run_task(args):
     """The records of one (SBM index, trial, pair set) task: one graph, its
     connectivity and, with diagnostics on, its concentration ratio, shared
     by the rows of every point on that SBM. The pair set is None in a
-    single-equilibrium run; all pair sets of a trial share the graph too."""
+    single-equilibrium run; all pair sets of a trial share the graph too.
+    An exception in that graph work codes every row of the task; what was
+    computed before it stays in the rows."""
     config, (sbm_index, trial, pair_set) = args
     sbm = config.sbms[sbm_index]
     seed = derive_seed(config.base_seed, "graph", dataclasses.astuple(sbm), trial)
-    graph = sample_sbm(sbm, seed)
-    connected = is_connected(graph)
-    ratio = concentration_ratio(graph, sbm) if config.diagnostics else None
+    connected = ratio = graph_failure = None
+    try:
+        graph = sample_sbm(sbm, seed)
+        connected = is_connected(graph)
+        if config.diagnostics:
+            ratio = concentration_ratio(graph, sbm)
+    except Exception as exc:
+        graph_failure = _error_code(exc)
     if pair_set is None:
         step, m_values = _single_rows, [None]
     else:
@@ -203,6 +208,9 @@ def _run_task(args):
         model = ModelParams(config.d, u_bar + point.u_offset, config.alpha, gamma,
                             point.saturation)
         base.u, base.concentration_ratio = model.u, ratio
+        if graph_failure:
+            rows += _coded_rows(config, base, m_values, graph_failure)
+            continue
         try:  # on a copy: a point whose equilibria raise gets rows with empty outcomes
             rows += step(config, dataclasses.replace(base), _point_key(point), graph, model,
                          m_values)
@@ -232,7 +240,7 @@ def _single_rows(config, row, key, graph, model, _m_values):
     rng = np.random.Generator(np.random.Philox(
         derive_seed(config.base_seed, "init", key, row.trial)))
     x0 = rng.uniform(-1e-3, 1e-3, graph.n)
-    eq = integrate_to_equilibrium(x0, model, graph, config.controls)
+    eq = integrate_to_equilibrium(x0, model, graph)
     row.converged = eq.converged
     row.residual = eq.residual_inf
     if config.diagnostics:
@@ -247,7 +255,7 @@ def _pair_set_rows(config, base, key, graph, model, m_values):
     """One pair set of max(m) input-driven equilibria; every method detects
     from each of its first-m prefixes."""
     seed = derive_seed(config.base_seed, "pairs", key, base.trial, base.pair_set)
-    pairs, eqs = generate_pair_set(graph, model, max(m_values), seed, config.controls)
+    pairs, eqs = generate_pair_set(graph, model, max(m_values), seed)
     residuals = np.array([eq.residual_inf for eq in eqs])
     converged = np.array([eq.converged for eq in eqs])
     rows = []
@@ -356,10 +364,7 @@ _PRESET_DEFAULTS = {
         u_offsets=(0.01,), saturations=(Saturation.TANH,), gamma_sign=1,
         trials=10, pair_sets=10,
         m_fractions=(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0),
-        methods=(DetectionMethod.MULTI_EQUILIBRIA, DetectionMethod.COVARIANCE_SPECTRAL),
-        # input-driven equilibria converge fast; the Newton polish to 1e-12
-        # makes the looser ODE tolerances safe
-        controls=IntegrationControls(rtol=1e-7, steady_tol=1e-8)),
+        methods=(DetectionMethod.MULTI_EQUILIBRIA, DetectionMethod.COVARIANCE_SPECTRAL)),
     Preset.CUSTOM: dict(),
 }
 
@@ -422,7 +427,6 @@ def build_config(preset, base_seed: int = 12345, **overrides) -> ExperimentConfi
     m_fractions and pair_sets. Scalars are accepted where lists are
     expected. An unknown or unread override, a key that neither preset
     nor overrides give, or a value of the wrong kind raises ValueError.
-    The controls are the preset's.
     """
     unknown = sorted(set(overrides) - _OVERRIDE_KEYS)
     if unknown:
@@ -467,7 +471,7 @@ def build_config(preset, base_seed: int = 12345, **overrides) -> ExperimentConfi
         m_fractions=tuple(_fraction("m_fractions", f)
                           for f in _as_tuple(settings["m_fractions"])),
         pair_sets=_whole("pair_sets", settings["pair_sets"]),
-        diagnostics=settings["diagnostics"], controls=settings["controls"])
+        diagnostics=settings["diagnostics"])
 
 
 def load_config_file(path) -> dict:

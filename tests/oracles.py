@@ -14,6 +14,8 @@ residuals of input-equilibrium pairs.
 
 The seeded start's amplitude by bracketing: scipy's brentq on the projected
 fixed point, which the package solves by Newton without scipy.optimize.
+
+And the tests' graph fixture: the first connected sample of an SBM.
 """
 
 import numpy as np
@@ -21,8 +23,18 @@ from scipy import sparse
 from scipy.optimize import brentq
 
 from commdyn.dynamics import Equilibrium, ModelParams, rhs, saturation_eval
-from commdyn.graphgen import Graph, SbmParams
+from commdyn.graphgen import Graph, SbmParams, is_connected, sample_sbm
 from commdyn.spectral import extreme_eigpairs, sym_eig
+
+
+def connected_sample(params: SbmParams) -> Graph:
+    """The first connected graph sample_sbm draws for params over seeds
+    0, 1, ..., 49; RuntimeError when none of them is connected."""
+    for seed in range(50):
+        graph = sample_sbm(params, seed)
+        if is_connected(graph):
+            return graph
+    raise RuntimeError("no connected sample")
 
 
 def bernoulli_pairs_sbm(params: SbmParams, seed: int) -> Graph:

@@ -6,22 +6,14 @@ from commdyn.detect import (DetectionMethod, PairSet, _cluster_second_eigenvecto
                             estimate_adjacency, invert_pairs)
 from commdyn.dynamics import Equilibrium, ModelParams
 from commdyn.errors import DomainError, NeutralState
-from commdyn.graphgen import Graph, SbmParams, is_connected, sample_sbm
+from commdyn.graphgen import Graph, SbmParams
 from commdyn.harness import generate_pair_set
 from commdyn.theory import expected_threshold
-from oracles import expected_adjacency, fixed_point_residuals
+from oracles import connected_sample, expected_adjacency, fixed_point_residuals
 
 
 def _eq(state):
     return Equilibrium(np.asarray(state, dtype=float), 0.0, True, 1.0)
-
-
-def _connected(params, start_seed=0):
-    for seed in range(start_seed, start_seed + 50):
-        g = sample_sbm(params, seed)
-        if is_connected(g):
-            return g
-    raise RuntimeError("no connected sample")
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +81,7 @@ def test_invert_pairs_domain_error_reports_index():
 
 def test_pair_set_residual_invariant():
     p = SbmParams.ssbm(12, 0.6, 0.2)
-    g = _connected(p)
+    g = connected_sample(p)
     u_bar, gamma, _ = expected_threshold(p, 1)
     model = ModelParams(1.0, u_bar + 0.02, 1.0, gamma)
     pairs, eqs = generate_pair_set(g, model, 6, seed=9)
@@ -102,7 +94,7 @@ def test_pair_set_residual_invariant():
 
 def test_estimate_adjacency_exact_square_case():
     p = SbmParams.ssbm(10, 0.6, 0.2)
-    g = _connected(p)
+    g = connected_sample(p)
     u_bar, gamma, _ = expected_threshold(p, 1)
     model = ModelParams(1.0, u_bar + 0.02, 1.0, gamma)
     pairs, _ = generate_pair_set(g, model, 10, seed=3)

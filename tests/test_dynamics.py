@@ -5,15 +5,15 @@ from scipy import sparse
 from commdyn import dynamics, spectral
 from commdyn.cli import read_equilibria_csv, write_equilibria_csv
 from commdyn.detect import PairSet, detect_single
-from commdyn.dynamics import (DENSE_NEWTON_MAX_N, Equilibrium, IntegrationControls,
-                              ModelParams, Saturation, equilibria_for_inputs,
-                              integrate_to_equilibrium, jacobian, newton_refine, rhs,
-                              saturation_deriv, saturation_eval, saturation_inverse)
+from commdyn.dynamics import (DENSE_NEWTON_MAX_N, Equilibrium, ModelParams, Saturation,
+                              equilibria_for_inputs, integrate_to_equilibrium, jacobian,
+                              newton_refine, rhs, saturation_deriv, saturation_eval,
+                              saturation_inverse)
 from commdyn.errors import DomainError, SingularJacobian
-from commdyn.graphgen import Graph, SbmParams, is_connected, max_expected_degree, sample_sbm
+from commdyn.graphgen import Graph, SbmParams, max_expected_degree, sample_sbm
 from commdyn.spectral import extreme_eigpairs
-from oracles import (bifurcation_threshold, branch_amplitude, fixed_point_residuals,
-                     projected_fixed_point)
+from oracles import (bifurcation_threshold, branch_amplitude, connected_sample,
+                     fixed_point_residuals, projected_fixed_point)
 
 ALL_KINDS = list(Saturation)
 
@@ -27,13 +27,10 @@ ROUND_TRIP_CAP = {
 }
 
 
-def _connected_ssbm(n, l_same, l_diff, start_seed=0):
+def _connected_ssbm(n, l_same, l_diff):
+    """(SBM, its first connected sample) of the symmetric SBM."""
     p = SbmParams.ssbm(n, l_same, l_diff)
-    for seed in range(start_seed, start_seed + 50):
-        g = sample_sbm(p, seed)
-        if is_connected(g):
-            return p, g
-    raise RuntimeError("no connected sample found")
+    return p, connected_sample(p)
 
 
 @pytest.fixture(scope="module")
@@ -202,20 +199,20 @@ def test_above_threshold_negative_gamma_mixed_signs():
     assert np.any(eq.state > 0) and np.any(eq.state < 0)
 
 
-def _above_threshold_model(p, g, offset=0.05):
-    gamma = 1.0 / max_expected_degree(p)
-    u1 = bifurcation_threshold(g.adjacency, ModelParams(1.0, 0.1, 1.0, gamma))
-    return ModelParams(1.0, u1 + offset, 1.0, gamma)
+def _model_above_threshold(p, g, sign, kind, offset):
+    gamma = sign / max_expected_degree(p)
+    u = bifurcation_threshold(g.adjacency, ModelParams(1.0, 0.1, 1.0, gamma)) + offset
+    return ModelParams(1.0, u, 1.0, gamma, kind)
 
 
 def test_input_columns_meet_their_own_fixed_points(small_graph):
     p, g = small_graph
-    m = _above_threshold_model(p, g)
+    m = _model_above_threshold(p, g, 1, Saturation.TANH, 0.05)
     inputs = np.random.Generator(np.random.Philox(26)).standard_normal((g.n, 3))
     eqs = equilibria_for_inputs(g, m, inputs)
     assert all(eq.converged for eq in eqs)
     pairs = PairSet(np.column_stack([eq.state for eq in eqs]), inputs, m)
-    assert fixed_point_residuals(pairs, g).max() <= IntegrationControls().steady_tol
+    assert fixed_point_residuals(pairs, g).max() <= dynamics.STEADY_TOL
 
 
 def test_newton_exact_input_unchanged(small_graph):
@@ -253,12 +250,6 @@ def test_newton_budget_exhausted(small_graph):
 def krylov_graph():
     """A connected SSBM just above the dense-solve cutoff."""
     return _connected_ssbm(DENSE_NEWTON_MAX_N + 100, 0.06, 0.02)
-
-
-def _model_above_threshold(p, g, sign, kind, offset):
-    gamma = sign / max_expected_degree(p)
-    u = bifurcation_threshold(g.adjacency, ModelParams(1.0, 0.1, 1.0, gamma)) + offset
-    return ModelParams(1.0, u, 1.0, gamma, kind)
 
 
 def _relative_error(step, reference):
@@ -542,11 +533,10 @@ def test_certificate_decides_the_neutral_polish(small_graph, monkeypatch):
     gamma = 1.0 / max_expected_degree(SbmParams.ssbm(30, 0.4, 0.1))
     u1 = bifurcation_threshold(g.adjacency, ModelParams(1.0, 0.1, 1.0, gamma))
     x = np.full(g.n, 5e-6)
-    controls = IntegrationControls()
     assert dynamics._guarded_polish(x, ModelParams(1.0, 0.9 * u1, 1.0, gamma), g,
-                                    None, controls) is not None
+                                    None) is not None
     assert dynamics._guarded_polish(x, ModelParams(1.0, 1.1 * u1, 1.0, gamma), g,
-                                    None, controls) is None
+                                    None) is None
     assert verdicts == [True, False]
 
 
@@ -674,10 +664,9 @@ def dense_newton_graph():
     return _connected_ssbm(200, 0.12, 0.04)
 
 
-def _ode_path(x0, m, g, controls=IntegrationControls()):
+def _ode_path(x0, m, g):
     """integrate_to_equilibrium's RK45 path alone, without the seeded start."""
-    return dynamics._stacked_equilibria(np.array(x0, dtype=float).reshape(-1, 1), m, g,
-                                        None, controls)[0]
+    return dynamics._stacked_equilibria(np.array(x0, dtype=float).reshape(-1, 1), m, g, None)[0]
 
 
 def _assert_same_equilibrium(eq, reference):
@@ -702,7 +691,7 @@ def test_seeded_start_agrees_with_ode_path(graph_fixture, sign, kind, request):
     ode = _ode_path(x0, m, g)
     assert seeded.converged and ode.converged
     assert seeded.elapsed_model_time == 0.0 < ode.elapsed_model_time  # the seed ran
-    assert seeded.residual_inf <= IntegrationControls().steady_tol
+    assert seeded.residual_inf <= dynamics.STEADY_TOL
     assert np.abs(seeded.state - ode.state).max() <= 1e-8
     assert np.array_equal(detect_single(seeded).labels, detect_single(ode).labels)
 
@@ -841,16 +830,6 @@ def test_large_start_is_not_seeded(graph_fixture, request, monkeypatch):
     assert eq.converged and eq.elapsed_model_time > 0.0
 
 
-def test_integration_controls_validation():
-    with pytest.raises(ValueError):
-        IntegrationControls(rtol=-1.0)
-    for bad in (np.nan, np.inf):
-        with pytest.raises(ValueError, match="finite"):
-            IntegrationControls(rtol=bad)
-        with pytest.raises(ValueError, match="finite"):
-            IntegrationControls(steady_tol=bad)
-
-
 @pytest.mark.parametrize("field", ["d", "u", "alpha", "gamma"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_model_params_reject_non_finite(field, bad):
@@ -864,8 +843,8 @@ def test_non_convergence_reported_not_raised(small_graph, monkeypatch):
     _, g = small_graph
     m = ModelParams(1.0, 0.9, 1.0, 1.0)
     monkeypatch.setattr(dynamics, "T_MAX", 1e-2)
-    controls = IntegrationControls(steady_tol=1e-14)
-    eq = integrate_to_equilibrium(np.full(g.n, 0.5), m, g, controls=controls)
+    monkeypatch.setattr(dynamics, "STEADY_TOL", 1e-14)
+    eq = integrate_to_equilibrium(np.full(g.n, 0.5), m, g)
     assert not eq.converged
     assert eq.residual_inf > 1e-14
 

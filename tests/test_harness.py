@@ -10,7 +10,7 @@ import pytest
 
 from commdyn import dynamics, harness
 from commdyn.detect import DetectionMethod
-from commdyn.dynamics import NEUTRAL_TOL, IntegrationControls, ModelParams, Saturation
+from commdyn.dynamics import NEUTRAL_TOL, ModelParams, Saturation
 from commdyn.harness import (Preset, TrialRecord, build_config, derive_seed,
                              load_config_file, read_records_csv, resolve_m_values,
                              run_experiment, summarize, write_records_csv,
@@ -257,6 +257,20 @@ def tiny_shared_graph_config(**overrides):
     return build_config(Preset.SATURATION_SWEEP, base_seed=777, **defaults)
 
 
+def test_custom_multi_config_gives_the_preset_records():
+    """A custom multi-equilibria config with the multi-pairs preset's keys
+    solves to the same tolerances, so its records are the preset's apart
+    from the preset column."""
+    keys = dict(methods=["multi-equilibria", "covariance-spectral"], n_values=[20], ls=0.3,
+                ld=0.05, u_offsets=[0.01], saturations=["tanh"], gamma_sign=1, trials=2,
+                pair_sets=2, m_fractions=[0.5, 1.0])
+    custom = run_experiment(build_config(Preset.CUSTOM, **keys), workers=1)
+    preset = run_experiment(build_config(Preset.MULTI_PAIRS, **keys), workers=1)
+    assert len(custom) == 16
+    assert {r.preset for r in custom} == {"custom"}
+    assert [dataclasses.replace(r, preset="multi-pairs") for r in custom] == preset
+
+
 def test_parallel_matches_serial():
     for make_config in (tiny_multi_config, tiny_shared_graph_config):
         serial = run_experiment(make_config(), workers=1)
@@ -282,12 +296,6 @@ def test_pooled_run_enters_the_module_pool_class(monkeypatch):
     assert len(entered) == 1
 
 
-def _same_rows(records):
-    """The records as comparable text: an eigen_gap of nan (fewer than three
-    agents) makes a record unequal to itself."""
-    return [repr(r) for r in records]
-
-
 def _raise_for(predicate, function):
     """`function`, except that it raises LinAlgError on arguments that
     `predicate` accepts."""
@@ -300,28 +308,39 @@ def _raise_for(predicate, function):
 
 def test_an_exception_in_a_task_ends_as_coded_rows(monkeypatch):
     """An unexpected exception in a point's equilibria codes that point's
-    rows, and one in a detection codes that row, as error:<type> with empty
-    outcomes; every other row is the unpatched run's, serial or pooled."""
+    rows, one in a detection codes that row, and one in a graph's
+    concentration ratio codes every row on that graph, as error:<type> with
+    empty outcomes; every other row is the unpatched run's, serial or
+    pooled."""
     single = tiny_single_config(u_offsets=[0.05, 0.09])
     multi = tiny_multi_config()
+    shared = tiny_shared_graph_config()
     clean_single = run_experiment(single, workers=1)
     clean_multi = run_experiment(multi, workers=1)
+    clean_shared = run_experiment(shared, workers=1)
     failed_u = {r.u for r in clean_single if r.u_offset == 0.09}
     monkeypatch.setattr(harness, "integrate_to_equilibrium", _raise_for(
-        lambda x0, model, graph, controls: model.u in failed_u,
-        harness.integrate_to_equilibrium))
+        lambda x0, model, graph: model.u in failed_u, harness.integrate_to_equilibrium))
     monkeypatch.setattr(harness, "detect_multi", _raise_for(
         lambda pairs: pairs.X.shape[1] == 4, harness.detect_multi))
+    monkeypatch.setattr(harness, "concentration_ratio", _raise_for(
+        lambda graph, sbm: sbm.n1 == 60, harness.concentration_ratio))
     coded = dict(failure="error:LinAlgError", accuracy=None, eigen_gap=None, sigma_min_x=None)
     expected_single = [dataclasses.replace(r, converged=None, residual=None, **coded)
                        if r.u_offset == 0.09 else r for r in clean_single]
     expected_multi = [dataclasses.replace(r, **coded)
                       if r.method == "multi-equilibria" and r.m == 4 else r for r in clean_multi]
+    expected_shared = [dataclasses.replace(r, concentration_ratio=None, converged=None,
+                                           residual=None, alignment=None, **coded)
+                       if r.n1 == 60 else r for r in clean_shared]
     for workers in (1, 2):
         assert run_experiment(single, workers=workers) == expected_single
-        assert _same_rows(run_experiment(multi, workers=workers)) == _same_rows(expected_multi)
+        assert run_experiment(multi, workers=workers) == expected_multi
+        assert run_experiment(shared, workers=workers) == expected_shared
     assert sum(r.u_offset == 0.09 for r in clean_single) == 3
     assert sum(r.method == "multi-equilibria" and r.m == 4 for r in clean_multi) == 4
+    assert sum(r.n1 == 60 for r in clean_shared) == 4
+    assert all(r.connected is not None for r in expected_shared)
 
 
 EDGE_CASE_SWEEPS = {
@@ -346,7 +365,7 @@ def test_edge_case_sweeps_end_as_rows(case):
     preset, overrides = EDGE_CASE_SWEEPS[case]
     config = build_config(preset, base_seed=777, **overrides)
     records = run_experiment(config, workers=1)
-    assert _same_rows(run_experiment(config, workers=2)) == _same_rows(records)
+    assert run_experiment(config, workers=2) == records
     failures = [r.failure for r in records]
     if case == "n1-1":
         assert len(records) == 6
@@ -480,8 +499,7 @@ def _neutral_polish(offset, monkeypatch):
     certificate = dynamics._is_stable
     monkeypatch.setattr(dynamics, "_is_stable",
                         lambda *args: verdicts.append(certificate(*args)) or verdicts[-1])
-    result = dynamics._guarded_polish(x, ModelParams(1.0, u1 + offset, 1.0, gamma), graph,
-                                      None, IntegrationControls())
+    result = dynamics._guarded_polish(x, ModelParams(1.0, u1 + offset, 1.0, gamma), graph, None)
     return result, verdicts
 
 
@@ -500,7 +518,7 @@ def test_stable_origin_is_accepted_as_neutral_state(monkeypatch):
     result, verdicts = _neutral_polish(-0.01, monkeypatch)
     assert result is not None
     state, residual = result
-    assert np.abs(state).max() <= NEUTRAL_TOL and residual <= IntegrationControls().steady_tol
+    assert np.abs(state).max() <= NEUTRAL_TOL and residual <= dynamics.STEADY_TOL
     assert verdicts == [True]
 
 

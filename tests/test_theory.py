@@ -8,20 +8,12 @@ from scipy.sparse.linalg import aslinearoperator
 from commdyn import dynamics, graphgen, spectral, theory
 from commdyn.dynamics import Equilibrium, ModelParams, integrate_to_equilibrium
 from commdyn.errors import NeutralState
-from commdyn.graphgen import Graph, SbmParams, is_connected, max_expected_degree, sample_sbm
+from commdyn.graphgen import Graph, SbmParams, max_expected_degree, sample_sbm
 from commdyn.spectral import extreme_eigpairs, sym_eig
 from commdyn.theory import (_expected_top, alignment_check, concentration_ratio,
                             davis_kahan_check, expected_spectrum)
-from oracles import (bifurcation_threshold, c_of_u, corrected_expected_matrix,
+from oracles import (bifurcation_threshold, c_of_u, connected_sample, corrected_expected_matrix,
                      dense_davis_kahan, dense_expected_top, expected_adjacency)
-
-
-def _connected(params, start_seed=0):
-    for seed in range(start_seed, start_seed + 50):
-        g = sample_sbm(params, seed)
-        if is_connected(g):
-            return g
-    raise RuntimeError("no connected sample")
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +315,7 @@ OFFSETS = (0.005, 0.01, 0.02, 0.04)
 @pytest.fixture(scope="module")
 def alignment_sweep():
     p = SbmParams.ssbm(50, 0.4, 0.1)
-    g = _connected(p)
+    g = connected_sample(p)
     gamma = 1.0 / max_expected_degree(p)
     u1 = bifurcation_threshold(g.adjacency, ModelParams(1.0, 0.1, 1.0, gamma))
     rng = np.random.Generator(np.random.Philox(60))
