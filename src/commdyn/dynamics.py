@@ -3,9 +3,12 @@
 The model is dx/dt = -d*x + u*S(alpha*x + gamma*A*x) + b with an odd
 saturating S (unit slope at 0, range (-1, 1)).
 
-The ODE solver class RK45 is loaded from scipy.integrate on first use (see
-__getattr__), so a run whose equilibria all come from the seeded start never
-imports scipy.integrate or the scipy.optimize it pulls in. Likewise
+The Newton steps (MINRES) and the eigensolves of the seeded start and the
+stability certificate (Lanczos) run on spectral's numpy kernels, not on
+scipy.sparse.linalg. The ODE solver class RK45 is loaded from scipy.integrate
+on first use (see __getattr__), so a run whose equilibria all come from the
+seeded start never imports scipy.integrate, the scipy.optimize it pulls in,
+or the scipy.linalg and scipy.sparse.linalg those load. Likewise
 scipy.special is imported by the first evaluation of the erf saturation (see
 _erf), unless an ODE solve has already loaded it with scipy.integrate.
 """
@@ -15,11 +18,10 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, minres
 
 from .errors import DomainError, SingularJacobian
 from .graphgen import Graph
-from .spectral import extreme_eigpairs
+from .spectral import Operator, extreme_eigpairs, minres
 
 # States below this sup-norm are treated as the neutral (origin) equilibrium.
 NEUTRAL_TOL = 1e-6
@@ -41,8 +43,8 @@ _REFINE_TOL = 1e-10
 _MAX_FORCING = 0.1
 _MAX_OVERSHOOT = 3.0
 
-# ARPACK's relative tolerance in the stability certificate's loose stage (see
-# _is_stable).
+# The Lanczos tol (spectral.extreme_eigpairs) of the stability certificate's
+# loose stage (see _is_stable).
 _LOOSE_EIG_TOL = 1e-4
 
 # The branch seed's amplitude c lies in (0, 1] times u*sqrt(n)/d; a root below
@@ -205,16 +207,15 @@ class Jacobian:
         p = self.params
         return self.slope * (p.alpha * s + p.gamma * (self.adjacency @ s)) - p.d * s
 
-    def symmetrized(self) -> LinearOperator:
+    def symmetrized(self) -> Operator:
         """K as a matrix-free operator: two scalings and one CSR matvec."""
         h, p = np.sqrt(self.slope), self.params
 
         def matvec(y):
-            y = y.ravel()
             v = h * y
             return h * (p.alpha * v + p.gamma * (self.adjacency @ v)) - p.d * y
 
-        return LinearOperator((h.size, h.size), matvec=matvec, dtype=float)
+        return Operator(h.size, matvec)
 
     def solve(self, r, rtol: float = _MINRES_RTOL, rescale: bool = True) -> np.ndarray:
         """The Newton step s with J s = r.
@@ -286,7 +287,7 @@ class Jacobian:
         if not free.all():
             rhs_free -= h * (p.gamma * (self.adjacency @ saturated))
         y0 = None if start is None else np.divide(start, h, out=np.zeros_like(r), where=free)
-        y, _ = minres(self.symmetrized(), rhs_free, x0=y0, rtol=rtol)
+        y = minres(self.symmetrized(), rhs_free, x0=y0, rtol=rtol)
         return saturated + h * y
 
 
@@ -367,15 +368,15 @@ def _is_stable(x, params: ModelParams, graph: Graph) -> bool:
         Collatz-Wielandt bound lambda_max(J) <= max_i (J|x|)_i / |x_i| < 0
         proves stability with one matvec (Horn & Johnson, Matrix Analysis,
         ch. 8). This is a proof, up to the rounding of that matvec.
-    (b) a loose Lanczos solve (ARPACK tol _LOOSE_EIG_TOL) gives a unit
+    (b) a loose Lanczos solve (tol _LOOSE_EIG_TOL) gives a unit
         Ritz pair (theta, v) and r = Kv - theta*v; K is symmetric, so an
         eigenvalue lies within ||r|| of theta. Reject when
         theta - ||r|| > 0: that is a proof of instability. Accept when
         theta + ||r|| < 0.
     (c) otherwise, the sign of the Ritz value at machine precision.
     A Lanczos Ritz value approaches lambda_max from below, so neither (b)'s
-    accepting branch nor (c) proves lambda_max < 0: both trust ARPACK to
-    have found the largest eigenvalue.
+    accepting branch nor (c) proves lambda_max < 0: both trust the Lanczos
+    to have found the largest eigenvalue.
     """
     jac = _linearize(x, params, graph)
     if params.gamma > 0 and (np.all(x > 0) or np.all(x < 0)):

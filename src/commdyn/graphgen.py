@@ -7,14 +7,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.csgraph import breadth_first_order
 
 from .spectral import extreme_eigpairs
 
-# ARPACK's relative tolerance for Graph.extreme_eigenpair, set at the
-# accuracy its consumers need: the branch seed (whose Newton polish corrects
-# it), alignment_check and davis_kahan_check. Against tol = 0 it saves up to
-# one restart cycle (10 Lanczos steps) per graph and side.
+# The Lanczos tol (spectral.extreme_eigpairs) of Graph.extreme_eigenpair,
+# set at the accuracy its consumers need: the branch seed (whose Newton
+# polish corrects it), alignment_check and davis_kahan_check. Against tol = 0
+# it saves up to one restart cycle (10 Lanczos steps) per graph and side.
 _EIGENPAIR_TOL = 1e-12
 
 
@@ -119,7 +118,7 @@ class Graph:
         `which` side ("LA" largest, "SA" smallest, "LM" largest magnitude).
 
         The first call for a `which` runs spectral.extreme_eigpairs on the
-        CSR adjacency (checked symmetric on construction) at ARPACK tol
+        CSR adjacency (checked symmetric on construction) at tol
         _EIGENPAIR_TOL; later calls return the same pair. The vector is
         read-only, as every caller shares it.
         """
@@ -223,10 +222,22 @@ def max_expected_degree(params: SbmParams) -> float:
 def is_connected(graph: Graph) -> bool:
     """True when the graph has a single connected component (False for n = 0).
 
-    One breadth-first search from agent 0: Graph has checked the adjacency
-    symmetric, so the agents it reaches are agent 0's component."""
-    return graph.n > 0 and breadth_first_order(
-        graph.adjacency, 0, directed=True, return_predecessors=False).size == graph.n
+    A breadth-first search from agent 0, one level at a time: the next level
+    is the unreached agents that one CSR product with the current level's
+    indicator reaches. Graph has checked the adjacency symmetric, so the
+    agents reached are agent 0's component. Each level costs one pass over
+    the edges, so the search costs the graph's diameter (a few levels for
+    the SBM graphs) such passes."""
+    if graph.n == 0:
+        return False
+    reached = np.zeros(graph.n, dtype=bool)
+    reached[0] = True
+    level = reached
+    while True:
+        level = (graph.adjacency @ level.astype(float) > 0.0) & ~reached
+        if not level.any():
+            return bool(reached.all())
+        reached |= level
 
 
 def check_assumptions(params: SbmParams) -> bool:

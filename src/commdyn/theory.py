@@ -7,17 +7,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator
 
 from .dynamics import NEUTRAL_TOL, Equilibrium, ModelParams
 from .errors import NeutralState
 from .graphgen import Graph, SbmParams, max_expected_degree
-from .spectral import extreme_eigpairs
+from .spectral import Operator, extreme_eigpairs
 
-# ARPACK's relative tolerance for ||A - E{A}||_2 (see _deviation_norm), set
-# like the stability certificate's loose stage (dynamics._LOOSE_EIG_TOL) at
-# the accuracy its consumers need: against tol = 0 it took about 40% fewer
-# matvecs and moved the concentration ratio by at most 3.5e-15 relative.
+# The Lanczos tol (spectral.extreme_eigpairs) for ||A - E{A}||_2 (see
+# _deviation_norm), set like the stability certificate's loose stage
+# (dynamics._LOOSE_EIG_TOL) at the accuracy its consumers need: against
+# tol = 0 it took about 40% fewer matvecs and moved the concentration ratio
+# by at most 3.5e-15 relative.
 _DEVIATION_EIG_TOL = 1e-8
 
 
@@ -104,12 +104,11 @@ def _deviation_norm(graph: Graph, params: SbmParams) -> float:
     adjacency = graph.adjacency
 
     def matvec(x):
-        x = np.ravel(x)
         block = np.repeat(ell @ np.array([x[:n1].sum(), x[n1:].sum()]), sizes)
         return adjacency @ x - (block - diag * x)
 
-    deviation = LinearOperator((graph.n, graph.n), matvec=matvec, dtype=float)
-    return float(abs(extreme_eigpairs(deviation, "LM", tol=_DEVIATION_EIG_TOL)[0]))
+    return float(abs(extreme_eigpairs(Operator(graph.n, matvec), "LM",
+                                      tol=_DEVIATION_EIG_TOL)[0]))
 
 
 def _expected_top(params: SbmParams):

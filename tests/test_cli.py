@@ -510,6 +510,27 @@ def test_cli_import_leaves_the_process_pool_for_the_first_pooled_run():
     assert done.returncode == 0, done.stderr
 
 
+def test_seeded_sweep_leaves_the_scipy_solvers_unloaded():
+    """Neither `import commdyn.cli` nor an ssbm-negative sweep at n = 1000
+    with diagnostics on, whose equilibria the seeded start solves, loads
+    scipy.linalg, scipy.sparse.linalg or scipy.sparse.csgraph: eigenpairs,
+    Newton steps and connectivity come from commdyn's own kernels."""
+    probe = (
+        "import sys, commdyn.cli\n"
+        "from commdyn.harness import Preset, build_config, run_experiment\n"
+        "solvers = {'scipy.linalg', 'scipy.sparse.linalg', 'scipy.sparse.csgraph'}\n"
+        "assert not solvers & set(sys.modules), 'loaded at import'\n"
+        "config = build_config(Preset.SSBM_NEGATIVE, base_seed=3, n_values=[1000],\n"
+        "                      u_offsets=[0.02], trials=2, diagnostics=True)\n"
+        "records = run_experiment(config, workers=1)\n"
+        "assert all(r.failure == '' and r.converged and r.alignment for r in records)\n"
+        "assert 'scipy.integrate' not in sys.modules, 'the seeded start did not solve'\n"
+        "bad = solvers & set(sys.modules)\n"
+        "assert not bad, f'loaded by the sweep: {sorted(bad)}'\n")
+    done = _run_fresh(probe)
+    assert done.returncode == 0, done.stderr
+
+
 def test_first_erf_call_loads_scipy_special():
     """The erf saturation imports scipy.special on its first call, and its S,
     S' and S^-1 are bit for bit erf(sqrt(pi)*z/2), exp(-pi*z^2/4) and

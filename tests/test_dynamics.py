@@ -540,11 +540,11 @@ def test_certificate_decides_the_neutral_polish(small_graph, monkeypatch):
     assert verdicts == [True, False]
 
 
-def _counting_eigsh(monkeypatch):
-    """Patch ARPACK to record the tol of each call."""
-    tols, eigsh = [], spectral.eigsh
-    monkeypatch.setattr(spectral, "eigsh", lambda *args, **kwargs: tols.append(
-        kwargs.get("tol")) or eigsh(*args, **kwargs))
+def _counting_lanczos(monkeypatch):
+    """Patch the Lanczos kernel to record the tol of each call."""
+    tols, lanczos = [], spectral._lanczos
+    monkeypatch.setattr(spectral, "_lanczos", lambda matrix, which, tol: tols.append(
+        tol) or lanczos(matrix, which, tol))
     return tols
 
 
@@ -561,7 +561,7 @@ def test_certificate_proves_a_positive_gamma_root_without_arpack(krylov_graph, k
     m = _model_above_threshold(p, g, 1, kind, 0.05)
     root = integrate_to_equilibrium(_small_start(g, 50), m, g).state
     assert np.all(root > 0) or np.all(root < 0)
-    tols = _counting_eigsh(monkeypatch)
+    tols = _counting_lanczos(monkeypatch)
     assert dynamics._is_stable(root, m, g)
     assert tols == []
     assert _tight_lambda_max(root, m, g) < 0.0
@@ -571,14 +571,14 @@ def test_certificate_proves_a_positive_gamma_root_without_arpack(krylov_graph, k
 def test_certificate_of_a_mixed_sign_state_is_the_loose_solve(krylov_graph, sign,
                                                               monkeypatch):
     """A state with entries of both signs skips the Collatz-Wielandt stage
-    (for gamma > 0 one entry of a stable root is flipped); one loose ARPACK
+    (for gamma > 0 one entry of a stable root is flipped); one loose Lanczos
     solve decides, and agrees with the tight Ritz value."""
     p, g = krylov_graph
     m = _model_above_threshold(p, g, sign, Saturation.TANH, 0.05)
     x = integrate_to_equilibrium(_small_start(g, 51), m, g).state.copy()
     x[0] = -x[0]
     assert x.min() < 0.0 < x.max()
-    tols = _counting_eigsh(monkeypatch)
+    tols = _counting_lanczos(monkeypatch)
     verdict = dynamics._is_stable(x, m, g)
     assert tols == [dynamics._LOOSE_EIG_TOL]
     assert verdict == (_tight_lambda_max(x, m, g) < 0.0)
@@ -588,13 +588,13 @@ def test_certificate_of_a_mixed_sign_state_is_the_loose_solve(krylov_graph, sign
 def test_certificate_rejects_an_unstable_origin_in_the_loose_solve(krylov_graph, sign,
                                                                    monkeypatch):
     """Near the origin above threshold, theta - ||r|| > 0 proves an eigenvalue
-    above 0: one loose ARPACK solve rejects, with no tight one. The state has
+    above 0: one loose Lanczos solve rejects, with no tight one. The state has
     one sign, and for gamma < 0 J|x| < 0 there, so the Collatz-Wielandt stage
     must not run for gamma < 0 (J is not Metzler)."""
     p, g = krylov_graph
     m = _model_above_threshold(p, g, sign, Saturation.TANH, 0.05)
     x = np.full(g.n, 1e-8)
-    tols = _counting_eigsh(monkeypatch)
+    tols = _counting_lanczos(monkeypatch)
     assert not dynamics._is_stable(x, m, g)
     assert tols == [dynamics._LOOSE_EIG_TOL]
     assert _tight_lambda_max(x, m, g) > 0.0

@@ -8,8 +8,8 @@ from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
 from commdyn import graphgen
-from commdyn.graphgen import (Graph, SbmParams, check_assumptions, is_connected,
-                              max_expected_degree, read_edge_list, sample_sbm,
+from commdyn.graphgen import (Graph, SbmParams, block_labels, check_assumptions,
+                              is_connected, max_expected_degree, read_edge_list, sample_sbm,
                               write_edge_list)
 from oracles import bernoulli_pairs_sbm, expected_adjacency
 
@@ -126,7 +126,8 @@ def test_is_connected():
 
 def _connectivity_cases(tmp_path):
     """Graphs named for what they show: connected and two-block SBM draws, an
-    isolated vertex, and the smallest edge lists."""
+    isolated vertex, a path whole and cut in two, and the smallest edge
+    lists."""
     cases = {f"ssbm-{seed}": sample_sbm(SbmParams.ssbm(200, 0.1, 0.05), seed)
              for seed in range(3)}
     cases.update({f"decoupled-{seed}": sample_sbm(SbmParams(30, 20, 0.5, 0.0, 0.5), seed)
@@ -134,6 +135,13 @@ def _connectivity_cases(tmp_path):
     k4 = np.zeros((5, 5))
     k4[:4, :4] = 1.0 - np.eye(4)
     cases["isolated-vertex"] = Graph(k4, np.array([1, 1, 2, 2, 2]))
+    # a path takes one search level per vertex; cut in the middle, it is two
+    # components
+    path = sparse.diags_array([np.ones(29), np.ones(29)], offsets=[-1, 1], shape=(30, 30))
+    cases["path"] = Graph(path, block_labels(30, 15))
+    cut = path.tolil()
+    cut[14, 15] = cut[15, 14] = 0.0
+    cases["two-paths"] = Graph(cut, block_labels(30, 15))
     for name, text in (("n0", "# n=0 n1=0\n"), ("n1", "# n=1 n1=1\n"),
                        ("n3-one-edge", "# n=3 n1=1\n0 1\n")):
         path = tmp_path / f"{name}.txt"
@@ -152,7 +160,8 @@ def test_is_connected_agrees_with_connected_components(tmp_path):
         assert answers[name] == reference, name
     # both answers occur, and the small cases keep their meaning
     assert all(answers[f"ssbm-{seed}"] for seed in range(3)) and answers["n1"]
-    assert not (answers["decoupled-0"] or answers["isolated-vertex"]
+    assert answers["path"]
+    assert not (answers["decoupled-0"] or answers["isolated-vertex"] or answers["two-paths"]
                 or answers["n0"] or answers["n3-one-edge"])
 
 

@@ -433,8 +433,9 @@ def test_records_csv_reproducible_bytes(tmp_path):
     assert paths[0].read_bytes().startswith(b"# generated ")
 
 
-# Columns computed by LAPACK/ARPACK, whose last bits may differ between
-# numpy/scipy builds; the golden hashes below are taken with them blanked.
+# Columns computed by LAPACK or by the BLAS-backed Krylov kernels, whose last
+# bits may differ between numpy/scipy builds; the golden hashes below are
+# taken with them blanked.
 _BUILD_DEPENDENT = {"residual", "alignment", "concentration_ratio", "eigen_gap",
                     "sigma_min_x"}
 

@@ -3,11 +3,15 @@ import itertools
 import numpy as np
 import pytest
 from scipy import sparse
-from scipy.sparse.linalg import aslinearoperator
+from scipy.sparse.linalg import LinearOperator, aslinearoperator
+from scipy.sparse.linalg import minres as scipy_minres
 
+from commdyn import dynamics, spectral, theory
 from commdyn.detect import estimate_adjacency
-from commdyn.graphgen import SbmParams, sample_sbm
-from commdyn.spectral import extreme_eigpairs, kmeans_two_1d, sym_eig
+from commdyn.dynamics import ModelParams
+from commdyn.graphgen import Graph, SbmParams, block_labels, max_expected_degree, sample_sbm
+from commdyn.harness import Preset, build_config
+from commdyn.spectral import Operator, extreme_eigpairs, kmeans_two_1d, minres, sym_eig
 from commdyn.theory import expected_spectrum
 from oracles import corrected_expected_matrix
 
@@ -59,8 +63,8 @@ def test_sym_eig_accepts_sparse():
     assert np.array_equal(vectors, dense_vectors)
 
 
-# n = 12 takes the dense fallback (ARPACK's basis would be the whole space);
-# n = 200 runs ARPACK
+# n = 12 takes the dense path (a Lanczos basis would be the whole space);
+# n = 200 runs the Lanczos
 @pytest.mark.parametrize("n", [12, 200])
 @pytest.mark.parametrize("which", ["LA", "SA"])
 @pytest.mark.parametrize("as_sparse", [False, True])
@@ -84,7 +88,7 @@ def test_extreme_eigpairs_matches_sym_eig(n, which, as_sparse):
 def test_extreme_eigpairs_same_bits_for_csr_and_its_operator(n, which):
     """Graph.extreme_eigenpair passes its CSR adjacency straight in: the pair
     has the bits of the same CSR wrapped as a LinearOperator. A dense copy
-    gives the same bits on the dense fallback (n = 12); under ARPACK
+    gives the same bits on the dense path (n = 12); under the Lanczos
     (n = 200) its BLAS matvec sums in another order, so only the last bits
     may differ."""
     a = sample_sbm(SbmParams.ssbm(n, 0.4, 0.1), seed=5).adjacency
@@ -113,10 +117,135 @@ def test_extreme_eigpairs_largest_magnitude():
 
 
 def test_extreme_eigpairs_zero_operator():
-    # ARPACK fails on the zero operator (error -9); the dense fallback answers
+    # the Lanczos breaks down at every step: fresh seeded vectors fill its basis
     value, vector = extreme_eigpairs(sparse.csr_array((50, 50)), "LM")
     assert value == 0.0
     assert np.linalg.norm(vector) == pytest.approx(1.0)
+
+
+def _deviation_operator(p, seed, monkeypatch):
+    """The operator A - E{A} that theory._deviation_norm hands the Lanczos."""
+    captured = []
+    monkeypatch.setattr(theory, "extreme_eigpairs",
+                        lambda operator, which, tol: captured.append(operator) or (0.0, None))
+    theory._deviation_norm(sample_sbm(p, seed), p)
+    return captured[0]
+
+
+def _oracle_matrix(case, monkeypatch):
+    """(dense matrix, operator the program builds or None) of each case."""
+    if case == "ssbm-21":  # the smallest n the Lanczos runs on
+        return sample_sbm(SbmParams(11, 10, 0.5, 0.2, 0.5), 2).adjacency.toarray(), None
+    if case == "ssbm-200":
+        return sample_sbm(SbmParams.ssbm(200, 0.1, 0.03), 5).adjacency.toarray(), None
+    if case == "disconnected":  # two blocks with no edge between them
+        return sample_sbm(SbmParams(30, 20, 0.5, 0.0, 0.5), 1).adjacency.toarray(), None
+    # the deviation of a saturation-sweep graph: its spectrum is a semicircle
+    # bulk, so the largest magnitudes cluster
+    p = build_config(Preset.SATURATION_SWEEP, n1_values=[300]).points[0].sbm
+    operator = _deviation_operator(p, 3, monkeypatch)
+    return operator @ np.eye(p.n), operator
+
+
+@pytest.mark.parametrize("case", ["ssbm-21", "ssbm-200", "disconnected", "deviation"])
+@pytest.mark.parametrize("which", ["LA", "SA", "LM"])
+@pytest.mark.parametrize("form", ["dense", "csr", "operator"])
+def test_lanczos_matches_dense_eigh(case, which, form, monkeypatch):
+    """The Lanczos pair at tol = 0 against np.linalg.eigh: the extreme value
+    to 1e-12 of the spectral radius, a unit vector with sym_eig's sign
+    convention and an eigen-residual at rounding level, and the vector itself
+    wherever the extreme eigenvalue is apart from the rest."""
+    dense, operator = _oracle_matrix(case, monkeypatch)
+    n = dense.shape[0]
+    if form == "csr":
+        matrix = sparse.csr_array(dense)
+    elif form == "operator":
+        matrix = operator or Operator(n, sparse.csr_array(dense).__matmul__)
+    else:
+        matrix = dense
+    values, vectors = np.linalg.eigh(dense)
+    col = {"LA": n - 1, "SA": 0, "LM": int(np.argsort(np.abs(values), kind="stable")[-1])}[which]
+    scale = float(np.abs(values).max())
+    value, vector = extreme_eigpairs(matrix, which)
+    assert abs(value - values[col]) <= 1e-12 * scale
+    assert np.linalg.norm(vector) == pytest.approx(1.0, abs=1e-14)
+    assert vector[np.argmax(np.abs(vector))] > 0
+    assert np.linalg.norm(dense @ vector - value * vector) <= 1e-10 * scale
+    gap = np.delete(np.abs(values - values[col]), col).min()
+    if gap > 1e-3 * scale:
+        assert min(np.abs(vector - vectors[:, col]).max(),
+                   np.abs(vector + vectors[:, col]).max()) <= 1e-8
+
+
+def _counting(matrix, calls):
+    """matrix as an Operator that appends to `calls` at each matvec."""
+    return Operator(matrix.shape[0], lambda x: calls.append(1) or matrix @ x)
+
+
+@pytest.mark.parametrize("which", ["LA", "SA", "LM"])
+def test_lanczos_breaks_down_on_an_edgeless_graph(which):
+    """An edgeless n = 3000 graph makes every Lanczos step break down: fresh
+    seeded vectors fill one basis, and the pair is (0, a unit vector) after
+    its 20 matvecs, with no n x n matrix."""
+    n = 3000
+    graph = Graph(sparse.csr_array((n, n)), block_labels(n, n // 2))
+    calls = []
+    value, vector = extreme_eigpairs(_counting(graph.adjacency, calls), which,
+                                     tol=dynamics._LOOSE_EIG_TOL)
+    assert value == 0.0
+    assert np.linalg.norm(vector) == pytest.approx(1.0, abs=1e-14)
+    assert len(calls) <= 20
+    value, vector = graph.extreme_eigenpair(which)
+    assert value == 0.0 and np.linalg.norm(vector) == pytest.approx(1.0, abs=1e-14)
+
+
+def test_complete_graph_deviation_is_rounding(monkeypatch):
+    """A complete graph equals its expectation, so A - E{A} is zero up to the
+    rounding of its matvec, and the Lanczos on it breaks down at once. Its
+    norm is at rounding level, found in one basis of 20 matvecs."""
+    p = SbmParams.ssbm(400, 1.0, 1.0)
+    graph = sample_sbm(p, 1)
+    assert graph.adjacency.nnz == p.n * (p.n - 1)
+    calls, solve = [], theory.extreme_eigpairs
+    monkeypatch.setattr(theory, "extreme_eigpairs", lambda operator, which, tol: solve(
+        _counting(operator, calls), which, tol))
+    assert theory._deviation_norm(graph, p) <= 1e-12 * p.n
+    assert len(calls) == 20
+
+
+def _indefinite_k():
+    """The symmetrized Jacobian K at a random state of an n = 400 SSBM with
+    gamma < 0, where K is indefinite, and a right-hand side."""
+    p = SbmParams.ssbm(400, 0.05, 0.01)
+    graph = sample_sbm(p, 6)
+    rng = np.random.Generator(np.random.Philox(6))
+    model = ModelParams(1.0, 1.5, 1.0, -1.0 / max_expected_degree(p))
+    k = dynamics.jacobian(rng.uniform(-0.5, 0.5, p.n), model, graph).symmetrized()
+    spectrum = np.linalg.eigvalsh(k @ np.eye(p.n))
+    assert spectrum.min() < 0.0 < spectrum.max()
+    return k, rng.standard_normal(p.n), rng.standard_normal(p.n)
+
+
+@pytest.mark.parametrize("rtol", [0.1, 1e-4, 1e-12])
+@pytest.mark.parametrize("start", [False, True], ids=["x0-none", "x0"])
+def test_minres_is_scipys_minres_bit_for_bit(rtol, start):
+    """Every MINRES iterate, and so the answer, has the bits of scipy's
+    minres on the same operator, from 0 or from a start x0."""
+    k, b, x0 = _indefinite_k()
+    x0 = x0 if start else None
+    ours, theirs = [], []
+    x = minres(k, b, x0=x0, rtol=rtol, callback=lambda xk: ours.append(xk.copy()))
+    reference, _ = scipy_minres(LinearOperator(k.shape, matvec=k.matvec, dtype=float), b,
+                                x0=x0, rtol=rtol, callback=lambda xk: theirs.append(xk.copy()))
+    assert np.array_equal(x, reference)
+    assert len(ours) == len(theirs) >= 1
+    assert all(np.array_equal(a, b) for a, b in zip(ours, theirs))
+
+
+def test_minres_on_a_zero_right_hand_side_returns_the_start():
+    k, _, x0 = _indefinite_k()
+    assert np.array_equal(minres(k, np.zeros(400)), np.zeros(400))
+    assert np.array_equal(minres(k, k @ x0, x0=x0), x0)
 
 
 def test_extreme_eigpairs_rejects_bad_input():

@@ -208,7 +208,7 @@ def test_alignment_check_copies_no_adjacency():
 def test_spectral_callers_share_one_eigensolve_per_which(monkeypatch):
     """_branch_seed, alignment_check, c_of_u and davis_kahan_check get the
     bits of a direct extreme_eigpairs call on A at the graph's tolerance,
-    and ARPACK runs once per graph and `which` (plus once on A - E{A} in
+    and the Lanczos runs once per graph and `which` (plus once on A - E{A} in
     davis_kahan_check)."""
     p = SbmParams.ssbm(200, 0.1, 0.03)
     g = sample_sbm(p, seed=4)
@@ -216,10 +216,10 @@ def test_spectral_callers_share_one_eigensolve_per_which(monkeypatch):
                                       tol=graphgen._EIGENPAIR_TOL)
               for which in ("LA", "SA")}
     solves = []
-    arpack = spectral.eigsh
-    monkeypatch.setattr(spectral, "eigsh",
-                        lambda *args, **kwargs: solves.append(kwargs["which"])
-                        or arpack(*args, **kwargs))
+    lanczos = spectral._lanczos
+    monkeypatch.setattr(spectral, "_lanczos",
+                        lambda matrix, which, tol: solves.append(which)
+                        or lanczos(matrix, which, tol))
     eq = Equilibrium(np.linspace(-1.0, 1.0, g.n), 0.0, True, 0.0)
     for sign, which in ((1, "LA"), (-1, "SA")):
         model = ModelParams(1.0, 2.0, 1.0, sign / max_expected_degree(p))
@@ -269,9 +269,9 @@ GRAPH_FAMILIES = {
 @pytest.mark.parametrize("p", GRAPH_FAMILIES.values(), ids=GRAPH_FAMILIES.keys())
 @pytest.mark.parametrize("seed", [3, 4])
 def test_concentration_ratio_matches_dense_oracle(p, seed, monkeypatch):
-    """concentration_ratio stops its Lanczos solve at a loose ARPACK tol and
+    """concentration_ratio stops its Lanczos solve at a loose tol and
     still matches ||A - E{A}||_2 / sqrt(Delta log n) from a dense
-    eigendecomposition; its Ritz pair (theta, v) meets ARPACK's criterion
+    eigendecomposition; its Ritz pair (theta, v) meets the Lanczos criterion
     ||D v - theta v|| <= tol |theta| on the dense difference D."""
     g = sample_sbm(p, seed)
     solves, solve = [], theory.extreme_eigpairs
@@ -291,10 +291,10 @@ def test_concentration_ratio_matches_dense_oracle(p, seed, monkeypatch):
                          ids=[*GRAPH_FAMILIES.keys(), "ssbm-22"])
 @pytest.mark.parametrize("which", ["LA", "SA"])
 def test_graph_eigenpair_at_its_tolerance_matches_dense_oracle(p, which):
-    """Graph.extreme_eigenpair stops ARPACK at _EIGENPAIR_TOL, not machine
+    """Graph.extreme_eigenpair stops the Lanczos at _EIGENPAIR_TOL, not machine
     precision, and still gives dense eigh's extreme value to 1e-12 relative;
-    its pair (lam, w) meets ARPACK's criterion ||A w - lam w|| <= tol |lam|.
-    The 22-agent SSBM is the smallest that runs ARPACK (n > 20), not the
+    its pair (lam, w) meets the Lanczos criterion ||A w - lam w|| <= tol |lam|.
+    The 22-agent SSBM is the smallest that runs the Lanczos (n > 20), not the
     dense path."""
     g = sample_sbm(p, seed=3)
     value, w = g.extreme_eigenpair(which)
