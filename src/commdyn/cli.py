@@ -109,9 +109,17 @@ def write_equilibria_csv(path, equilibria) -> None:
     harness.write_rows(path, [header, *rows])
 
 
+def _finite_float(cell) -> float:
+    """A state or input cell: a finite number, or ValueError."""
+    value = float(cell)
+    if not np.isfinite(value):
+        raise ValueError(f"expected a finite number, got {cell!r}")
+    return value
+
+
 def read_equilibria_csv(path) -> list:
     rows = harness.read_rows(path, {"trial": int, "converged": bool, "residual": float},
-                             rest=float)
+                             rest=_finite_float)
     return [dynamics.Equilibrium(np.array(row[3:], dtype=float), row[2], row[1], 0.0)
             for row in rows]
 
@@ -140,7 +148,7 @@ def _cmd_detect_single(args):
 
 def _cmd_detect_multi(args):
     states = read_equilibria_csv(args.states)
-    B = np.array(harness.read_rows(args.inputs, {}, rest=float), ndmin=2).T
+    B = np.array(harness.read_rows(args.inputs, {}, rest=_finite_float), ndmin=2).T
     if len(states) != B.shape[1]:
         raise CommdynError("states and inputs must pair up")
     X = np.column_stack([eq.state for eq in states])

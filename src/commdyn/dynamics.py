@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, SingularJacobian
+from .errors import DomainError
 from .graphgen import Graph
 from .spectral import Operator, extreme_eigpairs, minres
 
@@ -324,9 +324,9 @@ def newton_refine(x, params: ModelParams, graph: Graph, b=None,
     search has damped a step, the next step's continuation skips the
     scaled rtol and goes straight to _MINRES_RTOL.
 
-    Raises SingularJacobian when the linear solve fails or gives a
-    non-finite step, which near a bifurcation is expected; callers fall back
-    to the unpolished point.
+    A linear solve that fails or gives a non-finite step, as near a
+    bifurcation, ends the polish like a line search that finds no descent:
+    the best iterate comes back unconverged.
     """
     x = np.array(x, dtype=float)
     residual = rhs(x, params, graph, b)
@@ -338,10 +338,10 @@ def newton_refine(x, params: ModelParams, graph: Graph, b=None,
         forcing = min(_MAX_FORCING, res_norm)
         try:
             step = jacobian(x, params, graph).solve(residual, forcing, rescale=not damped)
-        except np.linalg.LinAlgError as exc:
-            raise SingularJacobian(str(exc)) from exc
+        except np.linalg.LinAlgError:
+            break
         if not np.all(np.isfinite(step)):
-            raise SingularJacobian("non-finite Newton step")
+            break
         damping = 1.0
         while damping >= 2.0 ** -10:
             candidate = x - damping * step
@@ -398,10 +398,7 @@ def _guarded_polish(x, params, graph, b):
     numerically neutral and the stability certificate holds at the root (a
     trajectory passing near an unstable origin does not belong to it).
     Returns (state, residual) or None."""
-    try:
-        refined = newton_refine(x, params, graph, b)
-    except SingularJacobian:
-        return None
+    refined = newton_refine(x, params, graph, b)
     if refined.residual_inf > STEADY_TOL:
         return None
     x_norm = float(np.abs(x).max())
@@ -508,10 +505,7 @@ def _seeded_equilibrium(x0, params: ModelParams, graph: Graph):
         return None
     c, w = seed
     sign = 1.0 if x0 @ w >= 0.0 else -1.0
-    try:
-        root = newton_refine(sign * c * w, params, graph)
-    except SingularJacobian:
-        return None
+    root = newton_refine(sign * c * w, params, graph)
     root_norm = float(np.abs(root.state).max())
     if (root.residual_inf <= STEADY_TOL and root_norm > NEUTRAL_TOL
             and sign * float(root.state @ w) > 0.0

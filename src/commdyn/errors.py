@@ -9,10 +9,6 @@ class DomainError(CommdynError):
     """Value outside the invertible range of a saturation function."""
 
 
-class SingularJacobian(CommdynError):
-    """Newton linear solve failed; typically means a near-bifurcation point."""
-
-
 class NeutralState(CommdynError):
     """Equilibrium is (numerically) the origin and carries no structure."""
 

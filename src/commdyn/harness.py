@@ -530,10 +530,12 @@ def write_rows(out, rows) -> None:
 
 def _parse_cell(kind, cell):
     """Inverse of _format_cell for a column of `kind`: empty means missing
-    (None), or "" in a text column; a bool cell is true, false or empty."""
+    (None) in an int, float or bool column, and "" in a text column; a bool
+    cell is true, false or empty. Any other kind is a parser that gets
+    every cell, the empty one too."""
     if kind is str:
         return cell
-    if cell == "":
+    if cell == "" and kind in (int, float, bool):
         return None
     if kind is bool and cell not in ("true", "false"):
         raise ValueError(f"expected true, false or empty, got {cell!r}")

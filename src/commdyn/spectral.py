@@ -163,7 +163,7 @@ class Operator:
         return np.column_stack([self.matvec(column) for column in x.T])
 
 
-def minres(operator, b, x0=None, *, rtol=1e-5, callback=None):
+def minres(operator, b, x0=None, *, rtol=1e-5):
     """x with operator @ x = b for a symmetric operator, by MINRES (Paige &
     Saunders, SIAM J. Numer. Anal. 12, 1975).
 
@@ -172,8 +172,10 @@ def minres(operator, b, x0=None, *, rtol=1e-5, callback=None):
     same recurrences, the same 2-norms (numpy's, also of the 2-vectors in
     the plane rotations) and the same stopping tests. It stops once
     ||b - A x|| <= rtol * ||A|| ||x|| or ||A r|| <= rtol * ||A|| ||r||
-    (||A|| estimated from the Lanczos tridiagonal), or after 5n iterations.
-    Starts from x0, or from 0. `callback(x)` sees each iterate.
+    (||A|| estimated from the Lanczos tridiagonal; rtol below eps/2 acts as
+    eps/2, where scipy's 1 + t <= 1 test fires), once that estimate says A
+    is too ill conditioned to go on, or after 5n iterations. Starts from x0,
+    or from 0.
     """
     n = b.size
     eps = np.finfo(float).eps
@@ -191,15 +193,14 @@ def minres(operator, b, x0=None, *, rtol=1e-5, callback=None):
     if norm(b) == 0:
         return b
     beta1 = math.sqrt(beta1)
+    tol = max(rtol, eps / 2)
     oldb, beta, dbar, epsln, phibar = 0, beta1, 0, 0, beta1
     tnorm2, gmax, gmin = 0, 0, np.finfo(float).max
     cs, sn = -1, 0
     w = np.zeros(n)
     w2 = np.zeros(n)
     r2 = r1
-    istop, itn = 0, 0
-    while itn < 5 * n:
-        itn += 1
+    for itn in range(1, 5 * n + 1):
         v = (1.0 / beta) * y
         y = operator @ v
         if itn >= 2:
@@ -211,8 +212,8 @@ def minres(operator, b, x0=None, *, rtol=1e-5, callback=None):
         oldb = beta
         beta = math.sqrt(np.inner(r2, y))
         tnorm2 += alfa ** 2 + oldb ** 2 + beta ** 2
-        if itn == 1 and beta / beta1 <= 10 * eps:
-            istop = -1  # b is an eigenvector: this step solves exactly
+        # b is an eigenvector: this step solves exactly
+        eigenvector = itn == 1 and beta / beta1 <= 10 * eps
         # the plane rotation that eliminates beta from the tridiagonal
         oldeps = epsln
         delta = cs * dbar + sn * alfa
@@ -236,20 +237,8 @@ def minres(operator, b, x0=None, *, rtol=1e-5, callback=None):
         ynorm = norm(x)
         test1 = np.inf if ynorm == 0 or anorm == 0 else phibar / (anorm * ynorm)
         test2 = np.inf if anorm == 0 else root / anorm
-        if istop == 0:
-            if 1 + test2 <= 1:
-                istop = 2
-            if 1 + test1 <= 1:
-                istop = 1
-            if itn >= 5 * n or gmax / gmin >= 0.1 / eps or anorm * ynorm * eps >= beta1:
-                istop = 3
-            if test2 <= rtol:
-                istop = 2
-            if test1 <= rtol:
-                istop = 1
-        if callback is not None:
-            callback(x)
-        if istop != 0:
+        if (eigenvector or test1 <= tol or test2 <= tol
+                or gmax / gmin >= 0.1 / eps or anorm * ynorm * eps >= beta1):
             break
     return x
 
@@ -269,6 +258,10 @@ def kmeans_two_1d(values) -> KMeansTwo1d:
 
     The optimal 2-partition on a line is contiguous in sorted order, so the
     scan is exhaustive. Ties go to the first (leftmost) minimal split.
+
+    A set whose spread max - min is at most 64 ulps of max|value| is flat
+    up to rounding, as an equilibrium on a complete graph is (3-7 ulps), and
+    degenerate: a split would follow its last bits.
     """
     v = np.asarray(values, dtype=float).ravel()
     n = v.size
@@ -276,7 +269,7 @@ def kmeans_two_1d(values) -> KMeansTwo1d:
         raise ValueError("need at least two values")
     order = np.argsort(v, kind="stable")
     s = v[order]
-    if s[0] == s[-1]:
+    if s[-1] - s[0] <= 64 * _EPS * max(abs(s[0]), abs(s[-1])):
         return KMeansTwo1d(np.ones(n, dtype=int), (float(s[0]), float(s[0])), degenerate=True)
     prefix = np.concatenate([[0.0], np.cumsum(s)])
     prefix_sq = np.concatenate([[0.0], np.cumsum(s * s)])

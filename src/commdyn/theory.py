@@ -96,7 +96,10 @@ class DavisKahanReport:
 
 def _deviation_norm(graph: Graph, params: SbmParams) -> float:
     """||A - E{A}||_2 without an n x n matrix: E{A} is a block-constant
-    matrix minus its diagonal, applied blockwise."""
+    matrix minus its diagonal, applied blockwise. When every link
+    probability is 0 or 1 the sample is E{A} itself, and the norm is 0."""
+    if np.isin(params.ell, (0.0, 1.0)).all():
+        return 0.0
     n1 = params.n1
     sizes = [n1, params.n2]
     ell = params.ell

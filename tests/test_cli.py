@@ -347,6 +347,14 @@ BAD_INPUT_CASES = {
                              "eq_short.csv:3:"),
     "inputs-ragged": (["detect-multi", "--states", "states.csv", "--inputs", "ragged.csv",
                        *_MULTI_ARGS], "ragged.csv:2:"),
+    "detect-single-nan-state": (["detect-single", "--states", "eq_nan.csv", "--out", "est.csv"],
+                                "eq_nan.csv:3:"),
+    "detect-single-empty-state": (["detect-single", "--states", "eq_empty.csv", "--out",
+                                   "est.csv"], "eq_empty.csv:2:"),
+    "detect-multi-nan-state": (["detect-multi", "--states", "eq_nan.csv", "--inputs",
+                                "inputs3.csv", *_MULTI_ARGS], "eq_nan.csv:3:"),
+    "detect-multi-inf-input": (["detect-multi", "--states", "states.csv", "--inputs",
+                                "inputs_inf.csv", *_MULTI_ARGS], "inputs_inf.csv:2:"),
     "simulate-pairs-0": (["simulate", *SBM_FLAGS, "--u-offset", "0.05", "--pairs", "0",
                           "--out", "eq.csv"], "--pairs"),
     "simulate-pairs-negative": (["simulate", *SBM_FLAGS, "--u-offset", "0.05", "--pairs", "-1",
@@ -393,6 +401,13 @@ def test_bad_input_file_is_an_error_not_a_traceback(argv, where, tmp_path, monke
     (tmp_path / "eq_short.csv").write_text("trial,converged,residual,x0,x1,x2\n"
                                            "0,true,1e-13,0.1,-0.2,0.3\n1,true,1e-13,0.2,-0.1\n")
     (tmp_path / "ragged.csv").write_text("0.5,-0.5,0.1\n1.0,2.0\n")
+    header = "trial,converged,residual,x0,x1,x2\n"
+    (tmp_path / "eq_nan.csv").write_text(header + "0,true,1e-13,0.1,-0.2,0.3\n"
+                                         "1,true,1e-13,0.2,nan,0.3\n")
+    (tmp_path / "eq_empty.csv").write_text(header + "0,true,1e-13,0.1,,0.3\n"
+                                           "1,true,1e-13,0.2,-0.1,0.3\n")
+    (tmp_path / "inputs3.csv").write_text("0.5,-0.5,0.1\n1.0,2.0,-1.0\n")
+    (tmp_path / "inputs_inf.csv").write_text("0.5,-0.5,0.1\n1.0,inf,-1.0\n")
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err

@@ -9,7 +9,7 @@ from commdyn.dynamics import (DENSE_NEWTON_MAX_N, Equilibrium, ModelParams, Satu
                               equilibria_for_inputs, integrate_to_equilibrium, jacobian,
                               newton_refine, rhs, saturation_deriv, saturation_eval,
                               saturation_inverse)
-from commdyn.errors import DomainError, SingularJacobian
+from commdyn.errors import DomainError
 from commdyn.graphgen import Graph, SbmParams, max_expected_degree, sample_sbm
 from commdyn.spectral import extreme_eigpairs
 from oracles import (bifurcation_threshold, branch_amplitude, connected_sample,
@@ -98,6 +98,24 @@ def test_saturation_inverse_domain_error():
         saturation_inverse(Saturation.TANH, 1.0)
     with pytest.raises(DomainError):
         saturation_inverse(Saturation.ALG_ABS, -1.5)
+    for kind in ALL_KINDS:  # every |y| >= 1, alone or in an array
+        for y in (1.0, -1.0, np.nextafter(1.0, 2.0), -2.0, np.inf):
+            with pytest.raises(DomainError):
+                saturation_inverse(kind, y)
+            with pytest.raises(DomainError):
+                saturation_inverse(kind, np.array([0.5, y]))
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+@pytest.mark.parametrize("k", range(1, 16))
+def test_saturation_inverse_near_the_range_edge(kind, k):
+    """At |y| = 1 - 10^-k the inverse is finite and S maps it back to y
+    within one ulp."""
+    y = 1.0 - 10.0 ** -k
+    for signed in (y, -y):
+        z = saturation_inverse(kind, signed)
+        assert np.isfinite(z)
+        assert abs(saturation_eval(kind, z) - signed) <= np.spacing(y)
 
 
 def test_round_trip_z_direction():
@@ -427,8 +445,8 @@ def test_loose_step_is_kept_only_as_an_inexact_newton_step(krylov_graph, at_root
 def test_overshooting_step_continues_from_its_own_iterate(krylov_graph, monkeypatch):
     """At the gamma > 0 erf branch seed (u 0.1 above threshold) the loose
     step overshoots 0.1; one continuation from its iterate at the scaled
-    rtol brings it below 0.1, in fewer MINRES iterations (counted by the
-    callback) than one solve at 1e-12, and Newton from the seed reaches the
+    rtol brings it below 0.1, in fewer MINRES matvecs (counted by the
+    operator) than one solve at 1e-12, and Newton from the seed reaches the
     root that exact steps reach."""
     p, g = krylov_graph
     m = _model_above_threshold(p, g, 1, Saturation.ERF, 0.1)
@@ -438,10 +456,12 @@ def test_overshooting_step_continues_from_its_own_iterate(krylov_graph, monkeypa
     forcing = min(0.1, np.abs(r).max())
     calls, minres = [], dynamics.minres
 
-    def counting(*args, **kwargs):
-        iterations = []
-        result = minres(*args, callback=iterations.append, **kwargs)
-        calls.append((kwargs["rtol"], len(iterations)))
+    def counting(operator, *args, **kwargs):
+        matvecs = []
+        counted = spectral.Operator(operator.shape[0],
+                                    lambda v: matvecs.append(1) or operator @ v)
+        result = minres(counted, *args, **kwargs)
+        calls.append((kwargs["rtol"], len(matvecs)))
         return result
 
     monkeypatch.setattr(dynamics, "minres", counting)
@@ -449,7 +469,7 @@ def test_overshooting_step_continues_from_its_own_iterate(krylov_graph, monkeypa
     assert np.linalg.norm(r - jac.matvec(step)) / np.linalg.norm(r) <= 0.1
     (loose, _), (scaled, _) = calls
     assert loose == forcing and 1e-12 < scaled < forcing
-    continued = sum(iterations for _, iterations in calls)
+    continued = sum(matvecs for _, matvecs in calls)
     calls.clear()
     jac.solve(r)
     assert calls[0][0] == 1e-12 and continued < calls[0][1]
@@ -504,13 +524,16 @@ def test_newton_rescales_only_after_a_whole_step(krylov_graph, monkeypatch):
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("graph_fixture", ["small_graph", "krylov_graph"])
-def test_newton_non_finite_step_raises(graph_fixture, request):
+def test_newton_non_finite_step_returns_unconverged(graph_fixture, request):
+    """A linear solve that fails or gives a non-finite step ends the polish
+    at its best iterate, here the start, unconverged."""
     _, g = request.getfixturevalue(graph_fixture)
     m = ModelParams(1.0, 0.4, 1.0, 0.05)
     x = np.full(g.n, 0.1)
     x[0] = np.inf
-    with pytest.raises(SingularJacobian):
-        newton_refine(x, m, g)
+    result = newton_refine(x, m, g)
+    assert not result.converged
+    assert np.array_equal(result.state, x)
 
 
 def test_stable_origin_passes_the_certificate():
@@ -709,6 +732,23 @@ def test_branch_seed_amplitude_is_the_bracketed_root(graph_fixture, sign, kind, 
     assert abs(projected_fixed_point(m, g, c)) <= 8.0 * np.finfo(float).eps * m.d * c
 
 
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+@pytest.mark.parametrize("sign", [1, -1])
+def test_branch_seed_across_the_sampled_threshold(dense_newton_graph, sign, kind):
+    """At the sampled graph's threshold u* = d/(alpha + gamma*lambda) and
+    just below it there is no seed; above it the amplitude c grows with u."""
+    p, g = dense_newton_graph
+    gamma = sign / max_expected_degree(p)
+    mu = 1.0 + gamma * g.extreme_eigenpair("LA" if sign > 0 else "SA")[0]
+
+    def seed(factor):
+        return dynamics._branch_seed(ModelParams(1.0, factor / mu, 1.0, gamma, kind), g)
+
+    assert all(seed(factor) is None for factor in (1.0 - 1e-2, 1.0 - 1e-8, 1.0))
+    amplitudes = [seed(1.0 + offset)[0] for offset in (1e-6, 1e-4, 1e-2, 1e-1)]
+    assert all(0.0 < low < high for low, high in zip(amplitudes, amplitudes[1:]))
+
+
 def test_branch_seed_root_below_its_floor_gives_no_seed(dense_newton_graph):
     """Just above threshold the root is about 1e-3 times the floor
     _SEED_LOW * u*sqrt(n)/d: the origin is unstable, yet no seed."""
@@ -805,13 +845,13 @@ def test_singular_seeded_newton_falls_back(krylov_graph, monkeypatch):
     reference = _ode_path(x0, m, g)
     refine, calls = dynamics.newton_refine, []
 
-    def raise_first(*args, **kwargs):
+    def fail_first(*args, **kwargs):
         calls.append(args)
         if len(calls) == 1:
-            raise SingularJacobian("injected")
+            return Equilibrium(args[0], np.inf, False, 0.0)
         return refine(*args, **kwargs)
 
-    monkeypatch.setattr(dynamics, "newton_refine", raise_first)
+    monkeypatch.setattr(dynamics, "newton_refine", fail_first)
     _assert_same_equilibrium(integrate_to_equilibrium(x0, m, g), reference)
     assert len(calls) > 1  # the seed, then the ODE path's polish
 

@@ -11,6 +11,7 @@ import pytest
 from commdyn import dynamics, harness
 from commdyn.detect import DetectionMethod
 from commdyn.dynamics import NEUTRAL_TOL, ModelParams, Saturation
+from commdyn.errors import DomainError
 from commdyn.harness import (Preset, TrialRecord, build_config, derive_seed,
                              load_config_file, read_records_csv, resolve_m_values,
                              run_experiment, summarize, write_records_csv,
@@ -361,7 +362,9 @@ def test_edge_case_sweeps_end_as_rows(case):
     """Decoupled blocks, n1 = 1, a complete graph and two-agent graphs run
     through the harness to rows with the failure codes these graphs call
     for, the same serial and pooled. At n1 = 1 the two agents agree when
-    linked (degenerate labels) and stay neutral when not."""
+    linked (degenerate labels) and stay neutral when not. On a complete
+    graph every agent sits at one value, up to a few ulps of rounding
+    (degenerate labels)."""
     preset, overrides = EDGE_CASE_SWEEPS[case]
     config = build_config(preset, base_seed=777, **overrides)
     records = run_experiment(config, workers=1)
@@ -373,6 +376,8 @@ def test_edge_case_sweeps_end_as_rows(case):
         assert set(failures) == {"degenerate", "neutral-state"}
     elif case == "ssbm-n2":
         assert failures == ["neutral-state"] * 2
+    elif case == "complete-graph":
+        assert failures == ["degenerate"] * 2
     elif case == "multi-pairs-n2":
         # m in {1, 2}, two methods, two trials: the covariance baseline needs
         # two samples
@@ -383,6 +388,50 @@ def test_edge_case_sweeps_end_as_rows(case):
     else:
         assert failures == [""] * 2
         assert all(0.5 <= r.accuracy <= 1.0 for r in records)
+
+
+def test_undefined_threshold_rows_are_invalid_regime():
+    """With alpha = 0 and gamma < 0 on an assortative SSBM the expected
+    threshold's denominator alpha + gamma*min(lambda_minus, 0) is 0: every
+    row is invalid-regime, with no u and empty outcomes."""
+    config = build_config(Preset.SSBM_POSITIVE, base_seed=777, n_values=[40], alpha=0.0,
+                          gamma_sign=-1, u_offsets=[0.05], trials=2)
+    records = run_experiment(config, workers=1)
+    assert [r.failure for r in records] == ["invalid-regime"] * 2
+    assert all(r.u is None and r.converged is None and r.accuracy is None for r in records)
+
+
+def test_unconverged_equilibrium_rows_are_non_convergence(monkeypatch):
+    """An equilibrium solve cut off at T_MAX, with no seeded start, gives
+    non-convergence rows that keep the residual and no accuracy."""
+    monkeypatch.setattr(dynamics, "T_MAX", 1e-2)
+    monkeypatch.setattr(dynamics, "_seeded_equilibrium", lambda *args: None)
+    records = run_experiment(tiny_single_config(), workers=1)
+    assert [r.failure for r in records] == ["non-convergence"] * 3
+    assert all(r.converged is False and r.residual > dynamics.STEADY_TOL
+               and r.accuracy is None for r in records)
+
+
+def test_domain_error_in_detection_is_domain_error(monkeypatch):
+    """A detection that raises DomainError gives domain-error, not the
+    error:DomainError of an unexpected exception."""
+    def out_of_range(_equilibrium):
+        raise DomainError("injected")
+
+    monkeypatch.setattr(harness, "detect_single", out_of_range)
+    records = run_experiment(tiny_single_config(), workers=1)
+    assert [r.failure for r in records] == ["domain-error"] * 3
+    assert all(r.converged and r.accuracy is None for r in records)
+
+
+def test_neutral_row_has_an_empty_alignment():
+    """With diagnostics on, a neutral equilibrium's alignment is an empty
+    cell; the graph's concentration ratio is still filled in."""
+    config = build_config(Preset.SSBM_POSITIVE, base_seed=777, n_values=[2], u_offsets=[0.05],
+                          trials=2, diagnostics=True)
+    records = run_experiment(config, workers=1)
+    assert [r.failure for r in records] == ["neutral-state"] * 2
+    assert all(r.alignment is None and r.concentration_ratio is not None for r in records)
 
 
 def test_points_on_one_sbm_share_their_graph():

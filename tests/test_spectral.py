@@ -199,17 +199,25 @@ def test_lanczos_breaks_down_on_an_edgeless_graph(which):
     assert value == 0.0 and np.linalg.norm(vector) == pytest.approx(1.0, abs=1e-14)
 
 
-def test_complete_graph_deviation_is_rounding(monkeypatch):
-    """A complete graph equals its expectation, so A - E{A} is zero up to the
-    rounding of its matvec, and the Lanczos on it breaks down at once. Its
-    norm is at rounding level, found in one basis of 20 matvecs."""
+def test_complete_graph_deviation_is_rounding():
+    """A complete graph equals its expectation, so A - E{A}, applied
+    blockwise as theory._deviation_norm would, is zero up to the rounding of
+    its matvec, and the Lanczos on it breaks down at once. Its norm is at
+    rounding level, found in one basis of 20 matvecs. (_deviation_norm itself
+    returns exactly 0 here without a solve: tests/test_theory.py.)"""
     p = SbmParams.ssbm(400, 1.0, 1.0)
     graph = sample_sbm(p, 1)
     assert graph.adjacency.nnz == p.n * (p.n - 1)
-    calls, solve = [], theory.extreme_eigpairs
-    monkeypatch.setattr(theory, "extreme_eigpairs", lambda operator, which, tol: solve(
-        _counting(operator, calls), which, tol))
-    assert theory._deviation_norm(graph, p) <= 1e-12 * p.n
+    sizes = [p.n1, p.n2]
+
+    def deviation(x):
+        block = np.repeat(p.ell @ np.array([x[:p.n1].sum(), x[p.n1:].sum()]), sizes)
+        return graph.adjacency @ x - (block - x)
+
+    calls = []
+    value, _ = extreme_eigpairs(_counting(Operator(p.n, deviation), calls), "LM",
+                                tol=theory._DEVIATION_EIG_TOL)
+    assert abs(value) <= 1e-12 * p.n
     assert len(calls) == 20
 
 
@@ -229,14 +237,17 @@ def _indefinite_k():
 @pytest.mark.parametrize("rtol", [0.1, 1e-4, 1e-12])
 @pytest.mark.parametrize("start", [False, True], ids=["x0-none", "x0"])
 def test_minres_is_scipys_minres_bit_for_bit(rtol, start):
-    """Every MINRES iterate, and so the answer, has the bits of scipy's
-    minres on the same operator, from 0 or from a start x0."""
+    """Every vector MINRES applies the operator to (x0, then one Lanczos
+    vector per step), and so the answer, has the bits of scipy's minres on
+    the same operator, from 0 or from a start x0."""
     k, b, x0 = _indefinite_k()
     x0 = x0 if start else None
     ours, theirs = [], []
-    x = minres(k, b, x0=x0, rtol=rtol, callback=lambda xk: ours.append(xk.copy()))
-    reference, _ = scipy_minres(LinearOperator(k.shape, matvec=k.matvec, dtype=float), b,
-                                x0=x0, rtol=rtol, callback=lambda xk: theirs.append(xk.copy()))
+    x = minres(Operator(k.shape[0], lambda v: ours.append(v.copy()) or k.matvec(v)), b,
+               x0=x0, rtol=rtol)
+    reference, _ = scipy_minres(LinearOperator(
+        k.shape, matvec=lambda v: theirs.append(v.copy()) or k.matvec(v), dtype=float), b,
+        x0=x0, rtol=rtol)
     assert np.array_equal(x, reference)
     assert len(ours) == len(theirs) >= 1
     assert all(np.array_equal(a, b) for a, b in zip(ours, theirs))
@@ -299,6 +310,19 @@ def test_kmeans_degenerate():
     result = kmeans_two_1d([5.0, 5.0, 5.0])
     assert result.degenerate
     assert np.array_equal(result.labels, [1, 1, 1])
+
+
+@pytest.mark.parametrize("ulps, degenerate", [(3, True), (64, True), (65, False)])
+@pytest.mark.parametrize("scale", [2.0 ** -10, 1.0, -8.0])
+def test_kmeans_near_flat_is_degenerate(ulps, degenerate, scale):
+    """A set whose spread is at most 64 ulps of its largest magnitude is
+    flat up to rounding and degenerate; a wider one is split. (A power-of-two
+    scale keeps the spread exact.)"""
+    values = np.full(10, scale)
+    values[3] += ulps * np.finfo(float).eps * scale
+    result = kmeans_two_1d(values)
+    assert result.degenerate == degenerate
+    assert sorted(np.bincount(result.labels)[1:]) == ([10] if degenerate else [1, 9])
 
 
 def test_kmeans_rejects_short_input():

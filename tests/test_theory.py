@@ -244,6 +244,24 @@ def test_concentration_ratio_edgeless():
     assert concentration_ratio(g, p) == 0.0
 
 
+@pytest.mark.parametrize("n", [24, 400])
+@pytest.mark.parametrize("ls, ld", [(1.0, 1.0), (0.0, 1.0)], ids=["complete", "bipartite"])
+def test_deviation_is_zero_when_the_graph_is_its_expectation(n, ls, ld, monkeypatch):
+    """With every link probability 0 or 1 the sample is E{A} itself: the
+    deviation is exactly 0 with no eigensolve, at every n (above 20 agents
+    the Lanczos would return rounding), so both diagnostics' zero cases
+    fire."""
+    p = SbmParams.ssbm(n, ls, ld)
+    g = sample_sbm(p, seed=1)
+    assert np.array_equal(g.adjacency.toarray(), expected_adjacency(p))
+    monkeypatch.setattr(theory, "extreme_eigpairs", lambda *args, **kwargs: pytest.fail(
+        "an eigensolve ran"))
+    assert theory._deviation_norm(g, p) == 0.0
+    assert concentration_ratio(g, p) == 0.0
+    report = davis_kahan_check(g, p)
+    assert report.lhs == report.rhs == report.ratio == 0.0 and report.holds
+
+
 def test_concentration_ratio_community_relabel_invariant():
     p = SbmParams.ssbm(40, 0.4, 0.1)
     g = sample_sbm(p, seed=2)
