@@ -68,7 +68,7 @@ def invert_pairs(pairs: PairSet) -> np.ndarray:
     if p.u == 0:
         raise ValueError("inversion needs u > 0")
     w = (p.d * pairs.X - pairs.B) / p.u
-    bad = np.abs(w) >= 1.0
+    bad = ~(np.abs(w) < 1.0)  # NaN too
     if bad.any():
         k, i = map(int, np.argwhere(bad.T)[0])
         raise DomainError(f"pair {k}, agent {i}: (d*x - b)/u = {w[i, k]} outside (-1, 1)")

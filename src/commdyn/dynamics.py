@@ -8,9 +8,7 @@ stability certificate (Lanczos) run on spectral's numpy kernels, not on
 scipy.sparse.linalg. The ODE solver class RK45 is loaded from scipy.integrate
 on first use (see __getattr__), so a run whose equilibria all come from the
 seeded start never imports scipy.integrate, the scipy.optimize it pulls in,
-or the scipy.linalg and scipy.sparse.linalg those load. Likewise
-scipy.special is imported by the first evaluation of the erf saturation (see
-_erf), unless an ODE solve has already loaded it with scipy.integrate.
+or the scipy.linalg and scipy.sparse.linalg those load.
 """
 
 import sys
@@ -86,14 +84,97 @@ def _tanh_deriv(z):
     return 1.0 - t * t
 
 
-def _erf(z):
-    from scipy.special import erf
-    return erf(_ERF_SCALE * z)
+# Cephes's rational approximations (ndtr.c): erf(a) = a*T(a^2)/U(a^2) for
+# 0 <= a <= 1 and erfc(a) = exp(-a^2)*P(a)/Q(a) for 1 <= a < 8, each kept as
+# its (numerator, denominator) coefficient rows, highest degree first: T
+# padded with a leading 0, U and Q with their implicit leading 1.
+_ERF_TU = np.array([
+    [0.0, 9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
+     7.00332514112805075473E3, 5.55923013010394962768E4],
+    [1.0, 3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
+     2.26290000613890934246E4, 4.92673942608635921086E4]])
+_ERFC_PQ = np.array([
+    [2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
+     4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
+     9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2],
+    [1.0, 1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
+     9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
+     1.65666309194161350182E3, 5.57535340817727675546E2]])
+
+# erfinv's start: Winitzki's closed form ("A handy approximation for the error
+# function and its inverse", 2008) with a = 0.147, relative error below 2e-3.
+_WINITZKI_A = 0.147
+_WINITZKI_H = 2.0 / (np.pi * _WINITZKI_A)
 
 
-def _erf_inverse(y):
-    from scipy.special import erfinv
-    return erfinv(y) / _ERF_SCALE
+def _horner(x, coefs):
+    """Both coefficient rows of `coefs` at the 1-d x, as a (2, x.size) array,
+    by Cephes's Horner recurrence (polevl), so with its roundings."""
+    acc = coefs[:, :1] * x
+    for k in range(1, coefs.shape[1] - 1):
+        acc += coefs[:, k:k + 1]
+        acc *= x
+    acc += coefs[:, -1:]
+    return acc
+
+
+def _erf_small(a):
+    p, q = _horner(a * a, _ERF_TU)
+    return a * p / q
+
+
+def _erfc_large(a):
+    p, q = _horner(a, _ERFC_PQ)
+    return np.exp(-a * a) * p / q
+
+
+def _erf_abs(a):
+    """Cephes's erf at the 1-d a >= 0, each rational evaluated only on the
+    entries of its branch. From a = 6 on, erfc(a) < 2^-54 and erf(a) rounds
+    to 1; NaN stays NaN."""
+    out = np.minimum(a, 1.0)
+    small = a <= 1.0
+    out[small] = _erf_small(a[small])
+    mid = ~small & (a < 6.0)
+    out[mid] = 1.0 - _erfc_large(a[mid])
+    return out
+
+
+def _erfc_abs(a):
+    """Cephes's erfc at the 1-d a, 0 <= a < 8."""
+    out = np.empty_like(a)
+    small = a < 1.0
+    out[small] = 1.0 - _erf_small(a[small])
+    out[~small] = _erfc_large(a[~small])
+    return out
+
+
+def _erf(x):
+    """Cephes's erf, elementwise."""
+    flat = np.ravel(x)
+    return np.copysign(_erf_abs(np.abs(flat)), flat).reshape(np.shape(x))
+
+
+def _erfinv(y):
+    """erfinv for |y| < 1: three Halley steps on erf(x) = |y| from Winitzki's
+    start. Where |y| > 0.5 the residual is (1 - |y|) - erfc(x), whose first
+    term is exact, so the tail keeps its relative accuracy and S^-1 inverts
+    the same erf as S."""
+    flat = np.ravel(y)
+    b = np.abs(flat)
+    log = np.log1p(-b * b)  # ln(1 - y^2)
+    h = _WINITZKI_H + 0.5 * log
+    c = -log / _WINITZKI_A
+    x = np.sqrt(c / (np.sqrt(h * h + c) + h))  # sqrt(sqrt(h^2 + c) - h), without cancellation
+    tail = b > 0.5
+    head = ~tail
+    for _ in range(3):
+        residual = np.empty_like(b)
+        residual[head] = _erf_abs(x[head]) - b[head]
+        residual[tail] = (1.0 - b[tail]) - _erfc_abs(x[tail])
+        t = residual * _ERF_SCALE * np.exp(x * x)  # residual / erf'(x)
+        x -= t / (1.0 + x * t)
+    return np.copysign(x, flat).reshape(np.shape(y))
 
 
 # (S, S', S^-1) of each family; S^-1 is only called on the open range (-1, 1).
@@ -105,7 +186,9 @@ _FAMILIES = {
     Saturation.ALG_SQRT: (lambda z: z / np.hypot(1.0, z),
                           lambda z: (1.0 + z * z) ** -1.5,
                           lambda y: y / np.sqrt((1.0 - y) * (1.0 + y))),
-    Saturation.ERF: (_erf, lambda z: np.exp(-np.pi * z * z / 4.0), _erf_inverse),
+    Saturation.ERF: (lambda z: _erf(_ERF_SCALE * z),
+                     lambda z: np.exp(-np.pi * z * z / 4.0),
+                     lambda y: _erfinv(y) / _ERF_SCALE),
 }
 
 
@@ -124,9 +207,9 @@ def saturation_deriv(kind: Saturation, z):
 
 
 def saturation_inverse(kind: Saturation, y):
-    """Inverse saturation. Raises DomainError for |y| >= 1."""
+    """Inverse saturation. Raises DomainError for |y| >= 1 and for NaN."""
     y = np.asarray(y, dtype=float)
-    if np.any(np.abs(y) >= 1.0):
+    if not np.all(np.abs(y) < 1.0):
         bad = float(y.ravel()[np.argmax(np.abs(y))])
         raise DomainError(f"value {bad} outside the open range (-1, 1)")
     return _apply(kind, 2, y)

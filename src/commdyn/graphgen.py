@@ -150,24 +150,42 @@ def _from_upper(n, blocks, labels) -> Graph:
     return Graph(adjacency, labels)
 
 
-# Pairs per position draw. numpy's choice without replacement either hashes
-# its picks or, above a twentieth of its population, tail-shuffles an arange
-# of the whole population; bounded runs keep both and the sort cache-sized.
-_SAMPLE_BLOCK_PAIRS = 1 << 20
+_INT64_MAX = 2**63 - 1
+
+
+def _gap_batch(remaining, p):
+    """Geometric gaps drawn at once when `remaining` pairs follow the last
+    edge: the expected edges e = remaining * p plus four standard deviations
+    and 16, so a second batch is rare; at most `remaining`, as no more edges
+    fit, and few enough that `remaining + 1` times the count fits int64."""
+    e = remaining * p
+    return min(int(e + 4.0 * math.sqrt(e)) + 16, remaining, _INT64_MAX // (remaining + 1))
 
 
 def _edge_positions(rng, pairs, p):
-    """Sorted edge positions among `pairs` pairs linked with probability p:
-    for each run of at most _SAMPLE_BLOCK_PAIRS consecutive pairs, a
-    Binomial(run, p) count, then that many distinct positions in the run
-    uniformly."""
+    """Sorted positions of the edges among `pairs` pairs, each linked with
+    probability p (Batagelj & Brandes, Phys. Rev. E 71, 036113, 2005).
+
+    The gaps between successive edges, the first counted from position -1,
+    are i.i.d. Geometric(p). They are drawn in batches of _gap_batch(R, p)
+    for the R pairs after the last edge so far; a batch's draws past the last
+    pair are dropped, and the block ends there. Gaps are clipped to R + 1
+    before their running sum, which keeps it inside int64 and changes no
+    position that is kept."""
     parts = []
-    for start in range(0, pairs, _SAMPLE_BLOCK_PAIRS):
-        run = min(_SAMPLE_BLOCK_PAIRS, pairs - start)
-        part = rng.choice(run, rng.binomial(run, p), replace=False, shuffle=False)
-        part.sort()
-        part += start
+    last = -1
+    while p > 0.0 and last < pairs - 1:
+        remaining = pairs - 1 - last
+        gaps = rng.geometric(p, _gap_batch(remaining, p))
+        np.minimum(gaps, remaining + 1, out=gaps)
+        ahead = np.cumsum(gaps, out=gaps)  # positions after the last edge
+        inside = np.searchsorted(ahead, remaining, side="right")
+        part = ahead[:inside]
+        part += last
         parts.append(part)
+        if inside < len(ahead):
+            break
+        last = int(part[-1])
     if len(parts) == 1:
         return parts[0]
     return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
@@ -195,13 +213,12 @@ def sample_sbm(params: SbmParams, seed: int) -> Graph:
     """Sample a graph from the SBM, deterministically for a fixed seed.
 
     One counter-based Philox stream keyed by the seed is drawn in a fixed
-    order: for the block pairs 11, 12 and 22 in turn, and within each block
-    for runs of at most _SAMPLE_BLOCK_PAIRS pairs in lexicographic order, the
-    edge count from Binomial(pairs in the run, l), then that many distinct
-    pair positions uniformly without replacement. Conditioned on its count a
-    uniform subset of pairs is exactly i.i.d. Bernoulli(l) per pair, so this
-    is the SBM law; work and memory are O(n + edges), not O(n^2). The sample is
-    bit-reproducible regardless of scheduling. This is sampler stream v2
+    order: for the block pairs 11, 12 and 22 in turn, with each block's pairs
+    numbered in lexicographic order, the Geometric(l) gaps between its
+    successive edges (_edge_positions). Geometric gaps are exactly i.i.d.
+    Bernoulli(l) per pair, so this is the SBM law; work and memory are
+    O(n + edges), not O(n^2), with no scratch per pair. The sample is
+    bit-reproducible regardless of scheduling. This is sampler stream v3
     (README, Conventions).
     """
     rng = np.random.Generator(np.random.Philox(seed))

@@ -41,7 +41,7 @@ def bernoulli_pairs_sbm(params: SbmParams, seed: int) -> Graph:
     """The SBM drawn pair by pair (sampler stream v1): each unordered pair
     {i, j}, i < j in lexicographic order, takes one uniform from the
     Philox(seed) stream and is an edge when it falls below its link
-    probability. graphgen.sample_sbm (stream v2) must give the same graph
+    probability. graphgen.sample_sbm (stream v3) must give the same graph
     wherever every link probability is 0 or 1, and the same law elsewhere."""
     rng = np.random.Generator(np.random.Philox(seed))
     labels = params.labels()

@@ -129,21 +129,21 @@ def test_experiment_and_summarize(tmp_path, capsys):
 # between numpy/scipy builds
 _GOLDEN_CLI_FILES = {
     "graph.txt":
-        "d79c8cbdbb87b061f21289b99c844b1125eece12853a599d5b1f920b70540afa",
+        "65552ca454d6bbb1fe7fa30eb5a176ce834c8668874368638979815015b89483",
     "eq.csv":
-        "9a553b3eec896d734c793bf28878941a38c4683378c129cbcfbe1c2cc2c3fc52",
+        "9554e9ac37ccfadabeb9e469fee53a18e1ad63a8311e87e49e4174e83ef1e7d9",
     "pairs.csv":
-        "ff285bcbfd0a63e2e5f4b8bece86ede4253e11b2e46df7480491fb820bc272a6",
+        "4c6e75fdbcba6ce7cce533278ce6adbb1d1271438eb7739ccdeb3a77fbd3d6ff",
     "inputs.csv":
         "41f80aa7d25c1de124cc95415d077de98ddce6890afb0552bbb812b8d82cc24b",
     "labels.csv":
-        "684cc998a0d74450e0ce487de34b14b38f63eb912c15aec919632b55de347159",
+        "92670aa8571a63002f93c166541b1a844af58c4aecfaa0c2b05e516bff6ebbe0",
     "labels_multi.csv":
-        "df63b116be505db1a42311ff16423a16e35a363b72003a06c43d30da212f542d",
+        "6b748b12a6e336e2ee9e10610b24c4c8ccda004366d78727263e2f4f7996b7bc",
     "summary.csv":
-        "028d18aec163c7489d6eda207ae007dfe06e5ca8e6069f538f5d61d23a46381f",
+        "e052c634bf14228a76f7b14e1db77c367351e562fea67e8349b88ebe102b9c96",
     "summary-stdout":
-        "028d18aec163c7489d6eda207ae007dfe06e5ca8e6069f538f5d61d23a46381f",
+        "e052c634bf14228a76f7b14e1db77c367351e562fea67e8349b88ebe102b9c96",
 }
 
 
@@ -546,25 +546,18 @@ def test_seeded_sweep_leaves_the_scipy_solvers_unloaded():
     assert done.returncode == 0, done.stderr
 
 
-def test_first_erf_call_loads_scipy_special():
-    """The erf saturation imports scipy.special on its first call, and its S,
-    S' and S^-1 are bit for bit erf(sqrt(pi)*z/2), exp(-pi*z^2/4) and
-    erfinv(y)/(sqrt(pi)/2)."""
+def test_saturation_sweep_leaves_scipy_special_unloaded():
+    """A saturation-sweep run over all four saturations, whose equilibria
+    the seeded start solves, loads neither scipy.special (the erf
+    saturation is numpy code) nor scipy.integrate."""
     probe = (
-        "import sys, numpy as np, commdyn.cli\n"
-        "from commdyn.dynamics import (Saturation, saturation_deriv, saturation_eval,\n"
-        "                              saturation_inverse)\n"
-        "assert 'scipy.special' not in sys.modules\n"
-        "z = np.linspace(-6.0, 6.0, 1201)\n"
-        "s = saturation_eval(Saturation.ERF, z)\n"
-        "assert 'scipy.special' in sys.modules\n"
-        "from scipy.special import erf, erfinv\n"
-        "scale = np.sqrt(np.pi) / 2.0\n"
-        "y = np.linspace(-0.999, 0.999, 1999)\n"
-        "assert np.array_equal(s, erf(scale * z))\n"
-        "assert np.array_equal(saturation_deriv(Saturation.ERF, z), np.exp(-np.pi * z * z / 4.0))\n"
-        "assert np.array_equal(saturation_inverse(Saturation.ERF, y), erfinv(y) / scale)\n"
-        "assert saturation_eval(Saturation.ERF, 0.5) == float(erf(scale * 0.5))\n")
+        "import sys, commdyn.cli\n"
+        "from commdyn.harness import Preset, build_config, run_experiment\n"
+        "config = build_config(Preset.SATURATION_SWEEP, n1_values=[100], trials=1)\n"
+        "records = run_experiment(config, workers=1)\n"
+        "assert {r.saturation for r in records} == {'tanh', 'alg-abs', 'alg-sqrt', 'erf'}\n"
+        "bad = {'scipy.special', 'scipy.integrate'} & set(sys.modules)\n"
+        "assert not bad, f'loaded by the sweep: {sorted(bad)}'\n")
     done = _run_fresh(probe)
     assert done.returncode == 0, done.stderr
 

@@ -79,6 +79,15 @@ def test_invert_pairs_domain_error_reports_index():
         invert_pairs(PairSet(x, b, model))
 
 
+def test_invert_pairs_nan_cell_is_domain_error():
+    """A NaN state cell makes (d*x - b)/u NaN, which is outside (-1, 1)."""
+    model = ModelParams(1.0, 0.5, 1.0, 0.7)
+    x = np.zeros((3, 2))
+    x[1, 0] = np.nan
+    with pytest.raises(DomainError, match="pair 0, agent 1: .* = nan"):
+        invert_pairs(PairSet(x, np.zeros((3, 2)), model))
+
+
 def test_pair_set_residual_invariant():
     p = SbmParams.ssbm(12, 0.6, 0.2)
     g = connected_sample(p)

@@ -107,6 +107,15 @@ def test_saturation_inverse_domain_error():
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+def test_saturation_inverse_nan_is_domain_error(kind):
+    """A NaN cell, alone or in an array, raises DomainError: `|y| >= 1` is
+    False for NaN, so the guard tests `|y| < 1`."""
+    for y in (np.nan, np.array([0.5, np.nan, -0.25])):
+        with pytest.raises(DomainError, match="nan"):
+            saturation_inverse(kind, y)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
 @pytest.mark.parametrize("k", range(1, 16))
 def test_saturation_inverse_near_the_range_edge(kind, k):
     """At |y| = 1 - 10^-k the inverse is finite and S maps it back to y
@@ -116,6 +125,50 @@ def test_saturation_inverse_near_the_range_edge(kind, k):
         z = saturation_inverse(kind, signed)
         assert np.isfinite(z)
         assert abs(saturation_eval(kind, z) - signed) <= np.spacing(y)
+
+
+def _ulps(ours, reference):
+    """|ours - reference| in units of the last place of the larger of the
+    two, 0 where they are equal (infinities and NaN included)."""
+    equal = (ours == reference) | (np.isnan(ours) & np.isnan(reference))
+    spacing = np.spacing(np.maximum(np.abs(ours), np.abs(reference)))
+    return np.where(equal, 0.0, np.abs(ours - reference) / spacing)
+
+
+def test_erf_within_one_ulp_of_scipy():
+    """The numpy transcription of Cephes's erf is within 1 ulp of
+    scipy.special.erf on [-10, 10], its branch points 1 and 6 and their
+    neighbours, 0, -0 and +-inf included; the odd S of the erf family is it
+    at sqrt(pi)*z/2."""
+    from scipy.special import erf
+    edges = np.array([0.0, 1.0, 6.0])
+    edges = np.concatenate([edges, np.nextafter(edges, -1.0), np.nextafter(edges, 7.0)])
+    x = np.concatenate([np.linspace(-10.0, 10.0, 200_001), edges, -edges, [np.inf, -np.inf]])
+    assert _ulps(dynamics._erf(x), erf(x)).max() <= 1.0
+    assert np.signbit(dynamics._erf(-0.0))
+    z = np.linspace(-6.0, 6.0, 1201)
+    assert np.array_equal(saturation_eval(Saturation.ERF, z), dynamics._erf(dynamics._ERF_SCALE * z))
+    assert saturation_eval(Saturation.ERF, 0.5) == float(dynamics._erf(dynamics._ERF_SCALE * 0.5))
+
+
+def test_erfinv_within_eight_ulps_of_scipy():
+    """The Halley erfinv is within 8 ulps of scipy.special.erfinv out to
+    1 - |y| = 1e-15 and the largest double below 1 (two Halley steps read 12
+    there) and down to |y| = 1e-300, and S^-1(S(z)) gives z back as closely
+    as S's conditioning allows."""
+    from scipy.special import erfinv
+    tail = np.concatenate([1.0 - np.logspace(-15.0, -0.3, 3000), [np.nextafter(1.0, 0.0)]])
+    y = np.concatenate([np.linspace(-0.999, 0.999, 100_001), tail, -tail,
+                        np.logspace(-300.0, -1.0, 1000), [0.0, 0.5, -0.5]])
+    assert _ulps(dynamics._erfinv(y), erfinv(y)).max() <= 8.0
+    assert np.signbit(dynamics._erfinv(-0.0))
+    z = np.linspace(-4.0, 4.0, 8001)
+    z = z[z != 0.0]
+    s = saturation_eval(Saturation.ERF, z)
+    back = saturation_inverse(Saturation.ERF, s)
+    # an error of one ulp of S(z) moves S^-1 by spacing(S(z)) / S'(z)
+    unit = np.spacing(np.abs(s)) / saturation_deriv(Saturation.ERF, z) + np.spacing(np.abs(z))
+    assert np.all(np.abs(back - z) <= 4.0 * unit)
 
 
 def test_round_trip_z_direction():
@@ -501,7 +554,7 @@ def test_newton_rescales_only_after_a_whole_step(krylov_graph, monkeypatch):
     """newton_refine lets a step's continuation use the scaled rtol only when
     the previous step was taken whole (the first step counts as such)."""
     p, g = krylov_graph
-    m = _model_above_threshold(p, g, -1, Saturation.TANH, 0.02)
+    m = _model_above_threshold(p, g, -1, Saturation.TANH, 0.05)
     c, w = dynamics._branch_seed(m, g)
     states, steps, rescales = [], [], []
     linearize, solve = dynamics.jacobian, dynamics.Jacobian.solve

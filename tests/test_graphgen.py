@@ -265,21 +265,25 @@ def test_sampler_golden_edge_lists(tmp_path, params, seed, digest):
 
 
 @pytest.mark.parametrize("params, seed, digest", [
-    (*_GOLDEN_CASES[0], "a7e0c504842f0817af7ee09dd6272ad603d0fcaa948508c0ad7a44c3c75e0160"),
-    (*_GOLDEN_CASES[1], "e110ddc437a90f58f7b338c339db355c5721f3713aa9228253c1ee91df44b96a"),
-    (*_GOLDEN_CASES[2], "170e668c0f0264d10cb82c060054136da928645534a02e9b2973cbdc0a481ddf"),
-])
+    (*_GOLDEN_CASES[0], "e19b2e37d74dce80612e85731b81378f734c1a8d74a896ce452d9246bfac2f67"),
+    (*_GOLDEN_CASES[1], "69cf955a6d450cd2eed873d1e30fa443ee4c2f484e92c02cbb195a72a808f263"),
+    (*_GOLDEN_CASES[2], "5c1b46c4de9cfe3b36c14f5c44fc636fb2a4d8bbee38c8b8f5f0188d8ccb4d92"),
+], ids=["params0-11", "params1-7", "params2-3"])
 def test_sample_sbm_golden_edge_lists(tmp_path, params, seed, digest):
     assert _edge_list_digest(sample_sbm(params, seed), tmp_path) == digest
 
 
-@pytest.mark.parametrize("n", [2000, 10_000])
-def test_sample_sbm_peak_memory_per_edge(n):
+@pytest.mark.parametrize("params", [SbmParams.ssbm(2000, 0.005, 0.03),
+                                    SbmParams.ssbm(10_000, 0.005, 0.03),
+                                    SbmParams(1000, 50, 0.05, 0.01, 0.05)],
+                         ids=["2000", "10000", "1000-50-0.05-0.01-0.05"])
+def test_sample_sbm_peak_memory_per_edge(params):
     """Sampling peaks at no more than 44 traced bytes per edge next to the
     24-byte CSR it returns: int8 COO ones, a structure-only symmetry check
     and no upper-edge copy alive through the CSR build (the float64 ones, a
-    float64 CSC and the caller's upper copy took 64)."""
-    params = SbmParams.ssbm(n, 0.005, 0.03)
+    float64 CSC and the caller's upper copy took 64). The dense block of the
+    third case took 164 when stream v2 drew positions with
+    Generator.choice, which shuffles an arange of the whole run."""
     tracemalloc.start()
     try:
         g = sample_sbm(params, 5)
@@ -363,11 +367,14 @@ def test_read_edge_list_ignores_repeated_edge(tmp_path):
     assert np.array_equal(g.adjacency.toarray(), [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
 
 
-def _row_by_row_sbm(params, seed, block_pairs):
-    """Stream v2 as a dense boolean adjacency: the sampler's draws, with each
-    block's pairs listed row by row in lexicographic order and the drawn
-    positions looked up in that list. The reference for the blocked
-    sampler's position-to-pair arithmetic."""
+def _scalar_loop_sbm(params, seed, batch):
+    """Stream v3 as a dense boolean adjacency, one gap at a time: each
+    block's pairs listed row by row in lexicographic order, and from position
+    -1 on, each Geometric(l) gap read from batches of batch(R, l) draws (R
+    the pairs after the last edge) moves to the next edge until one passes
+    the last pair, which drops the rest of its batch. Python integers, so no
+    clipping and no overflow. The reference for the sampler's array
+    arithmetic and position-to-pair mapping."""
     rng = np.random.Generator(np.random.Philox(seed))
     n1, n = params.n1, params.n
     upper = np.zeros((n, n), dtype=bool)
@@ -375,11 +382,24 @@ def _row_by_row_sbm(params, seed, block_pairs):
                           (range(n1), range(n1, n), params.l12),
                           (range(n1, n), range(n1, n), params.l22)):
         pairs = [(i, j) for i in rows for j in cols if i < j]
-        for start in range(0, len(pairs), block_pairs):
-            run = min(block_pairs, len(pairs) - start)
-            for k in rng.choice(run, rng.binomial(run, p), replace=False, shuffle=False):
-                upper[pairs[start + k]] = True
+        last, ended = -1, p == 0.0
+        while not ended and last < len(pairs) - 1:
+            remaining = len(pairs) - 1 - last
+            for gap in rng.geometric(p, batch(remaining, p)):
+                if gap > len(pairs) - 1 - last:
+                    ended = True
+                    break
+                last += int(gap)
+                upper[pairs[last]] = True
     return upper | upper.T
+
+
+def _v3_batch(remaining, p):
+    """Stream v3's batch rule, written out: the expected edges plus four
+    standard deviations and 16, at most the pairs left and 2^63 - 1 over
+    one more than them."""
+    e = remaining * p
+    return min(int(e + 4.0 * math.sqrt(e)) + 16, remaining, (2**63 - 1) // (remaining + 1))
 
 
 SAMPLER_CASES = [
@@ -396,15 +416,29 @@ SAMPLER_CASES = [
 
 @pytest.mark.parametrize("params", SAMPLER_CASES,
                          ids=lambda p: f"{p.n1}-{p.n2}-{p.l11}-{p.l12}-{p.l22}")
-@pytest.mark.parametrize("block_pairs", [None, 1, 7, 64])
-def test_blocked_sampler_matches_row_by_row(params, block_pairs, monkeypatch):
-    # tiny runs end mid-row and make rows longer than a run
-    if block_pairs is not None:
-        monkeypatch.setattr(graphgen, "_SAMPLE_BLOCK_PAIRS", block_pairs)
+@pytest.mark.parametrize("batch", [None, 1, 7, 64])
+def test_blocked_sampler_matches_row_by_row(params, batch, monkeypatch):
+    """The sampler gives the scalar loop's graph, under stream v3's batch
+    rule (None) and under fixed batches of 1, 7 and 64 gaps, which end
+    batches mid-block, mid-row and exactly at a block's last pair."""
+    rule = _v3_batch
+    if batch is not None:
+        rule = lambda remaining, p: batch  # noqa: E731
+        monkeypatch.setattr(graphgen, "_gap_batch", rule)
     for seed in (0, 3, 11):
         sampled = sample_sbm(params, seed).adjacency.toarray()
-        reference = _row_by_row_sbm(params, seed, graphgen._SAMPLE_BLOCK_PAIRS)
-        assert np.array_equal(sampled, reference), seed
+        assert np.array_equal(sampled, _scalar_loop_sbm(params, seed, rule)), seed
+
+
+@pytest.mark.parametrize("pairs, p, expected", [
+    (0, 0.5, []), (0, 1.0, []), (5, 0.0, []), (5, 1.0, [0, 1, 2, 3, 4]), (1, 1.0, [0]),
+    (10**15, 1e-300, []), (2**62, 1e-300, [])])
+def test_edge_positions_edge_cases(pairs, p, expected):
+    """No pairs or l = 0 draw nothing; l = 1 links every pair; at l = 1e-300
+    numpy's gaps saturate at 2^63 - 1 and, clipped before their running
+    sum, overflow nothing."""
+    positions = graphgen._edge_positions(np.random.Generator(np.random.Philox(1)), pairs, p)
+    assert positions.dtype == np.int64 and positions.tolist() == expected
 
 
 # every link probability 0 or 1, so every stream gives the one graph: each

@@ -349,7 +349,8 @@ EDGE_CASE_SWEEPS = {
         n_values=[40], ls=0.5, ld=0.0, u_offsets=[0.05], trials=2, gamma_sign=1)),
     "decoupled-blocks-negative": (Preset.SSBM_NEGATIVE, dict(
         n_values=[40], ls=0.5, ld=0.0, u_offsets=[0.05], trials=2, gamma_sign=-1)),
-    "n1-1": (Preset.UNEQUAL_SBM, dict(n1_values=[1], u_offsets=[0.01, 0.04], trials=3)),
+    "n1-1": (Preset.UNEQUAL_SBM, dict(n1_values=[1], l12=0.3, u_offsets=[0.01, 0.04],
+                                      trials=3)),
     "complete-graph": (Preset.SSBM_POSITIVE, dict(
         n_values=[24], ls=1.0, ld=1.0, u_offsets=[0.05], trials=2)),
     "ssbm-n2": (Preset.SSBM_POSITIVE, dict(n_values=[2], u_offsets=[0.05], trials=2)),
@@ -492,24 +493,24 @@ _BUILD_DEPENDENT = {"residual", "alignment", "concentration_ratio", "eigen_gap",
 _GOLDEN_RECORDS = {
     Preset.UNEQUAL_SBM: (
         dict(n1_values=[40, 80], u_offsets=[0.02], trials=3),
-        "c94a7cf2ec6789820bedba63ad70df0fb23e14fcb42cf07a726801416ca3a8d6",
-        "5b156940e10ccfd46c7ce6f1ba0e95139ce3fb4494f47ff5956402c02e22e66d"),
+        "dbc03c7baff3838a1fa94562b66806ee9e551374db6ca328dc7f277ac9caa7e4",
+        "3415b23fb8539d3485543bf131518d1d63bd4c723554f75852f6421fce0e16e7"),
     Preset.SATURATION_SWEEP: (
         dict(n1_values=[40], trials=2, diagnostics=True),
-        "1ecf0f976d3ef9f9da15abc714a76aa4e17260740c831f0634d17c8222779c3c",
-        "23b4110dfe548b87e2eab5c9b96d02a7443eb567f685a58feaaf368b27f11b84"),
+        "6534014dcb89f0e0ecc7a626ef0f2b3dad009772a4007dbb033a2548bce6da3a",
+        "7cbd7852140230e949eb74a22517123b645d6197f11c69eb35e725f1be3c0378"),
     Preset.SSBM_POSITIVE: (
         dict(n_values=[40], u_offsets=[0.02], trials=3),
-        "d58c92f9fe6e46a165c11cd96dbb40b8e6ef68c455ed6cb037b57f7d84eae1b7",
-        "da8a17a35885f64a68d2f499a3469144275b8c5544c8e12108b9bd7c94e982e5"),
+        "0591cc89e57185215c20af0e20a3683a488bce0c1f2be1f0cd715da987a229cf",
+        "41fcaae42d5a00159dbafe3b6b6d3a29397fc930e20b3a872d9e4d01beadb8da"),
     Preset.SSBM_NEGATIVE: (
         dict(n_values=[60, 120], u_offsets=[0.01], trials=3),
-        "835ae8bb62fc889cb65399dbdacf1e45f6644382d08f9f3900bef3c87c497a4c",
-        "85f26ee98c704850eff9c0e22509ffc3b1aba77ebec178615397132d4e550600"),
+        "a3355e0ca1ae149c714f13a29e99c5dc5d0e96ede2d6132e6734501d878f1f5c",
+        "057ad74081fe33d27c2ada5ffb5447311d16f91b69b3da815077858b1a5f0e08"),
     Preset.MULTI_PAIRS: (
         dict(n_values=[16], trials=2, pair_sets=2, m_fractions=[0.25, 1.0]),
-        "1e21cd9c5a2faede250d55e82265abeaabaa0a1306188d7b5260d1058abe01b8",
-        "5fdf89f0d15332098f97018cb82e35ed59ae323e92bbf59d1d2f7df3c1a53b44"),
+        "2f1a7f06c473b89092695e20f87d4d33e630546c46e01d80d8b17e8d08cd8a65",
+        "5ab0a9c9a933c18a339cd84c2e8e1519876463cf1aba6a05bb076556b7e2bfe8"),
 }
 
 
