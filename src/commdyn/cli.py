@@ -1,14 +1,7 @@
 """Command line interface: graph sampling, simulation, detection, experiments."""
 
 import argparse
-import os
 import sys
-
-# Pin BLAS and OpenMP to one thread before numpy loads, unless the environment
-# sets them: record bytes depend on the BLAS thread count, and pool workers
-# that each run a multithreaded BLAS oversubscribe the CPUs.
-for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_name, "1")
 
 import numpy as np
 

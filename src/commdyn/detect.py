@@ -105,10 +105,13 @@ def detect_multi(pairs: PairSet) -> CommunityEstimate:
 
 
 def detect_covariance_baseline(X) -> CommunityEstimate:
-    """Spectral clustering of the sample covariance of the equilibria."""
+    """Spectral clustering of the sample covariance of the equilibria. The
+    centred covariance of m samples has rank at most m - 1, so at m = 2 its
+    second eigenvector is an arbitrary vector of a zero eigenspace; three
+    samples are required."""
     X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] < 2:
-        raise ValueError("need at least two sample columns")
+    if X.ndim != 2 or X.shape[1] < 3:
+        raise ValueError("need at least three sample columns")
     centered = X - X.mean(axis=1, keepdims=True)
     cov = centered @ centered.T / X.shape[1]
     if not np.any(cov):

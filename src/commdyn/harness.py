@@ -266,7 +266,7 @@ def _pair_set_rows(config, base, key, graph, model, m_values):
                                   converged=bool(converged[:m].all()))
         if method == DetectionMethod.MULTI_EQUILIBRIA:
             _score(row, graph, lambda: detect_multi(PairSet(X, B, model)))
-        elif row.converged and m < 2:
+        elif row.converged and m < 3:
             row.failure = "too-few-samples"
         else:
             _score(row, graph, lambda: detect_covariance_baseline(X))

@@ -6,7 +6,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 # Fixed seed of the Lanczos start vector (and of the fresh vectors drawn
 # after a breakdown), so extreme_eigpairs is bit-reproducible across
@@ -36,11 +35,12 @@ def _fix_signs(vectors) -> np.ndarray:
 
 def sym_eig(matrix):
     """(values, vectors) of a symmetric real matrix, as np.linalg.eigh gives
-    them: values ascending, column j of `vectors` for values[j]. A sparse
-    input is densified. Columns are unit norm with a fixed sign: the entry of
-    largest magnitude (lowest index on ties) is positive. Only the lower
-    triangle is read, so the caller supplies a symmetric matrix."""
-    a = matrix.toarray() if sparse.issparse(matrix) else np.asarray(matrix, dtype=float)
+    them: values ascending, column j of `vectors` for values[j]. An input
+    with `toarray()`, such as a CSR array, is densified. Columns are unit
+    norm with a fixed sign: the entry of largest magnitude (lowest index on
+    ties) is positive. Only the lower triangle is read, so the caller
+    supplies a symmetric matrix."""
+    a = matrix.toarray() if hasattr(matrix, "toarray") else np.asarray(matrix, dtype=float)
     values, vectors = np.linalg.eigh(a)
     return values, _fix_signs(vectors)
 
@@ -50,10 +50,10 @@ def extreme_eigpairs(matrix, which: str = "LA", tol: float = 0.0):
     operator, by thick-restart Lanczos (Wu & Simon, SIAM J. Matrix Anal.
     Appl. 22, 2000).
 
-    `matrix` is a dense array, a scipy.sparse array or an operator (anything
-    with `.shape` and `@`, such as Operator), and is trusted to be symmetric:
-    the program builds every operator it passes symmetric. `which` is "LA"
-    (largest value), "SA" (smallest value) or "LM" (largest magnitude). The
+    `matrix` is anything with `.shape` and `@`: a dense array, the CSR array
+    of a Graph or an Operator. It is trusted to be symmetric: the program
+    builds every operator it passes symmetric. `which` is "LA" (largest
+    value), "SA" (smallest value) or "LM" (largest magnitude). The
     vector has sym_eig's sign convention. The start vector is seeded, so
     repeated calls are bit-identical.
 

@@ -1,12 +1,5 @@
-"""Pin BLAS and OpenMP to one thread before numpy loads.
+"""Importing the package pins BLAS and OpenMP to one thread before numpy
+loads (see commdyn/__init__.py), so the suite computes the records the CLI
+writes, and an environment that sets the thread variables keeps its values."""
 
-Record bytes depend on the BLAS thread count (its summation order changes),
-so serial runs and process-pool runs must use the same count; one thread also
-keeps pool workers from oversubscribing the CPUs. An environment that sets
-these variables itself keeps its values.
-"""
-
-import os
-
-for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_name, "1")
+import commdyn  # noqa: F401

@@ -474,12 +474,19 @@ def test_malformed_edge_list_is_an_error_naming_the_line(text, line, field, tmp_
 _THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def test_cli_pins_blas_threads_unless_set():
-    """Importing the CLI sets each unset BLAS thread variable to 1 before
-    numpy loads, and keeps a value the environment already gives."""
+def _unpinned_env():
+    """The environment without the BLAS thread variables, importing commdyn
+    from src/."""
     env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARIABLES}
     env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
-    probe = ("import os, sys, commdyn; assert 'numpy' not in sys.modules; import commdyn.cli; "
+    return env
+
+
+def test_import_commdyn_pins_blas_threads_unless_set():
+    """`import commdyn` sets each unset BLAS thread variable to 1 without
+    loading numpy, and keeps a value the environment already gives."""
+    env = _unpinned_env()
+    probe = ("import os, sys, commdyn; assert 'numpy' not in sys.modules; "
              "print(' '.join(os.environ[v] for v in %r))" % (_THREAD_VARIABLES,))
     for preset, expected in ((None, "1 1 1"), ("3", "3 1 1")):
         if preset is not None:
@@ -487,6 +494,27 @@ def test_cli_pins_blas_threads_unless_set():
         done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                               text=True, check=True, timeout=120)
         assert done.stdout.strip() == expected
+
+
+def test_library_run_writes_the_cli_records(tmp_path):
+    """With the thread variables unset, a fresh `harness.run_experiment`
+    writes the records `commdyn experiment` writes for the same config, below
+    the timestamp line: both pin one BLAS thread when commdyn is imported
+    (`alignment` moves in its last bit at other thread counts)."""
+    env = _unpinned_env()
+    (tmp_path / "sat.cfg").write_text("preset = saturation-sweep\nn1_values = 100\ntrials = 1\n")
+    library = ("from commdyn import harness\n"
+               "config = harness.build_config('saturation-sweep', n1_values=[100], trials=1,\n"
+               "                              diagnostics=True)\n"
+               "harness.write_records_csv('library.csv', harness.run_experiment(config, workers=1))\n")
+    cli = ["-m", "commdyn", "experiment", "--config", "sat.cfg", "--diagnostics",
+           "--workers", "1", "--out", "cli.csv"]
+    for argv in (["-c", library], cli):
+        subprocess.run([sys.executable, *argv], cwd=tmp_path, env=env, capture_output=True,
+                       check=True, timeout=300)
+    library_rows, cli_rows = ((tmp_path / name).read_bytes().split(b"\r\n", 1)[1]
+                              for name in ("library.csv", "cli.csv"))
+    assert library_rows == cli_rows
 
 
 def _run_fresh(probe):

@@ -211,9 +211,12 @@ def test_covariance_baseline_identical_columns_degenerate():
     assert est.method is DetectionMethod.COVARIANCE_SPECTRAL
 
 
-def test_covariance_baseline_needs_two_columns():
-    with pytest.raises(ValueError):
-        detect_covariance_baseline(np.ones((3, 1)))
+def test_covariance_baseline_needs_three_columns():
+    """Two centred samples give a rank-one covariance, whose second
+    eigenvector is an arbitrary vector of its zero eigenspace."""
+    for m in (1, 2):
+        with pytest.raises(ValueError, match="three sample columns"):
+            detect_covariance_baseline(np.arange(3.0 * m).reshape(3, m))
 
 
 def test_covariance_baseline_recovers_block_structure():

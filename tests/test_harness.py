@@ -381,11 +381,15 @@ def test_edge_case_sweeps_end_as_rows(case):
         assert failures == ["degenerate"] * 2
     elif case == "multi-pairs-n2":
         # m in {1, 2}, two methods, two trials: the covariance baseline needs
-        # two samples
+        # three samples, so only the multi-equilibria rows are scored
         assert len(records) == 8
-        assert [(r.m, r.method) for r in records if r.failure] == [
-            (1, "covariance-spectral")] * 2
-        assert set(failures) == {"", "too-few-samples"}
+        assert sorted((r.method, r.m, r.failure) for r in records) == [
+            ("covariance-spectral", 1, "too-few-samples"),
+            ("covariance-spectral", 1, "too-few-samples"),
+            ("covariance-spectral", 2, "too-few-samples"),
+            ("covariance-spectral", 2, "too-few-samples"),
+            ("multi-equilibria", 1, ""), ("multi-equilibria", 1, ""),
+            ("multi-equilibria", 2, ""), ("multi-equilibria", 2, "")]
     else:
         assert failures == [""] * 2
         assert all(0.5 <= r.accuracy <= 1.0 for r in records)

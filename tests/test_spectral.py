@@ -1,4 +1,8 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -61,6 +65,17 @@ def test_sym_eig_accepts_sparse():
     values, vectors = sym_eig(a)
     assert np.array_equal(values, dense_values)
     assert np.array_equal(vectors, dense_vectors)
+
+
+def test_spectral_import_loads_no_scipy():
+    """Only graphgen knows the sparse format: `import commdyn.spectral`
+    in a fresh interpreter loads no scipy module."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    probe = ("import sys, commdyn.spectral\n"
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    assert done.stdout.strip() == "[]"
 
 
 # n = 12 takes the dense path (a Lanczos basis would be the whole space);
