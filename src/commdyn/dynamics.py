@@ -275,14 +275,11 @@ class Jacobian:
         self.adjacency = adjacency
 
     def toarray(self) -> np.ndarray:
-        """Dense J, filled straight from the CSR arrays."""
-        n, adjacency, p = self.slope.size, self.adjacency, self.params
-        jac = np.zeros((n, n))
-        rows = np.repeat(np.arange(n), np.diff(adjacency.indptr))
-        jac[rows, adjacency.indices] = p.gamma * adjacency.data
-        jac[np.diag_indices(n)] = p.alpha
+        """Dense J, from gamma*A densified: its zeros stay +0.0."""
+        p = self.params
+        jac = (p.gamma * self.adjacency).toarray()
         jac *= self.slope[:, None]
-        jac[np.diag_indices(n)] -= p.d
+        np.fill_diagonal(jac, self.slope * p.alpha - p.d)
         return jac
 
     def matvec(self, s) -> np.ndarray:
@@ -291,12 +288,18 @@ class Jacobian:
         return self.slope * (p.alpha * s + p.gamma * (self.adjacency @ s)) - p.d * s
 
     def symmetrized(self) -> Operator:
-        """K as a matrix-free operator: two scalings and one CSR matvec."""
+        """K as a matrix-free operator: h*(alpha*v + gamma*(A @ v)) - d*y with
+        v = h*y, computed in the array of the one CSR matvec."""
         h, p = np.sqrt(self.slope), self.params
 
         def matvec(y):
             v = h * y
-            return h * (p.alpha * v + p.gamma * (self.adjacency @ v)) - p.d * y
+            out = self.adjacency @ v
+            out *= p.gamma
+            out += p.alpha * v
+            out *= h
+            out -= p.d * y
+            return out
 
         return Operator(h.size, matvec)
 

@@ -37,7 +37,7 @@ from .errors import DomainError, NeutralState
 from .graphgen import Graph, SbmParams, is_connected, sample_sbm
 from .theory import alignment_check, concentration_ratio, expected_threshold
 
-_ALL_SATURATIONS = (Saturation.TANH, Saturation.ALG_ABS, Saturation.ALG_SQRT, Saturation.ERF)
+_ALL_SATURATIONS = tuple(Saturation)
 
 _log = logging.getLogger(__name__)
 

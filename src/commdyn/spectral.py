@@ -26,10 +26,8 @@ _EPS = np.finfo(float).eps
 def _fix_signs(vectors) -> np.ndarray:
     """Flip each column so its entry of largest magnitude (lowest index on
     ties) is positive."""
-    for j in range(vectors.shape[1]):
-        k = int(np.argmax(np.abs(vectors[:, j])))
-        if vectors[k, j] < 0:
-            vectors[:, j] = -vectors[:, j]
+    peaks = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
+    vectors[:, peaks < 0] *= -1.0
     return vectors
 
 
@@ -50,9 +48,9 @@ def extreme_eigpairs(matrix, which: str = "LA", tol: float = 0.0):
     operator, by thick-restart Lanczos (Wu & Simon, SIAM J. Matrix Anal.
     Appl. 22, 2000).
 
-    `matrix` is anything with `.shape` and `@`: a dense array, the CSR array
-    of a Graph or an Operator. It is trusted to be symmetric: the program
-    builds every operator it passes symmetric. `which` is "LA" (largest
+    `matrix` is anything with `.shape` and `@` on one vector: a dense array,
+    a Graph's CSR array or an Operator. It is trusted to be symmetric: the
+    program builds every operator it passes symmetric. `which` is "LA" (largest
     value), "SA" (smallest value) or "LM" (largest magnitude). The
     vector has sym_eig's sign convention. The start vector is seeded, so
     repeated calls are bit-identical.
@@ -60,21 +58,20 @@ def extreme_eigpairs(matrix, which: str = "LA", tol: float = 0.0):
     The pair is accepted by ARPACK's test: its Ritz residual estimate is at
     most tol * max(eps^(2/3), |value|), with tol = 0 meaning machine
     precision. Up to _NCV agents, where the Lanczos basis would span the
-    whole space, a dense solve answers instead.
+    whole space, a dense solve of its columns A @ e_i answers instead.
     """
     if which not in ("LA", "SA", "LM"):
         raise ValueError(f"unknown which={which!r}")
     n = matrix.shape[0]
     if n > _NCV:
         return _lanczos(matrix, which, tol or _EPS)
-    values, vectors = sym_eig(matrix @ np.eye(n))
-    last_largest = int(np.argsort(np.abs(values), kind="stable")[-1])
-    keep = {"LA": n - 1, "SA": 0, "LM": last_largest}[which]
+    values, vectors = sym_eig(np.column_stack([matrix @ e for e in np.eye(n)]))
+    keep = _wanted_first(values, which)[0]
     return values[keep], vectors[:, keep]
 
 
 def _wanted_first(theta, which):
-    """Indices of the Ritz values, the wanted end first."""
+    """Indices of the ascending values theta, the wanted end first."""
     if which == "LA":
         return np.arange(theta.size)[::-1]
     if which == "SA":
@@ -89,10 +86,10 @@ def _orthogonalize(w, basis) -> tuple:
     kept over 0.717 of its norm (the DGKS test, as in ARPACK's dsaitr)."""
     coeffs = basis @ w
     w -= coeffs @ basis
-    first = np.linalg.norm(w)
+    first = math.sqrt(w @ w)
     again = basis @ w
     w -= again @ basis
-    return coeffs + again, bool(np.linalg.norm(w) > 0.717 * first)
+    return coeffs + again, math.sqrt(w @ w) > 0.717 * first
 
 
 def _lanczos(matrix, which, tol):
@@ -148,19 +145,15 @@ def _lanczos(matrix, which, tol):
 
 
 class Operator:
-    """A symmetric linear map of R^n given by its matvec: what the Krylov
-    kernels need, `.shape` and `@` (a 2-D operand is applied column by
-    column)."""
+    """A symmetric linear map of R^n given by its matvec: `.shape`, and `@`
+    on one vector giving a new array, which the Krylov kernels update."""
 
     def __init__(self, n: int, matvec):
         self.shape = (n, n)
         self.matvec = matvec
 
     def __matmul__(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return self.matvec(x)
-        return np.column_stack([self.matvec(column) for column in x.T])
+        return self.matvec(x)
 
 
 def minres(operator, b, x0=None, *, rtol=1e-5):
@@ -178,7 +171,6 @@ def minres(operator, b, x0=None, *, rtol=1e-5):
     or from 0.
     """
     n = b.size
-    eps = np.finfo(float).eps
     norm = np.linalg.norm
     if x0 is None:
         x = np.zeros(n)
@@ -187,13 +179,13 @@ def minres(operator, b, x0=None, *, rtol=1e-5):
         x = np.array(x0, dtype=float)
         r1 = b - operator @ x
     y = r1
-    beta1 = np.inner(r1, y)
+    beta1 = r1 @ y
     if beta1 == 0:
         return x
     if norm(b) == 0:
         return b
     beta1 = math.sqrt(beta1)
-    tol = max(rtol, eps / 2)
+    tol = max(rtol, _EPS / 2)
     oldb, beta, dbar, epsln, phibar = 0, beta1, 0, 0, beta1
     tnorm2, gmax, gmin = 0, 0, np.finfo(float).max
     cs, sn = -1, 0
@@ -204,16 +196,16 @@ def minres(operator, b, x0=None, *, rtol=1e-5):
         v = (1.0 / beta) * y
         y = operator @ v
         if itn >= 2:
-            y = y - (beta / oldb) * r1
-        alfa = np.inner(v, y)
-        y = y - (alfa / beta) * r2
+            y -= (beta / oldb) * r1
+        alfa = v @ y
+        y -= (alfa / beta) * r2
         r1 = r2
         r2 = y
         oldb = beta
-        beta = math.sqrt(np.inner(r2, y))
+        beta = math.sqrt(r2 @ y)
         tnorm2 += alfa ** 2 + oldb ** 2 + beta ** 2
         # b is an eigenvector: this step solves exactly
-        eigenvector = itn == 1 and beta / beta1 <= 10 * eps
+        eigenvector = itn == 1 and beta / beta1 <= 10 * _EPS
         # the plane rotation that eliminates beta from the tridiagonal
         oldeps = epsln
         delta = cs * dbar + sn * alfa
@@ -221,7 +213,7 @@ def minres(operator, b, x0=None, *, rtol=1e-5):
         epsln = sn * beta
         dbar = -cs * beta
         root = norm([gbar, dbar])
-        gamma = max(norm([gbar, beta]), eps)
+        gamma = max(norm([gbar, beta]), _EPS)
         cs = gbar / gamma
         sn = beta / gamma
         phi = cs * phibar
@@ -229,7 +221,7 @@ def minres(operator, b, x0=None, *, rtol=1e-5):
         w1 = w2
         w2 = w
         w = (v - oldeps * w1 - delta * w2) * (1.0 / gamma)
-        x = x + phi * w
+        x += phi * w
         gmax = max(gmax, gamma)
         gmin = min(gmin, gamma)
         # the stopping tests: ||r|| = phibar, ||A r|| = phibar * root
@@ -238,7 +230,7 @@ def minres(operator, b, x0=None, *, rtol=1e-5):
         test1 = np.inf if ynorm == 0 or anorm == 0 else phibar / (anorm * ynorm)
         test2 = np.inf if anorm == 0 else root / anorm
         if (eigenvector or test1 <= tol or test2 <= tol
-                or gmax / gmin >= 0.1 / eps or anorm * ynorm * eps >= beta1):
+                or gmax / gmin >= 0.1 / _EPS or anorm * ynorm * _EPS >= beta1):
             break
     return x
 

@@ -108,7 +108,10 @@ def _deviation_norm(graph: Graph, params: SbmParams) -> float:
 
     def matvec(x):
         block = np.repeat(ell @ np.array([x[:n1].sum(), x[n1:].sum()]), sizes)
-        return adjacency @ x - (block - diag * x)
+        block -= diag * x
+        out = adjacency @ x
+        out -= block
+        return out
 
     return float(abs(extreme_eigpairs(Operator(graph.n, matvec), "LM",
                                       tol=_DEVIATION_EIG_TOL)[0]))

@@ -493,37 +493,58 @@ def test_records_csv_reproducible_bytes(tmp_path):
 _BUILD_DEPENDENT = {"residual", "alignment", "concentration_ratio", "eigen_gap",
                     "sigma_min_x"}
 
-# (overrides, records sha256, summary sha256)
+# (preset, overrides, records sha256, summary sha256) by test id: each
+# preset's small config, and two configs above DENSE_NEWTON_MAX_N, where
+# the Newton steps run MINRES and the certificate and the deviation norm
+# run the Lanczos
 _GOLDEN_RECORDS = {
-    Preset.UNEQUAL_SBM: (
+    "unequal-sbm": (
+        Preset.UNEQUAL_SBM,
         dict(n1_values=[40, 80], u_offsets=[0.02], trials=3),
         "dbc03c7baff3838a1fa94562b66806ee9e551374db6ca328dc7f277ac9caa7e4",
         "3415b23fb8539d3485543bf131518d1d63bd4c723554f75852f6421fce0e16e7"),
-    Preset.SATURATION_SWEEP: (
+    "saturation-sweep": (
+        Preset.SATURATION_SWEEP,
         dict(n1_values=[40], trials=2, diagnostics=True),
         "6534014dcb89f0e0ecc7a626ef0f2b3dad009772a4007dbb033a2548bce6da3a",
         "7cbd7852140230e949eb74a22517123b645d6197f11c69eb35e725f1be3c0378"),
-    Preset.SSBM_POSITIVE: (
+    "ssbm-positive": (
+        Preset.SSBM_POSITIVE,
         dict(n_values=[40], u_offsets=[0.02], trials=3),
         "0591cc89e57185215c20af0e20a3683a488bce0c1f2be1f0cd715da987a229cf",
         "41fcaae42d5a00159dbafe3b6b6d3a29397fc930e20b3a872d9e4d01beadb8da"),
-    Preset.SSBM_NEGATIVE: (
+    "ssbm-negative": (
+        Preset.SSBM_NEGATIVE,
         dict(n_values=[60, 120], u_offsets=[0.01], trials=3),
         "a3355e0ca1ae149c714f13a29e99c5dc5d0e96ede2d6132e6734501d878f1f5c",
         "057ad74081fe33d27c2ada5ffb5447311d16f91b69b3da815077858b1a5f0e08"),
-    Preset.MULTI_PAIRS: (
+    "multi-pairs": (
+        Preset.MULTI_PAIRS,
         dict(n_values=[16], trials=2, pair_sets=2, m_fractions=[0.25, 1.0]),
         "2f1a7f06c473b89092695e20f87d4d33e630546c46e01d80d8b17e8d08cd8a65",
         "5ab0a9c9a933c18a339cd84c2e8e1519876463cf1aba6a05bb076556b7e2bfe8"),
+    # gamma < 0: the seeded start and the loose-Lanczos certificate
+    "ssbm-negative-n400": (
+        Preset.SSBM_NEGATIVE,
+        dict(n_values=[400], u_offsets=[0.01], trials=2),
+        "5752d8b8bbf767ef5736e9df1f73895acf4c6751716543a12be4798bbba99b1c",
+        "d750764d518e8d3a425f6b8061384720df780332d520f8da8613f555f079b240"),
+    # n = 315, all four saturations, with the diagnostics' deviation norm
+    "saturation-sweep-n315": (
+        Preset.SATURATION_SWEEP,
+        dict(n1_values=[300], trials=1, diagnostics=True),
+        "7ea9c52e88f3ef73a8ed942dd8861512d68bac325cae9e12035c05fbb948ec91",
+        "bf8a0afa87372bebce218b74c470e239c1cb7d15f2044ed387ec4f5d77bd1658"),
 }
 
 
-@pytest.mark.parametrize("preset", list(_GOLDEN_RECORDS), ids=lambda p: p.value)
-def test_records_csv_golden(tmp_path, preset):
-    """The records of a small config of every preset are pinned across
-    commits, below the timestamp line and with the build-dependent
-    numeric columns blanked; so is their whole summary CSV."""
-    overrides, digest, summary_digest = _GOLDEN_RECORDS[preset]
+@pytest.mark.parametrize("case", list(_GOLDEN_RECORDS))
+def test_records_csv_golden(tmp_path, case):
+    """The records of a small config of every preset, and of two configs at
+    Krylov sizes, are pinned across commits, below the timestamp line and
+    with the build-dependent numeric columns blanked; so is their whole
+    summary CSV."""
+    preset, overrides, digest, summary_digest = _GOLDEN_RECORDS[case]
     records = run_experiment(build_config(preset, base_seed=2024, **overrides), workers=1)
     summary_path = tmp_path / "summary.csv"
     write_summary_csv(summary_path, summarize(records))

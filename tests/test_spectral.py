@@ -159,7 +159,7 @@ def _oracle_matrix(case, monkeypatch):
     # bulk, so the largest magnitudes cluster
     p = build_config(Preset.SATURATION_SWEEP, n1_values=[300]).points[0].sbm
     operator = _deviation_operator(p, 3, monkeypatch)
-    return operator @ np.eye(p.n), operator
+    return np.column_stack([operator @ e for e in np.eye(p.n)]), operator
 
 
 @pytest.mark.parametrize("case", ["ssbm-21", "ssbm-200", "disconnected", "deviation"])
@@ -244,7 +244,7 @@ def _indefinite_k():
     rng = np.random.Generator(np.random.Philox(6))
     model = ModelParams(1.0, 1.5, 1.0, -1.0 / max_expected_degree(p))
     k = dynamics.jacobian(rng.uniform(-0.5, 0.5, p.n), model, graph).symmetrized()
-    spectrum = np.linalg.eigvalsh(k @ np.eye(p.n))
+    spectrum = np.linalg.eigvalsh(np.column_stack([k @ e for e in np.eye(p.n)]))
     assert spectrum.min() < 0.0 < spectrum.max()
     return k, rng.standard_normal(p.n), rng.standard_normal(p.n)
 
