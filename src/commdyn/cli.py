@@ -6,7 +6,8 @@ import sys
 import numpy as np
 
 from . import detect, dynamics, graphgen, harness, theory
-from .errors import CommdynError
+
+_SBM_FLAGS = ("n1", "n2", "l11", "l12", "l22")
 
 
 def _add_sbm_flags(parser, required=False):
@@ -18,9 +19,14 @@ def _add_sbm_flags(parser, required=False):
 
 
 def _sbm_from_args(args):
-    if args.n1 is None:
+    """The SBM of the SBM flags, None if none of them is given."""
+    values = [getattr(args, flag) for flag in _SBM_FLAGS]
+    missing = [f"--{flag}" for flag, value in zip(_SBM_FLAGS, values) if value is None]
+    if len(missing) == len(values):
         return None
-    return graphgen.SbmParams(args.n1, args.n2, args.l11, args.l12, args.l22)
+    if missing:
+        raise ValueError(f"the SBM flags go together: missing {' '.join(missing)}")
+    return graphgen.SbmParams(*values)
 
 
 def _add_model_flags(parser):
@@ -44,33 +50,36 @@ def _cmd_sample_graph(args):
 def _resolve_model(args, params):
     """Resolve u (absolute or offset from the expected threshold) and gamma."""
     if params is not None:
+        if args.gamma is not None:
+            raise ValueError("--gamma cannot be given with the SBM flags, which set "
+                             "gamma = --gamma-sign/Delta")
         u_bar, gamma, _ = theory.expected_threshold(params, args.gamma_sign, args.d, args.alpha)
     else:
         u_bar, gamma = None, args.gamma
     if args.u is not None:
         u = args.u
     elif params is None:
-        raise CommdynError("--u-offset needs the SBM flags to locate the threshold")
+        raise ValueError("--u-offset needs the SBM flags to locate the threshold")
     elif u_bar is None:
-        raise CommdynError("threshold undefined for these parameters")
+        raise ValueError("threshold undefined for these parameters")
     else:
         u = u_bar + args.u_offset
     if gamma is None:
-        raise CommdynError("need --gamma when no SBM flags are given")
+        raise ValueError("need --gamma when no SBM flags are given")
     return dynamics.ModelParams(args.d, u, args.alpha, gamma,
                                 dynamics.Saturation(args.saturation))
 
 
 def _cmd_simulate(args):
     if args.pairs is not None and args.pairs < 1:
-        raise CommdynError(f"--pairs must be at least 1, got {args.pairs}")
+        raise ValueError(f"--pairs must be at least 1, got {args.pairs}")
     if args.graph:
         graph = graphgen.read_edge_list(args.graph)
         params = None
     else:
         params = _sbm_from_args(args)
         if params is None:
-            raise CommdynError("give --graph or the SBM flags")
+            raise ValueError("give --graph or the SBM flags")
         graph = graphgen.sample_sbm(params, args.graph_seed)
     model = _resolve_model(args, params)
     print(f"model: d={model.d} u={model.u!r} alpha={model.alpha} "
@@ -133,7 +142,7 @@ def _truth_accuracy(labels, n1):
 def _cmd_detect_single(args):
     eqs = read_equilibria_csv(args.states)
     if not 0 <= args.row < len(eqs):
-        raise CommdynError(f"--row {args.row} outside the {len(eqs)} rows of {args.states}")
+        raise ValueError(f"--row {args.row} outside the {len(eqs)} rows of {args.states}")
     estimate = detect.detect_single(eqs[args.row])
     _write_estimate(args.out, estimate, _truth_accuracy(estimate.labels, args.n1))
     return 0
@@ -143,7 +152,7 @@ def _cmd_detect_multi(args):
     states = read_equilibria_csv(args.states)
     B = np.array(harness.read_rows(args.inputs, {}, rest=_finite_float), ndmin=2).T
     if len(states) != B.shape[1]:
-        raise CommdynError("states and inputs must pair up")
+        raise ValueError("states and inputs must pair up")
     X = np.column_stack([eq.state for eq in states])
     model = dynamics.ModelParams(args.d, args.u, args.alpha, args.gamma,
                                  dynamics.Saturation(args.saturation))
@@ -154,7 +163,7 @@ def _cmd_detect_multi(args):
 
 def _cmd_experiment(args):
     if args.workers is not None and args.workers < 1:
-        raise CommdynError(f"--workers must be at least 1, got {args.workers}")
+        raise ValueError(f"--workers must be at least 1, got {args.workers}")
     overrides = harness.load_config_file(args.config) if args.config else {}
     for key in ("trials", "base_seed", "pair_sets", "gamma_sign"):
         value = getattr(args, key)
@@ -165,7 +174,7 @@ def _cmd_experiment(args):
     file_preset = overrides.pop("preset", None)
     preset = args.preset or file_preset
     if preset is None:
-        raise CommdynError("give a preset name or a config file with a preset key")
+        raise ValueError("give a preset name or a config file with a preset key")
     config = harness.build_config(preset, **overrides)
     records = harness.run_experiment(config, workers=args.workers)
     out = args.out or "records.csv"
@@ -254,11 +263,11 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    """Run one subcommand; a CommdynError, ValueError or OSError prints `error: ...`."""
+    """Run one subcommand; a ValueError or OSError prints `error: ...`."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CommdynError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

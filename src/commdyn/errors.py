@@ -1,14 +1,9 @@
 """Exception types shared across the package."""
 
 
-class CommdynError(Exception):
-    """Base class for all commdyn errors."""
-
-
-class DomainError(CommdynError):
+class DomainError(ValueError):
     """Value outside the invertible range of a saturation function."""
 
 
-class NeutralState(CommdynError):
+class NeutralState(ValueError):
     """Equilibrium is (numerically) the origin and carries no structure."""
-

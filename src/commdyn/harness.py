@@ -4,9 +4,9 @@ A task samples one graph per (SBM, trial) and runs every parameter point on
 that SBM on it, so the points compared share their graphs. Seeds come from a
 stable hash: the graph's of (SBM, trial index), the initial state's and the
 inputs' of (parameter point, trial index[, pair set]); adding points or
-re-running in parallel never reshuffles existing trials. The attention
-parameter is always specified as an offset from the expected-spectrum
-threshold.
+re-running in parallel never reshuffles existing trials. Sweeps run the
+model at d = alpha = 1, with the attention parameter specified as an
+offset from the expected-spectrum threshold.
 
 The process pool class ProcessPoolExecutor is loaded from
 concurrent.futures on the first pooled run (see __getattr__), so a serial
@@ -52,7 +52,6 @@ class Preset(str, Enum):
     SSBM_POSITIVE = "ssbm-positive"
     SSBM_NEGATIVE = "ssbm-negative"
     MULTI_PAIRS = "multi-pairs"
-    CUSTOM = "custom"
 
 
 @dataclass(frozen=True)
@@ -67,6 +66,7 @@ class ParameterPoint:
             raise ValueError("u offset must be positive and finite")
         if self.gamma_sign not in (1, -1):
             raise ValueError("gamma_sign must be +1 or -1")
+        expected_threshold(self.sbm, self.gamma_sign)  # an SBM with no expected edges fails here
 
 
 @dataclass(frozen=True)
@@ -76,8 +76,6 @@ class ExperimentConfig:
     trials: int
     base_seed: int
     methods: tuple
-    d: float = 1.0
-    alpha: float = 1.0
     m_fractions: tuple = ()
     pair_sets: int = 10
     diagnostics: bool = False
@@ -93,8 +91,6 @@ class ExperimentConfig:
             raise ValueError("no parameter points")
         if not self.methods:
             raise ValueError("no detection methods")
-        if not (self.d > 0 and self.alpha >= 0):
-            raise ValueError(f"need d > 0 and alpha >= 0, got d={self.d!r}, alpha={self.alpha!r}")
         kinds = set(self.methods)
         if kinds & _MULTI_METHODS and kinds - _MULTI_METHODS:
             raise ValueError("single- and multi-equilibria methods cannot share a run")
@@ -197,17 +193,13 @@ def _run_task(args):
     for point in config.points:
         if point.sbm != sbm:
             continue
-        u_bar, gamma, delta = expected_threshold(sbm, point.gamma_sign, config.d, config.alpha)
+        u_bar, gamma, delta = expected_threshold(sbm, point.gamma_sign)
+        model = ModelParams(1.0, u_bar + point.u_offset, 1.0, gamma, point.saturation)
         base = TrialRecord(
             preset=config.preset.value, method="", seed=seed, trial=trial, pair_set=pair_set,
             n=sbm.n, **dataclasses.asdict(sbm), gamma_sign=point.gamma_sign, delta=delta,
-            u_offset=point.u_offset, saturation=point.saturation.value, connected=connected)
-        if u_bar is None:
-            rows += _coded_rows(config, base, m_values, "invalid-regime")
-            continue
-        model = ModelParams(config.d, u_bar + point.u_offset, config.alpha, gamma,
-                            point.saturation)
-        base.u, base.concentration_ratio = model.u, ratio
+            u_offset=point.u_offset, u=model.u, saturation=point.saturation.value,
+            connected=connected, concentration_ratio=ratio)
         if graph_failure:
             rows += _coded_rows(config, base, m_values, graph_failure)
             continue
@@ -365,12 +357,10 @@ _PRESET_DEFAULTS = {
         trials=10, pair_sets=10,
         m_fractions=(0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0),
         methods=(DetectionMethod.MULTI_EQUILIBRIA, DetectionMethod.COVARIANCE_SPECTRAL)),
-    Preset.CUSTOM: dict(),
 }
 
-# Keys every sweep reads; only a preset gives the required ones a default
-_REQUIRED_KEYS = ("trials", "u_offsets", "saturations", "gamma_sign", "methods")
-_COMMON_KEYS = _REQUIRED_KEYS + ("d", "alpha", "diagnostics")
+# Keys every sweep reads
+_COMMON_KEYS = ("trials", "u_offsets", "saturations", "gamma_sign", "methods", "diagnostics")
 # The size key that picks a sweep's shape, and the keys that shape reads
 _SHAPES = {"n1_values": ("n1_values", "n2_fraction", "l11", "l12", "l22"),
            "n_values": ("n_values", "ls", "ld")}
@@ -425,8 +415,9 @@ def build_config(preset, base_seed: int = 12345, **overrides) -> ExperimentConfi
     or n_values (SSBM sweep, + ls/ld) picks the shape, else the preset's
     holds. Every sweep reads _COMMON_KEYS; multi-equilibria ones also
     m_fractions and pair_sets. Scalars are accepted where lists are
-    expected. An unknown or unread override, a key that neither preset
-    nor overrides give, or a value of the wrong kind raises ValueError.
+    expected. An unknown or unread override, a shape key that neither
+    preset nor overrides give, a value of the wrong kind or an SBM with
+    no expected edges raises ValueError.
     """
     unknown = sorted(set(overrides) - _OVERRIDE_KEYS)
     if unknown:
@@ -434,13 +425,10 @@ def build_config(preset, base_seed: int = 12345, **overrides) -> ExperimentConfi
     preset = Preset(preset)
     overrides = {key: value for key, value in overrides.items() if value is not None}
     settings = {**_DEFAULTS, **_PRESET_DEFAULTS[preset], **overrides}
-    size_key = next((key for source in (overrides, settings) for key in _SHAPES
-                     if key in source), None)
-    if size_key is None:
-        raise ValueError("custom config needs n1_values (+ l11/l12/l22) or n_values (+ ls/ld)")
-    methods = tuple(dict.fromkeys(map(DetectionMethod, _as_tuple(settings.get("methods", ())))))
+    size_key = next(key for source in (overrides, settings) for key in _SHAPES if key in source)
+    methods = tuple(dict.fromkeys(map(DetectionMethod, _as_tuple(settings["methods"]))))
     reads = set(_COMMON_KEYS + _SHAPES[size_key])
-    if not methods or _MULTI_METHODS.intersection(methods):
+    if _MULTI_METHODS.intersection(methods):
         reads.update(_MULTI_KEYS)
     problems = [f"{label}: {', '.join(sorted(keys))}" for label, keys in (
         ("config keys this sweep does not read", set(overrides) - reads),
@@ -467,7 +455,6 @@ def build_config(preset, base_seed: int = 12345, **overrides) -> ExperimentConfi
     return ExperimentConfig(
         preset=preset, points=points, trials=_whole("trials", settings["trials"]),
         base_seed=_whole("base_seed", base_seed), methods=methods,
-        d=float(_finite("d", settings["d"])), alpha=float(_finite("alpha", settings["alpha"])),
         m_fractions=tuple(_fraction("m_fractions", f)
                           for f in _as_tuple(settings["m_fractions"])),
         pair_sets=_whole("pair_sets", settings["pair_sets"]),

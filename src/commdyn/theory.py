@@ -75,8 +75,12 @@ def expected_spectrum(params: SbmParams) -> ExpectedSpectrum:
 def expected_threshold(sbm: SbmParams, gamma_sign: int, d: float = 1.0, alpha: float = 1.0):
     """(u_bar, gamma, delta): bifurcation threshold of the corrected expected
     matrix with gamma = gamma_sign / Delta. Returns u_bar = None when the
-    denominator is nonpositive."""
+    denominator alpha + gamma*lambda is nonpositive, which gamma*lambda >= 0
+    leaves to alpha <= 0; raises ValueError when Delta = 0 (no edges)."""
     delta = max_expected_degree(sbm)
+    if delta == 0:
+        raise ValueError(f"link probabilities l11={sbm.l11}, l12={sbm.l12}, l22={sbm.l22} at "
+                         f"n1={sbm.n1}, n2={sbm.n2} give no edges and no gamma = +-1/Delta")
     gamma = gamma_sign / delta
     spec = expected_spectrum(sbm)
     lam = spec.lambda_max_bar if gamma_sign > 0 else min(spec.lambda_minus_bar, 0.0)

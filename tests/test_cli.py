@@ -265,6 +265,8 @@ BAD_CONFIGS = {
     "base-seed-fraction": (_SSBM_CFG + "base_seed = 7.9\n", "base_seed"),
     "trials-true": (_SSBM_CFG + "trials = true\n", "trials"),
     "pair-sets-0": (_MULTI_CFG + "pair_sets = 0\n", "pair_sets"),
+    "no-expected-edges": ("preset = ssbm-positive\nn_values = 20\nls = 0\nld = 0\n",
+                          "link probabilities"),
     "d-0": (_SSBM_CFG + "d = 0\n", "d"),
     "d-negative": (_SSBM_CFG + "d = -1\n", "d"),
     "alpha-negative": (_SSBM_CFG + "alpha = -0.5\n", "alpha"),
@@ -335,8 +337,6 @@ BAD_INPUT_CASES = {
                               "--u", "0.5", "--out", "eq.csv"], ""),
     "detect-single-empty-file": (["detect-single", "--states", "empty.csv", "--out", "est.csv"],
                                  ""),
-    "experiment-custom-missing-keys": (["experiment", "--preset", "custom", "--config", "c.cfg",
-                                        "--workers", "1", "--out", "records.csv"], ""),
     "records-short-row": (["summarize", "--records", "short.csv", "--out", "summary.csv"],
                           "short.csv:3:"),
     "records-extra-cell": (["summarize", "--records", "extra.csv", "--out", "summary.csv"],
@@ -359,6 +359,13 @@ BAD_INPUT_CASES = {
                           "--out", "eq.csv"], "--pairs"),
     "simulate-pairs-negative": (["simulate", *SBM_FLAGS, "--u-offset", "0.05", "--pairs", "-1",
                                  "--out", "eq.csv"], "--pairs"),
+    "simulate-no-expected-edges": (["simulate", "--n1", "10", "--n2", "10", "--l11", "0",
+                                    "--l12", "0", "--l22", "0", "--u-offset", "0.1",
+                                    "--out", "eq.csv"], "link probabilities"),
+    "simulate-some-sbm-flags": (["simulate", "--n1", "10", "--u-offset", "0.1", "--out",
+                                 "eq.csv"], "--n2 --l11 --l12 --l22"),
+    "simulate-gamma-with-sbm-flags": (["simulate", *SBM_FLAGS, "--gamma", "5", "--u-offset",
+                                       "0.05", "--out", "eq.csv"], "--gamma"),
     "experiment-workers-0": (["experiment", "--preset", "ssbm-positive", "--trials", "1",
                               "--workers", "0", "--out", "records.csv"], "--workers"),
     "experiment-workers-negative": (["experiment", "--preset", "ssbm-positive", "--trials", "1",
@@ -389,7 +396,6 @@ def test_bad_input_file_is_an_error_not_a_traceback(argv, where, tmp_path, monke
     (tmp_path / "graph.txt").write_text("0 1\n1 2\n")
     (tmp_path / "graph_n.txt").write_text("# n=3\n0 1\n1 2\n")
     (tmp_path / "empty.csv").write_text("")
-    (tmp_path / "c.cfg").write_text("n_values = 20\nls = 0.6\nld = 0.2\n")
     write_records_csv("records_ok.csv", [_trial_record(0), _trial_record(1)])
     stamp, header, first, second, _ = Path("records_ok.csv").read_bytes().decode().split("\r\n")
     yes = first.split(",")

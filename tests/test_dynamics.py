@@ -12,6 +12,7 @@ from commdyn.dynamics import (DENSE_NEWTON_MAX_N, Equilibrium, ModelParams, Satu
 from commdyn.errors import DomainError
 from commdyn.graphgen import Graph, SbmParams, max_expected_degree, sample_sbm
 from commdyn.spectral import extreme_eigpairs
+from commdyn.theory import expected_threshold
 from oracles import (bifurcation_threshold, branch_amplitude, connected_sample,
                      fixed_point_residuals, projected_fixed_point)
 
@@ -588,6 +589,30 @@ def test_newton_non_finite_step_returns_unconverged(graph_fixture, request):
     result = newton_refine(x, m, g)
     assert not result.converged
     assert np.array_equal(result.state, x)
+
+
+def test_newton_singular_jacobian_returns_unconverged():
+    """Two isolated agents at x = (0, 0.5) with d = u = alpha = 1: the
+    Jacobian's first row, -d + u*S'(0)*alpha, is exactly 0, so the dense
+    solve raises LinAlgError and the polish ends at the start, unconverged."""
+    g = Graph(np.zeros((2, 2)), np.array([1, 2]))
+    x = np.array([0.0, 0.5])
+    result = newton_refine(x, ModelParams(1.0, 1.0, 1.0, 0.1), g)
+    assert not result.converged
+    assert np.array_equal(result.state, x)
+
+
+def test_guarded_polish_rejects_a_jump_to_the_origin():
+    """From 1e-4 * w above threshold Newton converges to the origin: the
+    step is far more than 0.1 |x| and the start is not neutral, so the root
+    is not the trajectory's and the polish gives None."""
+    p, g = _connected_ssbm(100, 0.3, 0.05)
+    u_bar, gamma, _ = expected_threshold(p, 1)
+    m = ModelParams(1.0, u_bar + 0.05, 1.0, gamma)
+    x = 1e-4 * g.extreme_eigenpair("LA")[1]
+    refined = newton_refine(x, m, g)
+    assert refined.converged and np.abs(refined.state).max() <= dynamics.NEUTRAL_TOL
+    assert dynamics._guarded_polish(x, m, g, None) is None
 
 
 def test_stable_origin_passes_the_certificate():

@@ -63,12 +63,11 @@ def test_build_config_rejects_bad_offsets():
 
 
 @pytest.mark.parametrize("overrides", [dict(u_offsets=[math.nan]), dict(u_offsets=[math.inf]),
-                                       dict(u_offsets=[0.01, math.inf]), dict(d=math.nan),
-                                       dict(alpha=math.inf)],
-                         ids=["offset-nan", "offset-inf", "one-offset-inf", "d-nan", "alpha-inf"])
+                                       dict(u_offsets=[0.01, math.inf])],
+                         ids=["offset-nan", "offset-inf", "one-offset-inf"])
 def test_build_config_rejects_non_finite_values(overrides):
-    """A non-finite model or sweep value fails in build_config, before any
-    trial runs, instead of as failed rows or an exception mid-sweep."""
+    """A non-finite sweep value fails in build_config, before any trial
+    runs, instead of as failed rows or an exception mid-sweep."""
     with pytest.raises(ValueError, match="finite"):
         build_config(Preset.SSBM_POSITIVE, **overrides)
 
@@ -152,11 +151,6 @@ def test_build_config_keeps_valid_values_as_given():
     assert multi.m_fractions == (0.5,) and multi.diagnostics is True
 
 
-def test_build_config_custom_requires_shape():
-    with pytest.raises(ValueError):
-        build_config(Preset.CUSTOM, trials=2)
-
-
 def test_build_config_rejects_unknown_keys():
     with pytest.raises(ValueError, match="unknown config keys: n_value, trails"):
         build_config("ssbm-negative", trails=3, n_value=[40])
@@ -174,10 +168,8 @@ def test_build_config_rejects_unknown_config_file_key(tmp_path):
     ("ssbm-negative", dict(l11=0.9, n2_fraction=0.5), "does not read: l11, n2_fraction"),
     ("unequal-sbm", dict(ls=0.9, ld=0.1), "does not read: ld, ls"),
     ("ssbm-positive", dict(pair_sets=3, m_fractions=[0.5]), "does not read: m_fractions, pair_sets"),
-    ("custom", dict(n_values=[20], ls=0.6, ld=0.2),
-     "missing config keys: gamma_sign, methods, saturations, trials, u_offsets"),
 ], ids=["n_values-for-unequal", "unequal-keys-for-ssbm", "ssbm-keys-for-unequal",
-        "multi-keys-for-single", "custom-without-required"])
+        "multi-keys-for-single"])
 def test_build_config_rejects_keys_the_sweep_does_not_read(preset, overrides, message):
     """Every override the chosen sweep does not read, and every key it needs
     that neither the preset nor the overrides give, is named in the error."""
@@ -186,8 +178,8 @@ def test_build_config_rejects_keys_the_sweep_does_not_read(preset, overrides, me
 
 
 def test_mixed_method_kinds_rejected():
-    with pytest.raises(ValueError):
-        build_config(Preset.SSBM_POSITIVE,
+    with pytest.raises(ValueError, match="cannot share a run"):
+        build_config(Preset.SSBM_POSITIVE, m_fractions=[0.5],
                      methods=[DetectionMethod.SINGLE_EQUILIBRIUM,
                               DetectionMethod.MULTI_EQUILIBRIA])
 
@@ -258,18 +250,18 @@ def tiny_shared_graph_config(**overrides):
     return build_config(Preset.SATURATION_SWEEP, base_seed=777, **defaults)
 
 
-def test_custom_multi_config_gives_the_preset_records():
-    """A custom multi-equilibria config with the multi-pairs preset's keys
-    solves to the same tolerances, so its records are the preset's apart
-    from the preset column."""
+def test_presets_given_the_same_keys_give_the_same_records():
+    """A preset only supplies defaults: an ssbm-positive config that states
+    the multi-pairs preset's keys gives its records apart from the preset
+    column."""
     keys = dict(methods=["multi-equilibria", "covariance-spectral"], n_values=[20], ls=0.3,
                 ld=0.05, u_offsets=[0.01], saturations=["tanh"], gamma_sign=1, trials=2,
                 pair_sets=2, m_fractions=[0.5, 1.0])
-    custom = run_experiment(build_config(Preset.CUSTOM, **keys), workers=1)
+    restated = run_experiment(build_config(Preset.SSBM_POSITIVE, **keys), workers=1)
     preset = run_experiment(build_config(Preset.MULTI_PAIRS, **keys), workers=1)
-    assert len(custom) == 16
-    assert {r.preset for r in custom} == {"custom"}
-    assert [dataclasses.replace(r, preset="multi-pairs") for r in custom] == preset
+    assert len(restated) == 16
+    assert {r.preset for r in restated} == {"ssbm-positive"}
+    assert [dataclasses.replace(r, preset="multi-pairs") for r in restated] == preset
 
 
 def test_parallel_matches_serial():
@@ -393,17 +385,6 @@ def test_edge_case_sweeps_end_as_rows(case):
     else:
         assert failures == [""] * 2
         assert all(0.5 <= r.accuracy <= 1.0 for r in records)
-
-
-def test_undefined_threshold_rows_are_invalid_regime():
-    """With alpha = 0 and gamma < 0 on an assortative SSBM the expected
-    threshold's denominator alpha + gamma*min(lambda_minus, 0) is 0: every
-    row is invalid-regime, with no u and empty outcomes."""
-    config = build_config(Preset.SSBM_POSITIVE, base_seed=777, n_values=[40], alpha=0.0,
-                          gamma_sign=-1, u_offsets=[0.05], trials=2)
-    records = run_experiment(config, workers=1)
-    assert [r.failure for r in records] == ["invalid-regime"] * 2
-    assert all(r.u is None and r.converged is None and r.accuracy is None for r in records)
 
 
 def test_unconverged_equilibrium_rows_are_non_convergence(monkeypatch):
@@ -603,7 +584,7 @@ def test_stable_origin_is_accepted_as_neutral_state(monkeypatch):
 
 def _record(acc, offset=0.01, failure="", m=None):
     return TrialRecord(
-        preset="custom", method="single-equilibrium", seed=1, trial=0, pair_set=None,
+        preset="ssbm-positive", method="single-equilibrium", seed=1, trial=0, pair_set=None,
         n=20, n1=10, n2=10, l11=0.5, l12=0.1, l22=0.5, gamma_sign=1, delta=5.0,
         u_offset=offset, u=0.5, saturation="tanh", m=m, accuracy=acc,
         connected=True, converged=True, residual=1e-12, eigen_gap=None,
