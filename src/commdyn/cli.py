@@ -53,7 +53,8 @@ def _resolve_model(args, params):
         if args.gamma is not None:
             raise ValueError("--gamma cannot be given with the SBM flags, which set "
                              "gamma = --gamma-sign/Delta")
-        u_bar, gamma, _ = theory.expected_threshold(params, args.gamma_sign, args.d, args.alpha)
+        u_bar, gamma, _ = theory.expected_threshold(params, args.gamma_sign or 1, args.d,
+                                                    args.alpha)
     else:
         u_bar, gamma = None, args.gamma
     if args.u is not None:
@@ -74,13 +75,18 @@ def _cmd_simulate(args):
     if args.pairs is not None and args.pairs < 1:
         raise ValueError(f"--pairs must be at least 1, got {args.pairs}")
     if args.graph:
+        given = [f"--{flag.replace('_', '-')}" for flag in (*_SBM_FLAGS, "gamma_sign", "graph_seed")
+                 if getattr(args, flag) is not None]
+        if given:
+            raise ValueError(f"{' '.join(given)} cannot be given with --graph, which sets the "
+                             "graph and takes an absolute --gamma")
         graph = graphgen.read_edge_list(args.graph)
         params = None
     else:
         params = _sbm_from_args(args)
         if params is None:
             raise ValueError("give --graph or the SBM flags")
-        graph = graphgen.sample_sbm(params, args.graph_seed)
+        graph = graphgen.sample_sbm(params, args.graph_seed or 0)
     model = _resolve_model(args, params)
     print(f"model: d={model.d} u={model.u!r} alpha={model.alpha} "
           f"gamma={model.gamma!r} saturation={model.saturation.value}")
@@ -211,9 +217,10 @@ def build_parser():
     p = sub.add_parser("simulate", help="integrate the opinion model to equilibrium")
     p.add_argument("--graph", help="edge-list file (alternative to the SBM flags)")
     _add_sbm_flags(p)
-    p.add_argument("--graph-seed", type=int, default=0)
+    p.add_argument("--graph-seed", type=int, help="SBM sample seed (default 0)")
     _add_model_flags(p)
-    p.add_argument("--gamma-sign", type=int, default=1, choices=(1, -1))
+    p.add_argument("--gamma-sign", type=int, choices=(1, -1),
+                   help="sign of gamma = sign/Delta with the SBM flags (default 1)")
     p.add_argument("--gamma", type=float, help="absolute influence weight (with --graph)")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--u", type=float, help="absolute attention value")

@@ -12,14 +12,14 @@ or the scipy.linalg and scipy.sparse.linalg those load.
 """
 
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
 from .errors import DomainError
 from .graphgen import Graph
-from .spectral import Operator, extreme_eigpairs, minres
+from .spectral import LOOSE_EIG_TOL, Operator, extreme_eigpairs, minres, seeded_start
 
 # States below this sup-norm are treated as the neutral (origin) equilibrium.
 NEUTRAL_TOL = 1e-6
@@ -40,10 +40,6 @@ _MINRES_RTOL = 1e-12
 _REFINE_TOL = 1e-10
 _MAX_FORCING = 0.1
 _MAX_OVERSHOOT = 3.0
-
-# The Lanczos tol (spectral.extreme_eigpairs) of the stability certificate's
-# loose stage (see _is_stable).
-_LOOSE_EIG_TOL = 1e-4
 
 # The branch seed's amplitude c lies in (0, 1] times u*sqrt(n)/d; a root below
 # _SEED_LOW times that bound gives no seed. Newton on c stops once its step is
@@ -240,22 +236,32 @@ class ModelParams:
 
 @dataclass
 class Equilibrium:
-    """Steady state with its fixed-point residual and convergence metadata."""
+    """Steady state with its fixed-point residual and convergence metadata.
+    `argument` is alpha*x + gamma*A*x at the state, where the solver that
+    found it kept it (newton_refine), so a stability certificate needs no
+    CSR product for it; None otherwise."""
 
     state: np.ndarray
     residual_inf: float
     converged: bool
     elapsed_model_time: float
+    argument: np.ndarray = field(default=None, repr=False, compare=False)
 
 
 def rhs(x, params: ModelParams, graph: Graph, b=None):
     """Vector field -d*x + u*S(alpha*x + gamma*A*x) + b (elementwise S)."""
+    return _field(x, params, graph, b)[0]
+
+
+def _field(x, params: ModelParams, graph: Graph, b=None):
+    """(rhs at x, the argument z of S there), for the callers that also
+    linearize at x: z is all the Jacobian needs of x."""
     x = np.asarray(x, dtype=float)
-    z = params.alpha * x + params.gamma * (graph.adjacency @ x)
+    z = _argument(x, params, graph)
     out = -params.d * x + params.u * saturation_eval(params.saturation, z)
     if b is not None:
         out = out + b
-    return out
+    return out, z
 
 
 class Jacobian:
@@ -347,16 +353,24 @@ class Jacobian:
                 res_norm = np.linalg.norm(residual)
             if res_norm > cap:
                 return self.solve(r)  # not an inexact Newton step
-        if res_norm > max(_REFINE_TOL, rtol) * split._k_norm() * np.linalg.norm(step):
+        # max|K_ii| <= ||K||_inf, in floating point too: where the residual
+        # is within the refinement bound at max|K_ii|, it is within it at
+        # ||K||_inf, and _k_norm's CSR product is skipped
+        scale, step_norm = max(_REFINE_TOL, rtol), np.linalg.norm(step)
+        if (res_norm > scale * float(split._k_diagonal().max()) * step_norm
+                and res_norm > scale * split._k_norm() * step_norm):
             step += split._minres_step(residual, rtol)
         return step
+
+    def _k_diagonal(self) -> np.ndarray:
+        """|K_ii| = |slope_i*alpha - d|."""
+        return np.abs(self.slope * self.params.alpha - self.params.d)
 
     def _k_norm(self) -> float:
         """The infinity norm of K, a bound on its 2-norm."""
         h, p = np.sqrt(self.slope), self.params
         # the adjacency is binary, so |K|'s off-diagonal part is |gamma| h A h
-        return float(np.max(np.abs(self.slope * p.alpha - p.d)
-                            + abs(p.gamma) * h * (self.adjacency @ h)))
+        return float(np.max(self._k_diagonal() + abs(p.gamma) * h * (self.adjacency @ h)))
 
     def _minres_step(self, r, rtol, start=None) -> np.ndarray:
         """J s = r by MINRES on K: rows with h = 0 give s_i = -r_i/d, the
@@ -377,18 +391,25 @@ class Jacobian:
         return saturated + h * y
 
 
-def jacobian(x, params: ModelParams, graph: Graph) -> Jacobian:
+def jacobian(x, params: ModelParams, graph: Graph, z=None) -> Jacobian:
     """The analytic Jacobian of `rhs` at x, in factored form (see Jacobian).
+    z, when given, is x's alpha*x + gamma*A*x (from _field), and x is not
+    read.
 
     `newton_refine` calls it once per Newton iteration, and nothing else in
     the package calls it, so its call count is the Newton iteration count.
     """
-    return _linearize(x, params, graph)
+    return _linearize(x, params, graph, z)
 
 
-def _linearize(x, params: ModelParams, graph: Graph) -> Jacobian:
-    x = np.asarray(x, dtype=float)
-    z = params.alpha * x + params.gamma * (graph.adjacency @ x)
+def _argument(x, params: ModelParams, graph: Graph):
+    """z = alpha*x + gamma*A*x, the argument of S at the float array x."""
+    return params.alpha * x + params.gamma * (graph.adjacency @ x)
+
+
+def _linearize(x, params: ModelParams, graph: Graph, z=None) -> Jacobian:
+    if z is None:
+        z = _argument(np.asarray(x, dtype=float), params, graph)
     return Jacobian(params.u * saturation_deriv(params.saturation, z), params,
                     graph.adjacency)
 
@@ -413,17 +434,20 @@ def newton_refine(x, params: ModelParams, graph: Graph, b=None,
     A linear solve that fails or gives a non-finite step, as near a
     bifurcation, ends the polish like a line search that finds no descent:
     the best iterate comes back unconverged.
+
+    Each Jacobian and the returned Equilibrium's `argument` take the
+    argument z of S that the line search computed at the accepted point.
     """
     x = np.array(x, dtype=float)
-    residual = rhs(x, params, graph, b)
+    residual, z = _field(x, params, graph, b)
     res_norm = float(np.abs(residual).max())
     damped = False
     for _ in range(max_iter):
         if res_norm <= NEWTON_TOL:
-            return Equilibrium(x, res_norm, True, 0.0)
+            return Equilibrium(x, res_norm, True, 0.0, z)
         forcing = min(_MAX_FORCING, res_norm)
         try:
-            step = jacobian(x, params, graph).solve(residual, forcing, rescale=not damped)
+            step = jacobian(x, params, graph, z).solve(residual, forcing, rescale=not damped)
         except np.linalg.LinAlgError:
             break
         if not np.all(np.isfinite(step)):
@@ -431,21 +455,22 @@ def newton_refine(x, params: ModelParams, graph: Graph, b=None,
         damping = 1.0
         while damping >= 2.0 ** -10:
             candidate = x - damping * step
-            cand_res = rhs(candidate, params, graph, b)
+            cand_res, cand_z = _field(candidate, params, graph, b)
             cand_norm = float(np.abs(cand_res).max())
             if cand_norm < res_norm:
-                x, residual, res_norm = candidate, cand_res, cand_norm
+                x, residual, res_norm, z = candidate, cand_res, cand_norm, cand_z
                 break
             damping /= 2.0
         else:
             break  # no descent direction left; return best iterate
         damped = damping < 1.0
-    return Equilibrium(x, res_norm, res_norm <= NEWTON_TOL, 0.0)
+    return Equilibrium(x, res_norm, res_norm <= NEWTON_TOL, 0.0, z)
 
 
-def _is_stable(x, params: ModelParams, graph: Graph) -> bool:
+def _is_stable(x, params: ModelParams, graph: Graph, z=None) -> bool:
     """Stability certificate: the largest eigenvalue of the symmetrized
-    Jacobian K at x (the same spectrum as J's) is negative.
+    Jacobian K at x (the same spectrum as J's) is negative. z, when given,
+    is x's alpha*x + gamma*A*x (an Equilibrium's `argument`).
 
     Only the sign of lambda_max(K) is used, so it is settled in stages; a
     stage that cannot settle it passes it on:
@@ -454,22 +479,35 @@ def _is_stable(x, params: ModelParams, graph: Graph) -> bool:
         Collatz-Wielandt bound lambda_max(J) <= max_i (J|x|)_i / |x_i| < 0
         proves stability with one matvec (Horn & Johnson, Matrix Analysis,
         ch. 8). This is a proof, up to the rounding of that matvec.
-    (b) a loose Lanczos solve (tol _LOOSE_EIG_TOL) gives a unit
-        Ritz pair (theta, v) and r = Kv - theta*v; K is symmetric, so an
-        eigenvalue lies within ||r|| of theta. Reject when
-        theta - ||r|| > 0: that is a proof of instability. Accept when
-        theta + ||r|| < 0.
+    (b) a loose Lanczos solve (tol LOOSE_EIG_TOL) gives a unit Ritz pair
+        (theta, v) and r = Kv - theta*v; K is symmetric, so an eigenvalue
+        lies within ||r|| of theta. Reject when theta - ||r|| > 0: that is a
+        proof of instability. Accept when theta + ||r|| < 0.
     (c) otherwise, the sign of the Ritz value at machine precision.
     A Lanczos Ritz value approaches lambda_max from below, so neither (b)'s
     accepting branch nor (c) proves lambda_max < 0: both trust the Lanczos
     to have found the largest eigenvalue.
+
+    (b) starts from D^-1 x / ||D^-1 x|| plus the seeded start, with
+    D = diag(h), h = sqrt(slope) and (D^-1 x)_i = 0 where h_i = 0.
+    J = D K D^-1, so D^-1 x is K's direction of the branch x lies on, the
+    one a root's lambda_max belongs to near threshold. The seeded part
+    keeps every eigenvector in reach: K is block diagonal on a graph of
+    several components, and from D^-1 x alone an unstable origin on a
+    component where x is 0 would never be seen.
     """
-    jac = _linearize(x, params, graph)
+    jac = _linearize(x, params, graph, z)
     if params.gamma > 0 and (np.all(x > 0) or np.all(x < 0)):
         if np.all(jac.matvec(np.abs(x)) < 0.0):
             return True
     operator = jac.symmetrized()
-    theta, v = extreme_eigpairs(operator, "LA", tol=_LOOSE_EIG_TOL)
+    h = np.sqrt(jac.slope)
+    branch = np.divide(x, h, out=np.zeros(h.size), where=h > 0.0)
+    start = seeded_start(h.size)
+    norm = np.linalg.norm(branch)
+    if norm > 0.0:
+        start += branch / norm
+    theta, v = extreme_eigpairs(operator, "LA", tol=LOOSE_EIG_TOL, v0=start)
     bound = float(np.linalg.norm(operator.matvec(v) - theta * v))
     if theta + bound < 0.0:
         return True
@@ -493,7 +531,7 @@ def _guarded_polish(x, params, graph, b):
         return refined.state, refined.residual_inf
     both_neutral = (float(np.abs(refined.state).max()) <= NEUTRAL_TOL
                     and x_norm <= 10.0 * NEUTRAL_TOL)
-    if both_neutral and _is_stable(refined.state, params, graph):
+    if both_neutral and _is_stable(refined.state, params, graph, refined.argument):
         return refined.state, refined.residual_inf
     return None
 
@@ -549,6 +587,11 @@ def _branch_seed(params: ModelParams, graph: Graph):
     stable (-d + u*mu <= 0, mu = alpha + gamma*lambda) or the root is below
     _SEED_LOW times its bound.
 
+    (lambda, w) is A's pair at LOOSE_EIG_TOL: the seed only has to lie in
+    Newton's basin. A Ritz value lies inside the spectrum, so mu can only
+    err low, toward "origin stable": a trial that close to threshold takes
+    the ODE path, and never the reverse.
+
     c is the positive root of g(c) = -d*c + u*w.S(c*mu*w), the fixed point
     projected on w. g'(0) = -d + u*mu > 0, and |w.S| <= ||w||_1 <= sqrt(n)
     puts the root at or below high = u*sqrt(n)/d, where g(high) <= 0. S is
@@ -556,7 +599,7 @@ def _branch_seed(params: ModelParams, graph: Graph):
     |w_i|*S(c*mu*|w_i|) and with it g are concave for c >= 0: Newton from
     high falls monotonically to the root, never below it.
     """
-    value, w = graph.extreme_eigenpair("LA" if params.gamma > 0 else "SA")
+    value, w = graph.extreme_eigenpair("LA" if params.gamma > 0 else "SA", LOOSE_EIG_TOL)
     mu = params.alpha + params.gamma * value
     if -params.d + params.u * mu <= 0.0:
         return None
@@ -596,7 +639,7 @@ def _seeded_equilibrium(x0, params: ModelParams, graph: Graph):
     if (root.residual_inf <= STEADY_TOL and root_norm > NEUTRAL_TOL
             and sign * float(root.state @ w) > 0.0
             and float(np.abs(x0).max()) <= 0.1 * root_norm
-            and _is_stable(root.state, params, graph)):
+            and _is_stable(root.state, params, graph, root.argument)):
         return Equilibrium(root.state, root.residual_inf, True, 0.0)
     return None
 

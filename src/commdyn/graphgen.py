@@ -8,12 +8,12 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
-from .spectral import extreme_eigpairs
+from .spectral import LOOSE_EIG_TOL, extreme_eigpairs
 
-# The Lanczos tol (spectral.extreme_eigpairs) of Graph.extreme_eigenpair,
-# set at the accuracy its consumers need: the branch seed (whose Newton
-# polish corrects it), alignment_check and davis_kahan_check. Against tol = 0
-# it saves up to one restart cycle (10 Lanczos steps) per graph and side.
+# The default Lanczos tol (spectral.extreme_eigpairs) of
+# Graph.extreme_eigenpair, set at the accuracy the diagnostics need:
+# alignment_check and davis_kahan_check. Against tol = 0 it saves up to one
+# restart cycle (10 Lanczos steps) per graph and side.
 _EIGENPAIR_TOL = 1e-12
 
 
@@ -113,20 +113,25 @@ class Graph:
     def n1(self):
         return int(np.sum(self.labels == 1))
 
-    def extreme_eigenpair(self, which: str):
+    def extreme_eigenpair(self, which: str, tol: float = _EIGENPAIR_TOL):
         """(value, unit vector) of the adjacency's extreme eigenpair on the
-        `which` side ("LA" largest, "SA" smallest, "LM" largest magnitude).
+        `which` side ("LA" largest, "SA" smallest, "LM" largest magnitude),
+        converged to the Lanczos tol `tol`.
 
-        The first call for a `which` runs spectral.extreme_eigpairs on the
-        CSR adjacency (checked symmetric on construction) at tol
-        _EIGENPAIR_TOL; later calls return the same pair. The vector is
+        The first call for a (which, tol) runs spectral.extreme_eigpairs on
+        the CSR adjacency (checked symmetric on construction); later calls
+        return the same pair. A tol below spectral.LOOSE_EIG_TOL starts the
+        Lanczos from the vector of the pair at LOOSE_EIG_TOL, which is
+        computed first if it is not cached, so each pair depends only on
+        the graph, not on which tol was asked for first. The vector is
         read-only, as every caller shares it.
         """
-        pair = self._eigenpairs.get(which)
+        pair = self._eigenpairs.get((which, tol))
         if pair is None:
-            value, vector = extreme_eigpairs(self.adjacency, which, tol=_EIGENPAIR_TOL)
+            v0 = self.extreme_eigenpair(which, LOOSE_EIG_TOL)[1] if tol < LOOSE_EIG_TOL else None
+            value, vector = extreme_eigpairs(self.adjacency, which, tol=tol, v0=v0)
             vector.flags.writeable = False
-            pair = self._eigenpairs[which] = (value, vector)
+            pair = self._eigenpairs[which, tol] = (value, vector)
         return pair
 
 

@@ -14,9 +14,20 @@ _V0_SEED = 0
 
 # Lanczos basis size and the Ritz vectors kept at each restart: ARPACK's
 # default ncv for one pair (scipy's eigsh), and half of it, which is what
-# ARPACK's implicit restart keeps for one wanted pair.
+# ARPACK's implicit restart keeps for one wanted pair. Until the first
+# restart the acceptance test runs at every basis size that is a multiple of
+# _TEST_EVERY, not only on a full basis: a test costs an eigh of the
+# projection, which at every step cost more than the matvecs it saved. A
+# solve that needed a restart converges slowly, and after it only the full
+# basis is tested.
 _NCV = 20
 _KEEP = _NCV // 2
+_TEST_EVERY = 4
+
+# The Lanczos tol of a pair that only steers: the branch seed, which Newton
+# corrects, and the stability certificate's stage that bounds its own
+# Ritz residual (see dynamics._is_stable).
+LOOSE_EIG_TOL = 1e-4
 
 # Machine precision: a Lanczos tol of 0 asks for it, and its 2/3 power is
 # the floor on |theta| in the convergence test, as in ARPACK.
@@ -43,7 +54,7 @@ def sym_eig(matrix):
     return values, _fix_signs(vectors)
 
 
-def extreme_eigpairs(matrix, which: str = "LA", tol: float = 0.0):
+def extreme_eigpairs(matrix, which: str = "LA", tol: float = 0.0, v0=None):
     """(value, unit vector) of the extreme eigenpair of a symmetric real
     operator, by thick-restart Lanczos (Wu & Simon, SIAM J. Matrix Anal.
     Appl. 22, 2000).
@@ -52,22 +63,41 @@ def extreme_eigpairs(matrix, which: str = "LA", tol: float = 0.0):
     a Graph's CSR array or an Operator. It is trusted to be symmetric: the
     program builds every operator it passes symmetric. `which` is "LA" (largest
     value), "SA" (smallest value) or "LM" (largest magnitude). The
-    vector has sym_eig's sign convention. The start vector is seeded, so
-    repeated calls are bit-identical.
+    vector has sym_eig's sign convention. The Lanczos starts from v0 (any
+    nonzero vector) when given, else from seeded_start(n), so repeated
+    calls are bit-identical. A v0 must not be orthogonal to the wanted
+    eigenvector: a start inside an invariant subspace never leaves it.
 
     The pair is accepted by ARPACK's test: its Ritz residual estimate is at
     most tol * max(eps^(2/3), |value|), with tol = 0 meaning machine
-    precision. Up to _NCV agents, where the Lanczos basis would span the
-    whole space, a dense solve of its columns A @ e_i answers instead.
+    precision. Until the first restart the test runs every _TEST_EVERY
+    steps as the basis grows.
+    Up to _NCV agents, where the Lanczos basis would span the whole space,
+    a dense solve of its columns A @ e_i answers instead, and v0 is unused.
     """
     if which not in ("LA", "SA", "LM"):
         raise ValueError(f"unknown which={which!r}")
     n = matrix.shape[0]
     if n > _NCV:
-        return _lanczos(matrix, which, tol or _EPS)
+        return _lanczos(matrix, which, tol or _EPS, v0)
     values, vectors = sym_eig(np.column_stack([matrix @ e for e in np.eye(n)]))
     keep = _wanted_first(values, which)[0]
     return values[keep], vectors[:, keep]
+
+
+def _seeded_stream(n):
+    """(seeded_start(n), the Philox generator after drawing it)."""
+    rng = np.random.Generator(np.random.Philox(_V0_SEED))
+    start = rng.uniform(-1.0, 1.0, n)
+    start /= np.linalg.norm(start)
+    return start, rng
+
+
+def seeded_start(n: int) -> np.ndarray:
+    """The Lanczos's default start: a unit vector drawn uniformly on
+    [-1, 1]^n from a Philox stream with a fixed seed. Such a draw has a
+    component along every eigenvector of a given matrix with probability 1."""
+    return _seeded_stream(n)[0]
 
 
 def _wanted_first(theta, which):
@@ -92,30 +122,33 @@ def _orthogonalize(w, basis) -> tuple:
     return coeffs + again, math.sqrt(w @ w) > 0.717 * first
 
 
-def _lanczos(matrix, which, tol):
+def _lanczos(matrix, which, tol, v0=None):
     """The extreme Ritz pair of `matrix` on the `which` side, converged to
-    ARPACK's test at `tol` (see extreme_eigpairs).
+    ARPACK's test at `tol`, from the start v0 or seeded_start (see
+    extreme_eigpairs).
 
-    Rows 0.._NCV-1 of `basis` hold an orthonormal Krylov basis and row _NCV
-    the next Lanczos direction; t is the matrix's projection on the basis.
-    Each cycle extends the basis to _NCV rows, one matvec a row. A restart
-    keeps the _KEEP Ritz vectors nearest the wanted end, and the next
-    direction as row _KEEP: t becomes their Ritz values on the diagonal,
-    coupled to that row by beta times each one's last component (an arrow).
-    A breakdown, a direction numerically inside the basis's span (an
-    invariant subspace: the zero operator, an edgeless graph, the complete
-    graph), gets beta = 0 and a fresh seeded vector orthogonal to the basis
-    in its place: normalizing the rounding left would lose orthogonality.
+    Rows 0..m-1 of `basis` hold an orthonormal Krylov basis and row m the
+    next Lanczos direction; t[:m, :m] is the matrix's projection on the
+    basis, and the Ritz residual of its eigenvector s is beta * |s[-1]|.
+    Each cycle extends the basis to _NCV rows, one matvec a row, and tests
+    the wanted Ritz pair on the full basis and, in the first cycle, at every
+    m that is a multiple of _TEST_EVERY. A restart keeps the _KEEP Ritz
+    vectors nearest the wanted end, and the next direction as row _KEEP: t
+    becomes their Ritz values on the diagonal, coupled to that row by beta
+    times each one's last component (an arrow). A breakdown, a direction
+    numerically inside the basis's span (an invariant subspace: the zero
+    operator, an edgeless graph, the complete graph), gets beta = 0 and a
+    fresh seeded vector orthogonal to the basis in its place: normalizing
+    the rounding left would lose orthogonality.
     """
     n = matrix.shape[0]
-    rng = np.random.Generator(np.random.Philox(_V0_SEED))
+    start, rng = _seeded_stream(n)
     basis = np.empty((_NCV + 1, n))
-    basis[0] = rng.uniform(-1.0, 1.0, n)
-    basis[0] /= np.linalg.norm(basis[0])
+    basis[0] = start if v0 is None else v0 / np.linalg.norm(v0)
     t = np.zeros((_NCV, _NCV))
-    start = 0
+    first = 0
     for _ in range(10 * n):  # ARPACK's default limit on restarts
-        for j in range(start, _NCV):
+        for j in range(first, _NCV):
             w = np.asarray(matrix @ basis[j], dtype=float)
             coeffs, outside = _orthogonalize(w, basis[:j + 1])
             t[j, j] = coeffs[j]
@@ -125,22 +158,25 @@ def _lanczos(matrix, which, tol):
                 _orthogonalize(w, basis[:j + 1])
             w /= np.linalg.norm(w)
             basis[j + 1] = w
-            if j + 1 < _NCV:
-                t[j, j + 1] = t[j + 1, j] = beta
-        theta, s = np.linalg.eigh(t)
-        order = _wanted_first(theta, which)
-        best = order[0]
-        if beta * abs(s[-1, best]) <= tol * max(_EPS ** (2.0 / 3.0), abs(theta[best])):
-            vector = s[:, best] @ basis[:_NCV]
-            vector /= np.linalg.norm(vector)
-            return theta[best], _fix_signs(vector[:, None])[:, 0]
+            m = j + 1
+            if m < _NCV:
+                t[j, m] = t[m, j] = beta
+                if first or m % _TEST_EVERY:
+                    continue
+            theta, s = np.linalg.eigh(t[:m, :m])
+            order = _wanted_first(theta, which)
+            best = order[0]
+            if beta * abs(s[-1, best]) <= tol * max(_EPS ** (2.0 / 3.0), abs(theta[best])):
+                vector = s[:, best] @ basis[:m]
+                vector /= np.linalg.norm(vector)
+                return theta[best], _fix_signs(vector[:, None])[:, 0]
         keep = order[:_KEEP]
         basis[:_KEEP] = s[:, keep].T @ basis[:_NCV]
         basis[_KEEP] = basis[_NCV]
         t[:] = 0.0
         np.fill_diagonal(t[:_KEEP, :_KEEP], theta[keep])
         t[_KEEP, :_KEEP] = t[:_KEEP, _KEEP] = beta * s[-1, keep]
-        start = _KEEP
+        first = _KEEP
     raise np.linalg.LinAlgError(f"Lanczos did not converge in {10 * n} restarts")
 
 

@@ -15,7 +15,7 @@ from .spectral import Operator, extreme_eigpairs
 
 # The Lanczos tol (spectral.extreme_eigpairs) for ||A - E{A}||_2 (see
 # _deviation_norm), set like the stability certificate's loose stage
-# (dynamics._LOOSE_EIG_TOL) at the accuracy its consumers need: against
+# (spectral.LOOSE_EIG_TOL) at the accuracy its consumers need: against
 # tol = 0 it took about 40% fewer matvecs and moved the concentration ratio
 # by at most 3.5e-15 relative.
 _DEVIATION_EIG_TOL = 1e-8

@@ -24,7 +24,7 @@ from scipy.optimize import brentq
 
 from commdyn.dynamics import Equilibrium, ModelParams, rhs, saturation_eval
 from commdyn.graphgen import Graph, SbmParams, is_connected, sample_sbm
-from commdyn.spectral import extreme_eigpairs, sym_eig
+from commdyn.spectral import LOOSE_EIG_TOL, extreme_eigpairs, sym_eig
 
 
 def connected_sample(params: SbmParams) -> Graph:
@@ -122,8 +122,10 @@ def fixed_point_residuals(pairs, graph: Graph) -> np.ndarray:
 
 def projected_fixed_point(params: ModelParams, graph: Graph, c: float) -> float:
     """g(c) = -d*c + u*w.S(c*mu*w): the fixed-point equation along the
-    extreme eigenvector w of A on the gamma side, mu = alpha + gamma*lambda."""
-    value, w = graph.extreme_eigenpair("LA" if params.gamma > 0 else "SA")
+    extreme eigenvector w of A on the gamma side, mu = alpha + gamma*lambda,
+    with (lambda, w) the pair the branch seed reads: A's at
+    spectral.LOOSE_EIG_TOL."""
+    value, w = graph.extreme_eigenpair("LA" if params.gamma > 0 else "SA", LOOSE_EIG_TOL)
     mu = params.alpha + params.gamma * value
     return -params.d * c + params.u * float(w @ saturation_eval(params.saturation, c * mu * w))
 

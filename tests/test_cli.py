@@ -267,10 +267,11 @@ BAD_CONFIGS = {
     "pair-sets-0": (_MULTI_CFG + "pair_sets = 0\n", "pair_sets"),
     "no-expected-edges": ("preset = ssbm-positive\nn_values = 20\nls = 0\nld = 0\n",
                           "link probabilities"),
-    "d-0": (_SSBM_CFG + "d = 0\n", "d"),
-    "d-negative": (_SSBM_CFG + "d = -1\n", "d"),
-    "alpha-negative": (_SSBM_CFG + "alpha = -0.5\n", "alpha"),
-    "alpha-minus-5": (_SSBM_CFG + "alpha = -5\n", "alpha"),
+    # sweeps run at d = alpha = 1: neither is a config key
+    "d-0": (_SSBM_CFG + "d = 0\n", "error: unknown config keys: d\n"),
+    "d-negative": (_SSBM_CFG + "d = -1\n", "error: unknown config keys: d\n"),
+    "alpha-negative": (_SSBM_CFG + "alpha = -0.5\n", "error: unknown config keys: alpha\n"),
+    "alpha-minus-5": (_SSBM_CFG + "alpha = -5\n", "error: unknown config keys: alpha\n"),
 }
 
 
@@ -279,7 +280,8 @@ def test_experiment_rejects_bad_counts_and_fractions(config, key, tmp_path, monk
                                                      capsys):
     """A config value of the wrong kind exits 1 with one error line naming
     its key, before any trial runs: no traceback, no misread value and no
-    CSV."""
+    CSV. `d` and `alpha` are no config keys, so their cases give exactly
+    the unknown-key line, whatever the value."""
     monkeypatch.setattr(harness, "_run_task", lambda job: pytest.fail("a trial ran"))
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(config)
@@ -289,7 +291,7 @@ def test_experiment_rejects_bad_counts_and_fractions(config, key, tmp_path, monk
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.splitlines()) == 1
-    assert key in err
+    assert err == key if key.startswith("error: ") else key in err
     assert not records_csv.exists()
 
 
@@ -366,6 +368,16 @@ BAD_INPUT_CASES = {
                                  "eq.csv"], "--n2 --l11 --l12 --l22"),
     "simulate-gamma-with-sbm-flags": (["simulate", *SBM_FLAGS, "--gamma", "5", "--u-offset",
                                        "0.05", "--out", "eq.csv"], "--gamma"),
+    # --graph sets the graph and gamma: no flag that would set them goes unread
+    "simulate-graph-with-sbm-flags": (["simulate", "--graph", "good.txt", *SBM_FLAGS,
+                                       "--gamma", "0.1", "--u", "0.5", "--out", "eq.csv"],
+                                      "--n1 --n2 --l11 --l12 --l22 cannot be given with --graph"),
+    "simulate-graph-with-gamma-sign": (["simulate", "--graph", "good.txt", "--gamma-sign", "-1",
+                                        "--gamma", "0.1", "--u", "0.5", "--out", "eq.csv"],
+                                       "--gamma-sign cannot be given with --graph"),
+    "simulate-graph-with-graph-seed": (["simulate", "--graph", "good.txt", "--graph-seed", "4",
+                                        "--gamma", "0.1", "--u", "0.5", "--out", "eq.csv"],
+                                       "--graph-seed cannot be given with --graph"),
     "experiment-workers-0": (["experiment", "--preset", "ssbm-positive", "--trials", "1",
                               "--workers", "0", "--out", "records.csv"], "--workers"),
     "experiment-workers-negative": (["experiment", "--preset", "ssbm-positive", "--trials", "1",
@@ -395,6 +407,7 @@ def test_bad_input_file_is_an_error_not_a_traceback(argv, where, tmp_path, monke
                          [Equilibrium(np.array([0.1, -0.2, 0.3]), 0.5, False, 1e5)])
     (tmp_path / "graph.txt").write_text("0 1\n1 2\n")
     (tmp_path / "graph_n.txt").write_text("# n=3\n0 1\n1 2\n")
+    (tmp_path / "good.txt").write_text("# n=3 n1=1\n0 1\n1 2\n")
     (tmp_path / "empty.csv").write_text("")
     write_records_csv("records_ok.csv", [_trial_record(0), _trial_record(1)])
     stamp, header, first, second, _ = Path("records_ok.csv").read_bytes().decode().split("\r\n")

@@ -645,8 +645,8 @@ def test_certificate_decides_the_neutral_polish(small_graph, monkeypatch):
 def _counting_lanczos(monkeypatch):
     """Patch the Lanczos kernel to record the tol of each call."""
     tols, lanczos = [], spectral._lanczos
-    monkeypatch.setattr(spectral, "_lanczos", lambda matrix, which, tol: tols.append(
-        tol) or lanczos(matrix, which, tol))
+    monkeypatch.setattr(spectral, "_lanczos", lambda matrix, which, tol, v0: tols.append(
+        tol) or lanczos(matrix, which, tol, v0))
     return tols
 
 
@@ -682,7 +682,7 @@ def test_certificate_of_a_mixed_sign_state_is_the_loose_solve(krylov_graph, sign
     assert x.min() < 0.0 < x.max()
     tols = _counting_lanczos(monkeypatch)
     verdict = dynamics._is_stable(x, m, g)
-    assert tols == [dynamics._LOOSE_EIG_TOL]
+    assert tols == [spectral.LOOSE_EIG_TOL]
     assert verdict == (_tight_lambda_max(x, m, g) < 0.0)
 
 
@@ -698,7 +698,7 @@ def test_certificate_rejects_an_unstable_origin_in_the_loose_solve(krylov_graph,
     x = np.full(g.n, 1e-8)
     tols = _counting_lanczos(monkeypatch)
     assert not dynamics._is_stable(x, m, g)
-    assert tols == [dynamics._LOOSE_EIG_TOL]
+    assert tols == [spectral.LOOSE_EIG_TOL]
     assert _tight_lambda_max(x, m, g) > 0.0
 
 
@@ -715,15 +715,46 @@ def test_inconclusive_loose_solve_falls_back_to_the_tight_one(krylov_graph, offs
          else np.full(g.n, 1e-8))
     solve, tols = dynamics.extreme_eigpairs, []
 
-    def inconclusive(operator, which, tol=0.0):
+    def inconclusive(operator, which, tol=0.0, v0=None):
         tols.append(tol)
-        value, vector = solve(operator, which, tol=tol)
+        value, vector = solve(operator, which, tol=tol, v0=v0)
         return (theta, vector) if tol else (value, vector)
 
     monkeypatch.setattr(dynamics, "extreme_eigpairs", inconclusive)
     assert dynamics._is_stable(x, m, g) == stable
-    assert tols == [dynamics._LOOSE_EIG_TOL, 0.0]
+    assert tols == [spectral.LOOSE_EIG_TOL, 0.0]
     assert (_tight_lambda_max(x, m, g) < 0.0) == stable
+
+
+def test_certificate_start_reaches_a_component_where_the_state_is_zero():
+    """A branch root on one component and an unstable origin on a second
+    one, K_{7,8}, whose -d + u*(alpha + gamma*lambda_min) is +0.27: K is
+    block diagonal, and D^-1 x is 0 on the second block. From D^-1 x alone
+    the loose Lanczos never leaves the first block and would certify the
+    state stable; the seeded part of _is_stable's start finds the +0.27
+    and rejects it."""
+    p, g1 = _connected_ssbm(100, 0.12, 0.04)
+    gamma = -1.0 / max_expected_degree(p)
+    m = ModelParams(1.0, 1.0 / (1.0 + gamma * g1.extreme_eigenpair("SA")[0]) + 0.05, 1.0, gamma)
+    root = integrate_to_equilibrium(_small_start(g1, 53), m, g1)
+    assert root.converged and root.elapsed_model_time == 0.0  # the seeded root
+    bipartite = np.zeros((15, 15))
+    bipartite[:7, 7:] = 1.0
+    g = Graph(sparse.block_diag([g1.adjacency, bipartite + bipartite.T], format="csr"),
+              np.r_[g1.labels, np.repeat([1, 2], [7, 8])])
+    x = np.r_[root.state, np.zeros(15)]
+    assert np.abs(rhs(x, m, g)).max() <= dynamics.STEADY_TOL
+    jac = dynamics._linearize(x, m, g)
+    k = jac.symmetrized()
+    top = np.linalg.eigvalsh(np.column_stack([k @ e for e in np.eye(g.n)]))[-1]
+    assert top == pytest.approx(-1.0 + m.u * (1.0 + gamma * -np.sqrt(56.0)), rel=1e-12)
+    assert top == pytest.approx(0.27, abs=0.01)
+    h = np.sqrt(jac.slope)
+    branch = np.divide(x, h, out=np.zeros(g.n), where=h > 0.0)
+    theta, v = extreme_eigpairs(k, "LA", tol=spectral.LOOSE_EIG_TOL, v0=branch)
+    assert theta + np.linalg.norm(k @ v - theta * v) < 0.0  # fooled
+    assert not dynamics._is_stable(x, m, g)
+    assert not dynamics._is_stable(x, m, g, dynamics._field(x, m, g)[1])
 
 
 @pytest.mark.parametrize("sign", [1, -1])
@@ -830,20 +861,22 @@ def test_branch_seed_across_the_sampled_threshold(dense_newton_graph, sign, kind
 
 def test_branch_seed_root_below_its_floor_gives_no_seed(dense_newton_graph):
     """Just above threshold the root is about 1e-3 times the floor
-    _SEED_LOW * u*sqrt(n)/d: the origin is unstable, yet no seed."""
+    _SEED_LOW * u*sqrt(n)/d: the origin is unstable at the loose pair the
+    seed reads, yet no seed."""
     p, g = dense_newton_graph
     m = _model_above_threshold(p, g, 1, Saturation.ALG_ABS, 0.0)
-    mu = m.alpha + m.gamma * g.extreme_eigenpair("LA")[0]
+    mu = m.alpha + m.gamma * g.extreme_eigenpair("LA", spectral.LOOSE_EIG_TOL)[0]
     m = ModelParams(m.d, m.d / mu * (1.0 + 1e-12), m.alpha, m.gamma, m.saturation)
     assert -m.d + m.u * mu > 0.0
     assert dynamics._branch_seed(m, g) is None
 
 
 def test_branch_seed_at_an_exact_root_takes_no_newton_step(monkeypatch):
-    """On K4 with its exact top pair (3, 1/2), tanh rounds to 1 at the start
-    c = u*sqrt(n)/d = 20, where g is then exactly 0: c is returned as is."""
+    """On K4 with its exact top pair (3, 1/2) at every tol, tanh rounds to 1
+    at the start c = u*sqrt(n)/d = 20, where g is then exactly 0: c is
+    returned as is."""
     g = Graph(sparse.csr_array(np.ones((4, 4)) - np.eye(4)), np.array([1, 1, 2, 2]))
-    monkeypatch.setattr(g, "extreme_eigenpair", lambda which: (3.0, np.full(4, 0.5)))
+    monkeypatch.setattr(g, "extreme_eigenpair", lambda which, tol: (3.0, np.full(4, 0.5)))
     m = ModelParams(1.0, 10.0, 0.0, 1.0)
     assert projected_fixed_point(m, g, 20.0) == 0.0
 

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import tracemalloc
 
@@ -7,7 +8,7 @@ import pytest
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
-from commdyn import graphgen
+from commdyn import graphgen, spectral
 from commdyn.graphgen import (Graph, SbmParams, block_labels, check_assumptions,
                               is_connected, max_expected_degree, read_edge_list, sample_sbm,
                               write_edge_list)
@@ -186,6 +187,24 @@ def test_sampled_graph_is_int32_and_small(tmp_path):
         assert a.indices.dtype == a.indptr.dtype == np.int32
     for name in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(back.adjacency, name), getattr(g.adjacency, name)), name
+
+
+@pytest.mark.parametrize("which", ["LA", "SA", "LM"])
+def test_graph_eigenpairs_do_not_depend_on_the_order_asked(which):
+    """Each Graph.extreme_eigenpair(which, tol) pair depends only on the
+    graph: every order of asking the loose, the default and the machine
+    precision tol gives each pair the same bits, each order on a fresh Graph
+    of the same adjacency. The tight pairs start from the loose pair's
+    vector, so they need it whether or not it was asked for."""
+    g = sample_sbm(SbmParams.ssbm(300, 0.02, 0.05), 2)
+    tols = (spectral.LOOSE_EIG_TOL, graphgen._EIGENPAIR_TOL, 0.0)
+    first = {tol: g.extreme_eigenpair(which, tol) for tol in tols}
+    for order in itertools.permutations(tols):
+        fresh = Graph(g.adjacency, g.labels)
+        for tol in order:
+            value, vector = fresh.extreme_eigenpair(which, tol)
+            assert value == first[tol][0] and np.array_equal(vector, first[tol][1])
+    assert g.extreme_eigenpair(which) is first[graphgen._EIGENPAIR_TOL]
 
 
 def test_check_assumptions():

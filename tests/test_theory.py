@@ -206,25 +206,29 @@ def test_alignment_check_copies_no_adjacency():
 
 
 def test_spectral_callers_share_one_eigensolve_per_which(monkeypatch):
-    """_branch_seed, alignment_check, c_of_u and davis_kahan_check get the
-    bits of a direct extreme_eigpairs call on A at the graph's tolerance,
-    and the Lanczos runs once per graph and `which` (plus once on A - E{A} in
-    davis_kahan_check)."""
+    """_branch_seed gets the bits of a direct extreme_eigpairs call on A at
+    spectral.LOOSE_EIG_TOL; alignment_check, c_of_u and davis_kahan_check
+    get those of a call at the graph's tolerance started from that loose
+    vector. The Lanczos runs once per graph, `which` and tol (plus once on
+    A - E{A} in davis_kahan_check)."""
     p = SbmParams.ssbm(200, 0.1, 0.03)
     g = sample_sbm(p, seed=4)
-    direct = {which: extreme_eigpairs(aslinearoperator(g.adjacency), which,
-                                      tol=graphgen._EIGENPAIR_TOL)
+    a = aslinearoperator(g.adjacency)
+    loose = {which: extreme_eigpairs(a, which, tol=spectral.LOOSE_EIG_TOL)
+             for which in ("LA", "SA")}
+    direct = {which: extreme_eigpairs(a, which, tol=graphgen._EIGENPAIR_TOL,
+                                      v0=loose[which][1])
               for which in ("LA", "SA")}
     solves = []
     lanczos = spectral._lanczos
     monkeypatch.setattr(spectral, "_lanczos",
-                        lambda matrix, which, tol: solves.append(which)
-                        or lanczos(matrix, which, tol))
+                        lambda matrix, which, tol, v0: solves.append((which, tol))
+                        or lanczos(matrix, which, tol, v0))
     eq = Equilibrium(np.linspace(-1.0, 1.0, g.n), 0.0, True, 0.0)
     for sign, which in ((1, "LA"), (-1, "SA")):
         model = ModelParams(1.0, 2.0, 1.0, sign / max_expected_degree(p))
         _, w = dynamics._branch_seed(model, g)
-        assert np.array_equal(w, direct[which][1])
+        assert np.array_equal(w, loose[which][1])
         value, _ = g.extreme_eigenpair(which)
         assert value == direct[which][0]
         w = direct[which][1]
@@ -235,7 +239,10 @@ def test_spectral_callers_share_one_eigensolve_per_which(monkeypatch):
     _, w_bar = _expected_top(p)
     report = davis_kahan_check(g, p)
     assert report.lhs == min(float(np.linalg.norm(w - w_bar)), float(np.linalg.norm(w + w_bar)))
-    assert sorted(solves) == ["LA", "LM", "SA"]
+    loose_tol, tight_tol = spectral.LOOSE_EIG_TOL, graphgen._EIGENPAIR_TOL
+    assert sorted(solves) == [("LA", tight_tol), ("LA", loose_tol),
+                              ("LM", theory._DEVIATION_EIG_TOL),
+                              ("SA", tight_tol), ("SA", loose_tol)]
 
 
 def test_concentration_ratio_edgeless():
