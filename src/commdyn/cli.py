@@ -49,6 +49,7 @@ def _cmd_sample_graph(args):
 
 def _resolve_model(args, params):
     """Resolve u (absolute or offset from the expected threshold) and gamma."""
+    dynamics.ModelParams(args.d, 0.0, args.alpha, 1.0)  # --d and --alpha, before the threshold
     if params is not None:
         if args.gamma is not None:
             raise ValueError("--gamma cannot be given with the SBM flags, which set "
@@ -81,6 +82,8 @@ def _cmd_simulate(args):
             raise ValueError(f"{' '.join(given)} cannot be given with --graph, which sets the "
                              "graph and takes an absolute --gamma")
         graph = graphgen.read_edge_list(args.graph)
+        if graph.n == 0:
+            raise ValueError(f"{args.graph}: the edge list has no agents")
         params = None
     else:
         params = _sbm_from_args(args)

@@ -364,6 +364,18 @@ BAD_INPUT_CASES = {
     "simulate-no-expected-edges": (["simulate", "--n1", "10", "--n2", "10", "--l11", "0",
                                     "--l12", "0", "--l22", "0", "--u-offset", "0.1",
                                     "--out", "eq.csv"], "link probabilities"),
+    # --alpha is checked before the threshold, which it makes undefined
+    "simulate-alpha-minus-5": (["simulate", *SBM_FLAGS, "--alpha", "-5", "--u-offset", "0.1",
+                                "--out", "eq.csv"], "self weight alpha must be nonnegative"),
+    "simulate-d-0": (["simulate", *SBM_FLAGS, "--d", "0", "--u-offset", "0.1", "--out",
+                      "eq.csv"], "damping d must be positive"),
+    # alpha = 0 and gamma*lambda = 0: no threshold to offset u from
+    "simulate-threshold-undefined": (["simulate", "--n1", "10", "--n2", "10", "--l11", "0.6",
+                                      "--l12", "0.6", "--l22", "0.6", "--alpha", "0",
+                                      "--gamma-sign", "-1", "--u-offset", "0.1", "--out",
+                                      "eq.csv"], "threshold undefined"),
+    "simulate-graph-no-agents": (["simulate", "--graph", "no_agents.txt", "--gamma", "0.1",
+                                  "--u", "0.5", "--out", "eq.csv"], "no_agents.txt"),
     "simulate-some-sbm-flags": (["simulate", "--n1", "10", "--u-offset", "0.1", "--out",
                                  "eq.csv"], "--n2 --l11 --l12 --l22"),
     "simulate-gamma-with-sbm-flags": (["simulate", *SBM_FLAGS, "--gamma", "5", "--u-offset",
@@ -395,8 +407,9 @@ def _trial_record(trial):
 
 @pytest.mark.parametrize("argv, where", BAD_INPUT_CASES.values(), ids=BAD_INPUT_CASES.keys())
 def test_bad_input_file_is_an_error_not_a_traceback(argv, where, tmp_path, monkeypatch, capsys):
-    """A bad input file or count exits 1 with one error line, naming the
-    malformed file's line or the flag, and writes no output file."""
+    """A bad input file, count or model flag exits 1 with one error line,
+    naming the malformed file's line or the flag, and prints nothing else
+    and writes no output file."""
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(harness, "_run_task", lambda job: pytest.fail("a trial ran"))
     states = [Equilibrium(np.array([0.1, -0.2, 0.3]), 1e-13, True, 1.0),
@@ -408,6 +421,7 @@ def test_bad_input_file_is_an_error_not_a_traceback(argv, where, tmp_path, monke
     (tmp_path / "graph.txt").write_text("0 1\n1 2\n")
     (tmp_path / "graph_n.txt").write_text("# n=3\n0 1\n1 2\n")
     (tmp_path / "good.txt").write_text("# n=3 n1=1\n0 1\n1 2\n")
+    (tmp_path / "no_agents.txt").write_text("# n=0 n1=0\n")
     (tmp_path / "empty.csv").write_text("")
     write_records_csv("records_ok.csv", [_trial_record(0), _trial_record(1)])
     stamp, header, first, second, _ = Path("records_ok.csv").read_bytes().decode().split("\r\n")
@@ -428,9 +442,10 @@ def test_bad_input_file_is_an_error_not_a_traceback(argv, where, tmp_path, monke
     (tmp_path / "inputs3.csv").write_text("0.5,-0.5,0.1\n1.0,2.0,-1.0\n")
     (tmp_path / "inputs_inf.csv").write_text("0.5,-0.5,0.1\n1.0,inf,-1.0\n")
     assert main(argv) == 1
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert err.startswith("error: ") and "Traceback" not in err
     assert len(err.splitlines()) == 1 and where in err
+    assert out == ""
     assert not any(Path(out).exists() for out in ("est.csv", "eq.csv", "records.csv",
                                                   "summary.csv"))
 
@@ -596,7 +611,8 @@ def test_seeded_sweep_leaves_the_scipy_solvers_unloaded():
 def test_saturation_sweep_leaves_scipy_special_unloaded():
     """A saturation-sweep run over all four saturations, whose equilibria
     the seeded start solves, loads neither scipy.special (the erf
-    saturation is numpy code) nor scipy.integrate."""
+    saturation's S is math.erf, and only detect_multi inverts it) nor
+    scipy.integrate."""
     probe = (
         "import sys, commdyn.cli\n"
         "from commdyn.harness import Preset, build_config, run_experiment\n"
@@ -605,6 +621,26 @@ def test_saturation_sweep_leaves_scipy_special_unloaded():
         "assert {r.saturation for r in records} == {'tanh', 'alg-abs', 'alg-sqrt', 'erf'}\n"
         "bad = {'scipy.special', 'scipy.integrate'} & set(sys.modules)\n"
         "assert not bad, f'loaded by the sweep: {sorted(bad)}'\n")
+    done = _run_fresh(probe)
+    assert done.returncode == 0, done.stderr
+
+
+def test_erf_inversion_loads_scipy_special_on_first_use():
+    """detect_multi on erf pairs built without the ODE (B = d*X - u*S(z))
+    loads scipy.special for its erfinv only when it inverts, and recovers
+    the communities."""
+    probe = (
+        "import sys, numpy as np\n"
+        "from commdyn import detect, dynamics, graphgen\n"
+        "g = graphgen.sample_sbm(graphgen.SbmParams(10, 10, 0.8, 0.1, 0.8), 2)\n"
+        "m = dynamics.ModelParams(1.0, 0.5, 1.0, 0.1, dynamics.Saturation.ERF)\n"
+        "X = np.random.Generator(np.random.Philox(6)).uniform(-1.0, 1.0, (20, 20))\n"
+        "B = X - 0.5 * dynamics.saturation_eval(m.saturation, X + 0.1 * (g.adjacency @ X))\n"
+        "assert 'scipy.special' not in sys.modules, 'loaded before the inversion'\n"
+        "estimate = detect.detect_multi(detect.PairSet(X, B, m))\n"
+        "assert 'scipy.special' in sys.modules\n"
+        "assert 'scipy.integrate' not in sys.modules\n"
+        "assert detect.accuracy(g.labels, estimate.labels) == 1.0\n")
     done = _run_fresh(probe)
     assert done.returncode == 0, done.stderr
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -128,41 +130,19 @@ def test_saturation_inverse_near_the_range_edge(kind, k):
         assert abs(saturation_eval(kind, z) - signed) <= np.spacing(y)
 
 
-def _ulps(ours, reference):
-    """|ours - reference| in units of the last place of the larger of the
-    two, 0 where they are equal (infinities and NaN included)."""
-    equal = (ours == reference) | (np.isnan(ours) & np.isnan(reference))
-    spacing = np.spacing(np.maximum(np.abs(ours), np.abs(reference)))
-    return np.where(equal, 0.0, np.abs(ours - reference) / spacing)
-
-
-def test_erf_within_one_ulp_of_scipy():
-    """The numpy transcription of Cephes's erf is within 1 ulp of
-    scipy.special.erf on [-10, 10], its branch points 1 and 6 and their
-    neighbours, 0, -0 and +-inf included; the odd S of the erf family is it
-    at sqrt(pi)*z/2."""
-    from scipy.special import erf
-    edges = np.array([0.0, 1.0, 6.0])
-    edges = np.concatenate([edges, np.nextafter(edges, -1.0), np.nextafter(edges, 7.0)])
-    x = np.concatenate([np.linspace(-10.0, 10.0, 200_001), edges, -edges, [np.inf, -np.inf]])
-    assert _ulps(dynamics._erf(x), erf(x)).max() <= 1.0
-    assert np.signbit(dynamics._erf(-0.0))
+def test_erf_saturation():
+    """The erf family's S is math.erf at sqrt(pi)*z/2, bit for bit, scalar
+    or array; S and S^-1 keep the sign of -0; and S^-1(S(z)) gives z back
+    on [-4, 4] as closely as S's conditioning allows."""
     z = np.linspace(-6.0, 6.0, 1201)
-    assert np.array_equal(saturation_eval(Saturation.ERF, z), dynamics._erf(dynamics._ERF_SCALE * z))
-    assert saturation_eval(Saturation.ERF, 0.5) == float(dynamics._erf(dynamics._ERF_SCALE * 0.5))
-
-
-def test_erfinv_within_eight_ulps_of_scipy():
-    """The Halley erfinv is within 8 ulps of scipy.special.erfinv out to
-    1 - |y| = 1e-15 and the largest double below 1 (two Halley steps read 12
-    there) and down to |y| = 1e-300, and S^-1(S(z)) gives z back as closely
-    as S's conditioning allows."""
-    from scipy.special import erfinv
-    tail = np.concatenate([1.0 - np.logspace(-15.0, -0.3, 3000), [np.nextafter(1.0, 0.0)]])
-    y = np.concatenate([np.linspace(-0.999, 0.999, 100_001), tail, -tail,
-                        np.logspace(-300.0, -1.0, 1000), [0.0, 0.5, -0.5]])
-    assert _ulps(dynamics._erfinv(y), erfinv(y)).max() <= 8.0
-    assert np.signbit(dynamics._erfinv(-0.0))
+    expected = [math.erf(np.sqrt(np.pi) / 2.0 * v) for v in z.tolist()]
+    assert np.array_equal(saturation_eval(Saturation.ERF, z), expected)
+    assert np.array_equal(saturation_eval(Saturation.ERF, z.reshape(-1, 1)),
+                          np.reshape(expected, (-1, 1)))
+    assert saturation_eval(Saturation.ERF, 0.5) == math.erf(np.sqrt(np.pi) / 2.0 * 0.5)
+    assert np.signbit(saturation_eval(Saturation.ERF, -0.0))
+    assert np.signbit(saturation_inverse(Saturation.ERF, -0.0))
+    assert np.signbit(saturation_inverse(Saturation.ERF, np.array([0.5, -0.0]))[1])
     z = np.linspace(-4.0, 4.0, 8001)
     z = z[z != 0.0]
     s = saturation_eval(Saturation.ERF, z)
