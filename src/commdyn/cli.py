@@ -29,6 +29,15 @@ def _sbm_from_args(args):
     return graphgen.SbmParams(*values)
 
 
+def _check_seeds(args, *names):
+    """ValueError naming the first of the seed flags `names` that is
+    negative: a Philox key is a non-negative integer."""
+    for name in names:
+        value = getattr(args, name)
+        if value is not None and value < 0:
+            raise ValueError(f"--{name.replace('_', '-')} must be non-negative, got {value}")
+
+
 def _add_model_flags(parser):
     parser.add_argument("--d", type=float, default=1.0, help="damping coefficient")
     parser.add_argument("--alpha", type=float, default=1.0, help="self weight")
@@ -37,6 +46,7 @@ def _add_model_flags(parser):
 
 
 def _cmd_sample_graph(args):
+    _check_seeds(args, "seed")
     params = _sbm_from_args(args)
     graph = graphgen.sample_sbm(params, args.seed)
     graphgen.write_edge_list(graph, args.out)
@@ -73,6 +83,7 @@ def _resolve_model(args, params):
 
 
 def _cmd_simulate(args):
+    _check_seeds(args, "graph_seed", "ic_seed", "pair_seed")
     if args.pairs is not None and args.pairs < 1:
         raise ValueError(f"--pairs must be at least 1, got {args.pairs}")
     if args.graph:
@@ -101,8 +112,7 @@ def _cmd_simulate(args):
             harness.write_rows(args.inputs_out, pairs.B.T.tolist())
         print(f"wrote {args.pairs} input-driven equilibria to {args.out}")
     else:
-        rng = np.random.Generator(np.random.Philox(args.ic_seed))
-        x0 = rng.uniform(-1e-3, 1e-3, graph.n)
+        x0 = harness.small_start(graph.n, args.ic_seed)
         eq = dynamics.integrate_to_equilibrium(x0, model, graph)
         write_equilibria_csv(args.out, [eq])
         print(f"wrote equilibrium to {args.out}: converged={eq.converged}, "

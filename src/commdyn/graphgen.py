@@ -70,40 +70,16 @@ class CsrAdjacency(sparse.csr_array):
 
 @dataclass
 class Graph:
-    """Sampled undirected graph with ground-truth community labels.
-
-    `adjacency` is stored as a CSR scipy.sparse array (use `.toarray()` for a
-    dense copy); a dense or sparse matrix is accepted and converted. It is
-    not to be modified afterwards: `extreme_eigenpair` caches its results.
+    """Undirected graph with ground-truth community labels, as _from_upper
+    builds it: `adjacency` a canonical CSR array (use `.toarray()` for a
+    dense copy), symmetric and binary float64 with a zero diagonal, and
+    `labels` the n community labels. It is not to be modified afterwards:
+    `extreme_eigenpair` caches its results.
     """
 
     adjacency: CsrAdjacency
     labels: np.ndarray
     _eigenpairs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        a = CsrAdjacency(self.adjacency, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError("adjacency must be square")
-        a.sum_duplicates()
-        a.eliminate_zeros()
-        if not np.all(a.data == 1.0):
-            raise ValueError("adjacency must be binary")
-        # canonical CSR is unique, and a CSC's arrays (sorted by conversion) are
-        # its transpose's CSR arrays; A being binary, A = A^T exactly when its
-        # pattern matches the pattern's transpose, which an int8 copy sharing
-        # A's index arrays gives at 10 bytes per stored entry
-        pattern = sparse.csr_array((np.ones(a.nnz, dtype=np.int8), a.indices, a.indptr),
-                                   shape=a.shape).tocsc()
-        if not (np.array_equal(a.indptr, pattern.indptr)
-                and np.array_equal(a.indices, pattern.indices)):
-            raise ValueError("adjacency must be symmetric")
-        if np.any(a.diagonal() != 0.0):
-            raise ValueError("no self-loops allowed")
-        self.adjacency = a
-        self.labels = np.asarray(self.labels, dtype=int)
-        if self.labels.shape != (a.shape[0],):
-            raise ValueError("labels length must match adjacency size")
 
     @property
     def n(self):
@@ -119,7 +95,7 @@ class Graph:
         converged to the Lanczos tol `tol`.
 
         The first call for a (which, tol) runs spectral.extreme_eigpairs on
-        the CSR adjacency (checked symmetric on construction); later calls
+        the CSR adjacency (symmetric by construction); later calls
         return the same pair. A tol below spectral.LOOSE_EIG_TOL starts the
         Lanczos from the vector of the pair at LOOSE_EIG_TOL, which is
         computed first if it is not cached, so each pair depends only on
@@ -136,22 +112,26 @@ class Graph:
 
 
 def _from_upper(n, blocks, labels) -> Graph:
-    """Graph from a list of int32 upper-triangle edge blocks (rows, cols),
-    rows[k] < cols[k]. The list is emptied once the mirrored index arrays
-    exist, so the caller's upper copy is not alive through the CSR build.
+    """The Graph of a list of int32 upper-triangle edge blocks (rows, cols),
+    rows[k] < cols[k]. Each edge is stored with its mirror, so the CSR is
+    symmetric with a zero diagonal by construction. The list is emptied once
+    the mirrored index arrays exist, so the caller's upper copy is not alive
+    through the CSR build.
 
     The mirrored entries go first. COO to CSR is a stable sort by row, so
     when each row's upper edges and each column's upper edges come in
     increasing order (as from a lexicographic edge list), every CSR row comes
     out sorted and scipy skips its own sort. Given int32 indices, scipy keeps
-    int32 `indices` and `indptr` unless nnz or n needs int64. The ones are
-    int8; Graph makes the float64 data once.
+    int32 `indices` and `indptr` unless nnz or n needs int64. The COO ones
+    are int8; the CSR sums a pair listed twice into one entry, and float64
+    ones replace the sums, so the adjacency is binary.
     """
     rows = np.concatenate([c for _, c in blocks] + [r for r, _ in blocks])
     cols = np.concatenate([r for r, _ in blocks] + [c for _, c in blocks])
     blocks.clear()
     adjacency = CsrAdjacency((np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(n, n))
     del rows, cols  # the CSR has its own index arrays
+    adjacency.data = np.ones(adjacency.nnz)
     return Graph(adjacency, labels)
 
 
@@ -246,7 +226,7 @@ def is_connected(graph: Graph) -> bool:
 
     A breadth-first search from agent 0, one level at a time: the next level
     is the unreached agents that one CSR product with the current level's
-    indicator reaches. Graph has checked the adjacency symmetric, so the
+    indicator reaches. _from_upper builds the adjacency symmetric, so the
     agents reached are agent 0's component. Each level costs one pass over
     the edges, so the search costs the graph's diameter (a few levels for
     the SBM graphs) such passes."""
@@ -317,7 +297,7 @@ def read_edge_list(path) -> Graph:
 
     numpy parses the edges in bulk; only when that fails or an edge is out
     of range does a line-by-line scan run, to name the line."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         header = fh.readline().strip()
         if not header.startswith("# n=") or " n1=" not in header:
             raise ValueError(f"{path}:1: missing edge-list header '# n=<n> n1=<n1>'")
@@ -343,18 +323,8 @@ def read_edge_list(path) -> Graph:
             fh.seek(0)
             fh.readline()
             pairs = _scan_edges(fh, n, path)
-    # sorted unique keys i*n + j: COO assembly would sum a repeated line to
-    # weight 2. A sort, as np.unique's hash table (numpy 2.4) took 0.88 s
-    # on 875,000 keys that this sorts and masks in 0.01 s.
-    keys = pairs[:, 0] * n
-    keys += pairs[:, 1]
+    upper = [(pairs[:, 0].astype(np.int32), pairs[:, 1].astype(np.int32))]
     del pairs
-    keys.sort()
-    first = np.ones(len(keys), dtype=bool)
-    first[1:] = keys[1:] != keys[:-1]
-    keys = keys[first]
-    upper = [((keys // n).astype(np.int32), (keys % n).astype(np.int32))]
-    del keys
     return _from_upper(n, upper, labels)
 
 

@@ -167,6 +167,12 @@ def generate_pair_set(graph: Graph, model: ModelParams, m: int, seed: int):
     return PairSet(states, inputs, model), eqs
 
 
+def small_start(n: int, seed: int) -> np.ndarray:
+    """The start of a single-equilibrium run: n uniforms on [-1e-3, 1e-3]
+    from the Philox(seed) stream, a small random state near the origin."""
+    return np.random.Generator(np.random.Philox(seed)).uniform(-1e-3, 1e-3, n)
+
+
 def _run_task(args):
     """The records of one (SBM index, trial, pair set) task: one graph, its
     connectivity and, with diagnostics on, its concentration ratio, shared
@@ -229,9 +235,7 @@ def _error_code(exc):
 def _single_rows(config, row, key, graph, model, _m_values):
     """One equilibrium from a small random start, clustered on its own."""
     row.method = DetectionMethod.SINGLE_EQUILIBRIUM.value
-    rng = np.random.Generator(np.random.Philox(
-        derive_seed(config.base_seed, "init", key, row.trial)))
-    x0 = rng.uniform(-1e-3, 1e-3, graph.n)
+    x0 = small_start(graph.n, derive_seed(config.base_seed, "init", key, row.trial))
     eq = integrate_to_equilibrium(x0, model, graph)
     row.converged = eq.converged
     row.residual = eq.residual_inf
@@ -464,7 +468,7 @@ def build_config(preset, base_seed: int = 12345, **overrides) -> ExperimentConfi
 def load_config_file(path) -> dict:
     """Flat `key = value` file; lists are comma-separated, `#` starts a comment."""
     overrides = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -537,7 +541,7 @@ def read_rows(path, columns, rest=None) -> list:
     from the first line's or a cell of the wrong kind raises ValueError
     naming <path>:<line>."""
     names = list(columns)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         lines = [(reader.line_num, row) for row in reader if row and not row[0].startswith("#")]
     line, first = lines[0] if lines else (1, [])

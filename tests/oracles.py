@@ -15,7 +15,8 @@ residuals of input-equilibrium pairs.
 The seeded start's amplitude by bracketing: scipy's brentq on the projected
 fixed point, which the package solves by Newton without scipy.optimize.
 
-And the tests' graph fixture: the first connected sample of an SBM.
+And the tests' graphs: the first connected sample of an SBM, and the Graph
+of a hand-made adjacency, built the way the program builds every Graph.
 """
 
 import numpy as np
@@ -23,7 +24,7 @@ from scipy import sparse
 from scipy.optimize import brentq
 
 from commdyn.dynamics import Equilibrium, ModelParams, rhs, saturation_eval
-from commdyn.graphgen import Graph, SbmParams, is_connected, sample_sbm
+from commdyn.graphgen import Graph, SbmParams, _from_upper, is_connected, sample_sbm
 from commdyn.spectral import LOOSE_EIG_TOL, extreme_eigpairs, sym_eig
 
 
@@ -35,6 +36,22 @@ def connected_sample(params: SbmParams) -> Graph:
         if is_connected(graph):
             return graph
     raise RuntimeError("no connected sample")
+
+
+def graph_of(matrix, labels) -> Graph:
+    """The Graph of `matrix`, dense or in any scipy sparse format, with one
+    label per agent. The matrix must be symmetric and binary with a zero
+    diagonal; its strict upper triangle goes through graphgen._from_upper,
+    so the Graph holds the float64 CSR the program builds."""
+    a = sparse.csr_array(matrix, dtype=float, copy=True)
+    a.eliminate_zeros()  # a stored zero is no edge
+    assert a.shape == (len(labels), len(labels)), "one label per agent of a square matrix"
+    assert np.all(a.data == 1.0), "a binary adjacency"
+    assert (a != a.T).nnz == 0, "a symmetric adjacency"
+    assert not a.diagonal().any(), "no self-loops"
+    upper = sparse.triu(a, k=1, format="coo")
+    return _from_upper(a.shape[0], [(upper.row.astype(np.int32), upper.col.astype(np.int32))],
+                       np.asarray(labels))
 
 
 def bernoulli_pairs_sbm(params: SbmParams, seed: int) -> Graph:
@@ -49,7 +66,7 @@ def bernoulli_pairs_sbm(params: SbmParams, seed: int) -> Graph:
     upper = np.zeros((params.n, params.n), dtype=bool)
     for i in range(params.n - 1):
         upper[i, i + 1:] = rng.random(params.n - 1 - i) < probs[labels[i] - 1, i + 1:]
-    return Graph(sparse.csr_array(upper | upper.T, dtype=float), labels)
+    return graph_of(upper | upper.T, labels)
 
 
 def expected_adjacency(params: SbmParams) -> np.ndarray:

@@ -390,6 +390,17 @@ BAD_INPUT_CASES = {
     "simulate-graph-with-graph-seed": (["simulate", "--graph", "good.txt", "--graph-seed", "4",
                                         "--gamma", "0.1", "--u", "0.5", "--out", "eq.csv"],
                                        "--graph-seed cannot be given with --graph"),
+    # a Philox key is non-negative: each seed flag is named before any output
+    "sample-graph-seed-negative": (["sample-graph", *SBM_FLAGS, "--seed", "-5", "--out",
+                                    "eq.csv"], "--seed must be non-negative"),
+    "simulate-ic-seed-negative": (["simulate", *SBM_FLAGS, "--u-offset", "0.05", "--ic-seed",
+                                   "-1", "--out", "eq.csv"], "--ic-seed must be non-negative"),
+    "simulate-pair-seed-negative": (["simulate", *SBM_FLAGS, "--u-offset", "0.05", "--pairs",
+                                     "2", "--pair-seed", "-1", "--out", "eq.csv"],
+                                    "--pair-seed must be non-negative"),
+    "simulate-graph-seed-negative": (["simulate", *SBM_FLAGS, "--u-offset", "0.05",
+                                      "--graph-seed", "-1", "--out", "eq.csv"],
+                                     "--graph-seed must be non-negative"),
     "experiment-workers-0": (["experiment", "--preset", "ssbm-positive", "--trials", "1",
                               "--workers", "0", "--out", "records.csv"], "--workers"),
     "experiment-workers-negative": (["experiment", "--preset", "ssbm-positive", "--trials", "1",

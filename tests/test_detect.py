@@ -6,10 +6,10 @@ from commdyn.detect import (DetectionMethod, PairSet, _cluster_second_eigenvecto
                             estimate_adjacency, invert_pairs)
 from commdyn.dynamics import Equilibrium, ModelParams
 from commdyn.errors import DomainError, NeutralState
-from commdyn.graphgen import Graph, SbmParams
+from commdyn.graphgen import SbmParams
 from commdyn.harness import generate_pair_set
 from commdyn.theory import expected_threshold
-from oracles import connected_sample, expected_adjacency, fixed_point_residuals
+from oracles import connected_sample, expected_adjacency, fixed_point_residuals, graph_of
 
 
 def _eq(state):
@@ -49,7 +49,7 @@ def test_detect_single_branch_sign_invariance():
 # fixed-point inversion
 
 def _two_agent_path():
-    return Graph(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([1, 2]))
+    return graph_of(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([1, 2]))
 
 
 def test_invert_pairs_zero_fixed_point():

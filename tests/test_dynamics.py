@@ -12,11 +12,11 @@ from commdyn.dynamics import (DENSE_NEWTON_MAX_N, Equilibrium, ModelParams, Satu
                               newton_refine, rhs, saturation_deriv, saturation_eval,
                               saturation_inverse)
 from commdyn.errors import DomainError
-from commdyn.graphgen import Graph, SbmParams, max_expected_degree, sample_sbm
+from commdyn.graphgen import SbmParams, max_expected_degree, sample_sbm
 from commdyn.spectral import extreme_eigpairs
 from commdyn.theory import expected_threshold
 from oracles import (bifurcation_threshold, branch_amplitude, connected_sample,
-                     fixed_point_residuals, projected_fixed_point)
+                     fixed_point_residuals, graph_of, projected_fixed_point)
 
 ALL_KINDS = list(Saturation)
 
@@ -174,13 +174,13 @@ def test_round_trip_y_direction():
 # vector field
 
 def test_rhs_origin_without_input():
-    g = Graph(np.zeros((2, 2)), np.array([1, 2]))
+    g = graph_of(np.zeros((2, 2)), np.array([1, 2]))
     m = ModelParams(1.0, 0.7, 1.0, 1.0)
     assert np.all(rhs(np.zeros(2), m, g) == 0.0)
 
 
 def test_rhs_single_agent_linear_damping():
-    g = Graph(np.zeros((1, 1)), np.array([1]))
+    g = graph_of(np.zeros((1, 1)), np.array([1]))
     m = ModelParams(1.0, 0.0, 1.0, 1.0)
     out = rhs(np.array([3.0]), m, g, np.array([2.0]))
     assert out == pytest.approx(-1.0)
@@ -189,7 +189,7 @@ def test_rhs_single_agent_linear_damping():
 def test_rhs_matches_agent_form_sum():
     rng = np.random.Generator(np.random.Philox(11))
     adjacency = np.ones((3, 3)) - np.eye(3)
-    g = Graph(adjacency, np.array([1, 1, 2]))
+    g = graph_of(adjacency, np.array([1, 1, 2]))
     for kind in ALL_KINDS:
         m = ModelParams(1.3, 0.8, 0.5, -0.4, kind)
         x = rng.standard_normal(3)
@@ -205,7 +205,7 @@ def test_rhs_matches_agent_form_sum():
 # integration and refinement
 
 def test_origin_is_fixed_point():
-    g = Graph(np.zeros((2, 2)), np.array([1, 2]))
+    g = graph_of(np.zeros((2, 2)), np.array([1, 2]))
     m = ModelParams(1.0, 0.5, 1.0, 1.0)
     eq = integrate_to_equilibrium(np.zeros(2), m, g)
     assert eq.converged and eq.residual_inf == 0.0 and eq.elapsed_model_time == 0.0
@@ -575,7 +575,7 @@ def test_newton_singular_jacobian_returns_unconverged():
     """Two isolated agents at x = (0, 0.5) with d = u = alpha = 1: the
     Jacobian's first row, -d + u*S'(0)*alpha, is exactly 0, so the dense
     solve raises LinAlgError and the polish ends at the start, unconverged."""
-    g = Graph(np.zeros((2, 2)), np.array([1, 2]))
+    g = graph_of(np.zeros((2, 2)), np.array([1, 2]))
     x = np.array([0.0, 0.5])
     result = newton_refine(x, ModelParams(1.0, 1.0, 1.0, 0.1), g)
     assert not result.converged
@@ -720,8 +720,8 @@ def test_certificate_start_reaches_a_component_where_the_state_is_zero():
     assert root.converged and root.elapsed_model_time == 0.0  # the seeded root
     bipartite = np.zeros((15, 15))
     bipartite[:7, 7:] = 1.0
-    g = Graph(sparse.block_diag([g1.adjacency, bipartite + bipartite.T], format="csr"),
-              np.r_[g1.labels, np.repeat([1, 2], [7, 8])])
+    g = graph_of(sparse.block_diag([g1.adjacency, bipartite + bipartite.T]),
+                 np.r_[g1.labels, np.repeat([1, 2], [7, 8])])
     x = np.r_[root.state, np.zeros(15)]
     assert np.abs(rhs(x, m, g)).max() <= dynamics.STEADY_TOL
     jac = dynamics._linearize(x, m, g)
@@ -855,7 +855,7 @@ def test_branch_seed_at_an_exact_root_takes_no_newton_step(monkeypatch):
     """On K4 with its exact top pair (3, 1/2) at every tol, tanh rounds to 1
     at the start c = u*sqrt(n)/d = 20, where g is then exactly 0: c is
     returned as is."""
-    g = Graph(sparse.csr_array(np.ones((4, 4)) - np.eye(4)), np.array([1, 1, 2, 2]))
+    g = graph_of(np.ones((4, 4)) - np.eye(4), np.array([1, 1, 2, 2]))
     monkeypatch.setattr(g, "extreme_eigenpair", lambda which, tol: (3.0, np.full(4, 0.5)))
     m = ModelParams(1.0, 10.0, 0.0, 1.0)
     assert projected_fixed_point(m, g, 20.0) == 0.0

@@ -1,3 +1,4 @@
+import codecs
 import hashlib
 import itertools
 import math
@@ -12,7 +13,7 @@ from commdyn import graphgen, spectral
 from commdyn.graphgen import (Graph, SbmParams, block_labels, check_assumptions,
                               is_connected, max_expected_degree, read_edge_list, sample_sbm,
                               write_edge_list)
-from oracles import bernoulli_pairs_sbm, expected_adjacency
+from oracles import bernoulli_pairs_sbm, expected_adjacency, graph_of
 
 
 def test_params_validation():
@@ -116,13 +117,13 @@ def test_max_expected_degree():
 
 
 def test_is_connected():
-    edgeless = Graph(np.zeros((3, 3)), np.array([1, 1, 2]))
+    edgeless = graph_of(np.zeros((3, 3)), np.array([1, 1, 2]))
     assert not is_connected(edgeless)
-    k4 = Graph(np.ones((4, 4)) - np.eye(4), np.array([1, 1, 2, 2]))
+    k4 = graph_of(np.ones((4, 4)) - np.eye(4), np.array([1, 1, 2, 2]))
     assert is_connected(k4)
     path = np.zeros((3, 3))
     path[0, 1] = path[1, 0] = path[1, 2] = path[2, 1] = 1.0
-    assert is_connected(Graph(path, np.array([1, 1, 2])))
+    assert is_connected(graph_of(path, np.array([1, 1, 2])))
 
 
 def _connectivity_cases(tmp_path):
@@ -135,14 +136,14 @@ def _connectivity_cases(tmp_path):
                   for seed in range(2)})
     k4 = np.zeros((5, 5))
     k4[:4, :4] = 1.0 - np.eye(4)
-    cases["isolated-vertex"] = Graph(k4, np.array([1, 1, 2, 2, 2]))
+    cases["isolated-vertex"] = graph_of(k4, np.array([1, 1, 2, 2, 2]))
     # a path takes one search level per vertex; cut in the middle, it is two
     # components
     path = sparse.diags_array([np.ones(29), np.ones(29)], offsets=[-1, 1], shape=(30, 30))
-    cases["path"] = Graph(path, block_labels(30, 15))
+    cases["path"] = graph_of(path, block_labels(30, 15))
     cut = path.tolil()
     cut[14, 15] = cut[15, 14] = 0.0
-    cases["two-paths"] = Graph(cut, block_labels(30, 15))
+    cases["two-paths"] = graph_of(cut, block_labels(30, 15))
     for name, text in (("n0", "# n=0 n1=0\n"), ("n1", "# n=1 n1=1\n"),
                        ("n3-one-edge", "# n=3 n1=1\n0 1\n")):
         path = tmp_path / f"{name}.txt"
@@ -169,8 +170,8 @@ def test_is_connected_agrees_with_connected_components(tmp_path):
 def test_sampled_graph_is_int32_and_small(tmp_path):
     """sample_sbm's CSR holds int32 `indices` and `indptr`, so do the same
     graph's arrays after an edge-list round trip, and sampling peaks at no
-    more than 72 traced bytes per edge (int64 indices and their copies took
-    112)."""
+    more than 36 traced bytes per edge (int64 indices and their copies took
+    112; a float64 copy of the CSR and an int8 CSC of its pattern, 39)."""
     params = SbmParams.ssbm(4000, 0.005, 0.03)
     tracemalloc.start()
     try:
@@ -179,7 +180,7 @@ def test_sampled_graph_is_int32_and_small(tmp_path):
     finally:
         tracemalloc.stop()
     edges = g.adjacency.nnz // 2
-    assert peak <= 72 * edges, peak / edges
+    assert peak <= 36 * edges, peak / edges
     path = tmp_path / "graph.txt"
     write_edge_list(g, path)
     back = read_edge_list(path)
@@ -217,36 +218,55 @@ def test_check_assumptions():
     assert check_assumptions(SbmParams.ssbm(500, 0.05, 0.3))
 
 
-def test_graph_validation():
-    with pytest.raises(ValueError):
-        Graph(np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([1, 2]))
-    with pytest.raises(ValueError):
-        Graph(np.eye(2), np.array([1, 2]))
-    with pytest.raises(ValueError):
-        Graph(np.array([[0.0, 0.5], [0.5, 0.0]]), np.array([1, 2]))
-    # each check names what it found; the binary check runs first, so the
-    # structure-only symmetry check never meets a symmetric pattern with
-    # unequal values
-    with pytest.raises(ValueError, match="must be binary"):
-        Graph(np.array([[0.0, 1.0], [2.0, 0.0]]), np.array([1, 2]))
-    with pytest.raises(ValueError, match="must be binary"):
-        Graph(np.array([[0.0, 0.5], [0.5, 0.0]]), np.array([1, 2]))
-    with pytest.raises(ValueError, match="must be symmetric"):
-        Graph(np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([1, 2]))
-    # a directed 3-cycle: every row and column holds one entry, so only the
-    # column indices tell it from its transpose
-    cycle = np.roll(np.eye(3), 1, axis=1)
-    with pytest.raises(ValueError, match="must be symmetric"):
-        Graph(cycle, np.array([1, 1, 2]))
-    with pytest.raises(ValueError, match="no self-loops"):
-        Graph(np.eye(2), np.array([1, 2]))
-    with pytest.raises(ValueError, match="must be square"):
-        Graph(np.zeros((2, 3)), np.array([1, 2]))
-    with pytest.raises(ValueError, match="labels length"):
-        Graph(np.zeros((2, 2)), np.array([1, 2, 2]))
-    # explicit zeros and duplicate entries are resolved before the checks
-    coo = sparse.coo_array(([1.0, 0.0, 0.5, 0.5], ([0, 0, 1, 1], [1, 0, 0, 0])), shape=(2, 2))
-    assert np.array_equal(Graph(coo, np.array([1, 2])).adjacency.toarray(), [[0, 1], [1, 0]])
+def _assert_built(graph):
+    """The invariants of every Graph the program builds: a canonical CSR
+    (rows sorted, no entry stored twice) with int32 indices, symmetric and
+    binary float64 with a zero diagonal, and one label per agent."""
+    a = graph.adjacency
+    n = a.shape[0]
+    assert type(a) is graphgen.CsrAdjacency and a.shape == (n, n)
+    assert a.indices.dtype == a.indptr.dtype == np.int32
+    assert a.indptr[0] == 0 and a.indptr[-1] == a.nnz == len(a.indices)
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(a.indptr))
+    keys = rows * n + a.indices
+    assert np.all(np.diff(keys) > 0), "not canonical"
+    assert np.array_equal(np.sort(a.indices.astype(np.int64) * n + rows), keys), "not symmetric"
+    assert a.data.dtype == np.float64 and np.all(a.data == 1.0)
+    assert not np.any(rows == a.indices), "a self-loop"
+    assert graph.labels.shape == (n,)
+
+
+BUILD_SBMS = {
+    "n1-1": SbmParams(1, 9, 0.4, 0.6, 0.3),
+    "all-zero": SbmParams(5, 4, 0.0, 0.0, 0.0),
+    "all-one": SbmParams(5, 4, 1.0, 1.0, 1.0),
+    "l12-0": SbmParams(30, 20, 0.5, 0.0, 0.5),
+    "one-each": SbmParams(1, 1, 0.0, 1.0, 0.0),
+    "unequal": SbmParams(500, 25, 0.05, 0.1, 0.5),
+    "n2000": SbmParams.ssbm(2000, 0.005, 0.03),
+}
+
+
+@pytest.mark.parametrize("params", BUILD_SBMS.values(), ids=BUILD_SBMS.keys())
+def test_sampled_and_read_graphs_are_built_canonical(params, tmp_path):
+    """Sampled graphs and their read-back edge lists, each edge listed
+    once, twice or in reverse line order, hold the CSR the program
+    promises; the all-one SBM is the complete graph."""
+    path = tmp_path / "graph.txt"
+    for seed in range(3):
+        g = sample_sbm(params, seed)
+        _assert_built(g)
+        write_edge_list(g, path)
+        header, *lines = path.read_text().splitlines(keepends=True)
+        for text in (header + "".join(lines), header + "".join(lines + lines[::2]),
+                     header + "".join(lines[::-1])):
+            path.write_text(text)
+            back = read_edge_list(path)
+            _assert_built(back)
+            for name in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(back.adjacency, name), getattr(g.adjacency, name))
+    if params.l11 == params.l12 == params.l22 == 1.0:
+        assert g.adjacency.nnz == params.n * (params.n - 1)
 
 
 def test_edge_list_round_trip(tmp_path):
@@ -297,25 +317,28 @@ def test_sample_sbm_golden_edge_lists(tmp_path, params, seed, digest):
                                     SbmParams(1000, 50, 0.05, 0.01, 0.05)],
                          ids=["2000", "10000", "1000-50-0.05-0.01-0.05"])
 def test_sample_sbm_peak_memory_per_edge(params):
-    """Sampling peaks at no more than 44 traced bytes per edge next to the
-    24-byte CSR it returns: int8 COO ones, a structure-only symmetry check
-    and no upper-edge copy alive through the CSR build (the float64 ones, a
-    float64 CSC and the caller's upper copy took 64). The dense block of the
-    third case took 164 when stream v2 drew positions with
-    Generator.choice, which shuffles an arange of the whole run."""
+    """Sampling peaks at no more than 36 traced bytes per edge next to the
+    24-byte CSR it returns: int8 COO ones that float64 ones replace in the
+    CSR, no upper-edge copy alive through the CSR build and no check of what
+    was built (a float64 copy of the CSR and an int8 CSC of its pattern took
+    38-39; float64 COO ones, a float64 CSC and the caller's upper copy took
+    64). The dense block of the third case took 164 when stream v2 drew
+    positions with Generator.choice, which shuffles an arange of the whole
+    run."""
     tracemalloc.start()
     try:
         g = sample_sbm(params, 5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 44 * (g.adjacency.nnz // 2), peak / (g.adjacency.nnz // 2)
+    assert peak <= 36 * (g.adjacency.nnz // 2), peak / (g.adjacency.nnz // 2)
 
 
 def test_edge_list_read_back_is_the_sampled_csr_and_small(tmp_path):
     """A written and read-back graph has the sampled graph's CSR arrays,
-    and reading it peaks at no more than 48 traced bytes per edge (a set of
-    tuples took about 213)."""
+    and reading it peaks at no more than 36 traced bytes per edge (a float64
+    copy of the CSR and an int8 CSC of its pattern took 39, a set of tuples
+    about 213)."""
     g = sample_sbm(SbmParams.ssbm(10_000, 0.005, 0.03), 5)
     path = tmp_path / "graph.txt"
     write_edge_list(g, path)
@@ -325,7 +348,7 @@ def test_edge_list_read_back_is_the_sampled_csr_and_small(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 48 * (g.adjacency.nnz // 2), peak / (g.adjacency.nnz // 2)
+    assert peak <= 36 * (g.adjacency.nnz // 2), peak / (g.adjacency.nnz // 2)
     for name in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(back.adjacency, name), getattr(g.adjacency, name)), name
         assert getattr(back.adjacency, name).dtype == getattr(g.adjacency, name).dtype, name
@@ -375,8 +398,25 @@ def test_write_edge_list_formats_every_digit_count(tmp_path):
     for i, j in edges:
         a[i, j] = a[j, i] = 1.0
     path = tmp_path / "graph.txt"
-    write_edge_list(Graph(a, np.ones(1001, dtype=int)), path)
+    write_edge_list(graph_of(a, np.ones(1001, dtype=int)), path)
     assert path.read_text() == "# n=1001 n1=1001\n" + "".join(f"{i} {j}\n" for i, j in edges)
+
+
+def test_read_edge_list_skips_a_byte_order_mark(tmp_path):
+    """A UTF-8 byte-order mark, as Windows editors write, does not hide the
+    header: the file reads as it would without one, and a bad line is still
+    named by its number."""
+    g = sample_sbm(SbmParams(5, 7, 0.6, 0.3, 0.8), seed=42)
+    path = tmp_path / "graph.txt"
+    write_edge_list(g, path)
+    path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+    back = read_edge_list(path)
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(back.adjacency, name), getattr(g.adjacency, name)), name
+    assert np.array_equal(back.labels, g.labels)
+    path.write_bytes(codecs.BOM_UTF8 + b"# n=4 n1=2\n0 1\n2 1\n")
+    with pytest.raises(ValueError, match="graph.txt:3: bad edge 2 1"):
+        read_edge_list(path)
 
 
 def test_read_edge_list_ignores_repeated_edge(tmp_path):

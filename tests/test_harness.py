@@ -1,3 +1,4 @@
+import codecs
 import concurrent.futures
 import csv
 import dataclasses
@@ -456,6 +457,20 @@ def test_records_csv_round_trip(tmp_path, make_config):
     assert read_records_csv(path) == records
 
 
+def test_read_rows_skips_a_byte_order_mark(tmp_path):
+    """A UTF-8 byte-order mark, as Windows editors write, is not part of the
+    first cell: a records file keeps its `# generated` comment line and an
+    inputs file its first number."""
+    records = run_experiment(tiny_single_config(trials=1), workers=1)
+    path = tmp_path / "records.csv"
+    write_records_csv(path, records)
+    path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+    assert read_records_csv(path) == records
+    inputs = tmp_path / "inputs.csv"
+    inputs.write_bytes(codecs.BOM_UTF8 + b"0.5,-0.5\r\n1.0,2.0\r\n")
+    assert harness.read_rows(inputs, {}, rest=float) == [[0.5, -0.5], [1.0, 2.0]]
+
+
 def test_records_csv_reproducible_bytes(tmp_path):
     config = tiny_single_config()
     paths = []
@@ -653,6 +668,14 @@ def test_load_config_file(tmp_path):
     assert config.trials == 4
     assert {p.sbm.n for p in config.points} == {200, 500}
     assert config.diagnostics
+
+
+def test_load_config_file_skips_a_byte_order_mark(tmp_path):
+    """A UTF-8 byte-order mark, as Windows editors write, is not part of the
+    first key."""
+    path = tmp_path / "exp.cfg"
+    path.write_bytes(codecs.BOM_UTF8 + b"preset = ssbm-positive\ntrials = 2\n")
+    assert load_config_file(path) == {"preset": "ssbm-positive", "trials": 2}
 
 
 def test_load_config_file_rejects_garbage(tmp_path):

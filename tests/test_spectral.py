@@ -13,11 +13,11 @@ from scipy.sparse.linalg import minres as scipy_minres
 from commdyn import dynamics, spectral, theory
 from commdyn.detect import estimate_adjacency
 from commdyn.dynamics import ModelParams
-from commdyn.graphgen import Graph, SbmParams, block_labels, max_expected_degree, sample_sbm
+from commdyn.graphgen import SbmParams, block_labels, max_expected_degree, sample_sbm
 from commdyn.harness import Preset, build_config
 from commdyn.spectral import Operator, extreme_eigpairs, kmeans_two_1d, minres, sym_eig
 from commdyn.theory import expected_spectrum
-from oracles import corrected_expected_matrix
+from oracles import corrected_expected_matrix, graph_of
 
 
 def test_sym_eig_identity():
@@ -203,7 +203,7 @@ def test_lanczos_breaks_down_on_an_edgeless_graph(which):
     seeded vectors fill one basis, and the pair is (0, a unit vector) after
     its 20 matvecs, with no n x n matrix."""
     n = 3000
-    graph = Graph(sparse.csr_array((n, n)), block_labels(n, n // 2))
+    graph = graph_of(sparse.csr_array((n, n)), block_labels(n, n // 2))
     calls = []
     value, vector = extreme_eigpairs(_counting(graph.adjacency, calls), which,
                                      tol=spectral.LOOSE_EIG_TOL)

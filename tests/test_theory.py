@@ -13,7 +13,7 @@ from commdyn.spectral import extreme_eigpairs, sym_eig
 from commdyn.theory import (_expected_top, alignment_check, concentration_ratio,
                             davis_kahan_check, expected_spectrum)
 from oracles import (bifurcation_threshold, c_of_u, connected_sample, corrected_expected_matrix,
-                     dense_davis_kahan, dense_expected_top, expected_adjacency)
+                     dense_davis_kahan, dense_expected_top, expected_adjacency, graph_of)
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +273,7 @@ def test_concentration_ratio_community_relabel_invariant():
     p = SbmParams.ssbm(40, 0.4, 0.1)
     g = sample_sbm(p, seed=2)
     flip = np.concatenate([np.arange(20, 40), np.arange(20)])
-    flipped = Graph(g.adjacency[np.ix_(flip, flip)], g.labels)
+    flipped = graph_of(g.adjacency[np.ix_(flip, flip)], g.labels)
     assert concentration_ratio(g, p) == pytest.approx(concentration_ratio(flipped, p), abs=1e-12)
 
 
